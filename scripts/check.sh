@@ -7,7 +7,9 @@
 #   4. the fleet smoke (`ctest -L fleet`: the scalar-vs-batched
 #      equivalence oracle and fleet edge cases);
 #   5. the intra-run parallelism gate (`ctest -L fleet-par`: sharded
-#      minute-loop outputs bit-identical to serial for any --sim-threads);
+#      minute-loop outputs bit-identical to serial for any --sim-threads,
+#      and both fidelities' golden report payloads at every --jobs x
+#      --sim-threads combination);
 #   6. the observability suite (`ctest -L obs`: sketches, fleet
 #      aggregator, watchdogs, incident timelines, crisis detection);
 #   7. the flight-recorder suite (`ctest -L blackbox`: retention /

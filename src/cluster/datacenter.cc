@@ -25,20 +25,21 @@ DatacenterPowerSim::DatacenterPowerSim(std::vector<RackConfig> rack_configs,
     : racks(std::move(rack_configs)), feedCapacity(feed_capacity),
       oversub(oversubscription), ocSpeedup(oc_speedup)
 {
+    // Checks are negated in-range tests so NaN is rejected too.
     util::fatalIf(racks.empty(), "DatacenterPowerSim: need racks");
-    util::fatalIf(feed_capacity <= 0.0,
+    util::fatalIf(!(feed_capacity > 0.0),
                   "DatacenterPowerSim: feed capacity must be positive");
-    util::fatalIf(oversubscription < 1.0,
+    util::fatalIf(!(oversubscription >= 1.0),
                   "DatacenterPowerSim: oversubscription must be >= 1");
-    util::fatalIf(oc_speedup < 1.0,
+    util::fatalIf(!(oc_speedup >= 1.0),
                   "DatacenterPowerSim: speedup must be >= 1");
     for (const auto &rack : racks) {
         util::fatalIf(rack.servers == 0, "DatacenterPowerSim: empty rack");
-        util::fatalIf(rack.idlePower < 0.0 ||
-                          rack.nominalPeak <= rack.idlePower,
+        util::fatalIf(!(rack.idlePower >= 0.0 &&
+                        rack.nominalPeak > rack.idlePower),
                       "DatacenterPowerSim: bad rack power range");
-        util::fatalIf(rack.overclockDemand < 0.0 ||
-                          rack.overclockDemand > 1.0,
+        util::fatalIf(!(rack.overclockDemand >= 0.0 &&
+                        rack.overclockDemand <= 1.0),
                       "DatacenterPowerSim: overclock demand out of [0,1]");
     }
 }
@@ -79,11 +80,10 @@ DatacenterPowerSim::enablePerServerFidelity(PerServerPhysics server_physics)
     for (const std::uint32_t s : server_physics.rackSku)
         util::fatalIf(s >= server_physics.skus.size(),
                       "enablePerServerFidelity: rack SKU out of range");
-    util::fatalIf(server_physics.utilSpread < 0.0 ||
-                      server_physics.utilSpread > 0.5,
+    util::fatalIf(!(server_physics.utilSpread >= 0.0 &&
+                    server_physics.utilSpread <= 0.5),
                   "enablePerServerFidelity: utilSpread out of [0, 0.5]");
     physics = std::move(server_physics);
-    fidelityMode = FleetFidelity::PerServer;
 }
 
 Watts
@@ -93,20 +93,6 @@ DatacenterPowerSim::fleetNominalPeak() const
     for (const auto &rack : racks)
         total += rack.nominalPeak * static_cast<double>(rack.servers);
     return total;
-}
-
-DatacenterOutcome
-DatacenterPowerSim::run(OverclockPolicy policy, util::Rng &rng,
-                        double days) const
-{
-    return run(policy, rng, days, nullptr, nullptr);
-}
-
-void
-DatacenterPowerSim::attachObservability(obs::FleetAggregator *aggregator,
-                                        obs::Watchdog *watchdog_in)
-{
-    attachObservability(aggregator, watchdog_in, nullptr);
 }
 
 void
@@ -120,30 +106,30 @@ DatacenterPowerSim::attachObservability(obs::FleetAggregator *aggregator,
 }
 
 /**
- * The per-minute observer hook shared by both fidelity loops: reduce
- * the fleet columns and poll the watchdog rules. Pure reads — no
- * model state, RNG stream, telemetry row, or metric is touched, so an
- * attached observer can never change a run's outcome.
+ * The per-minute observer hook: reduce the fleet columns and poll the
+ * watchdog rules. Pure reads — no model state, RNG stream, telemetry
+ * row, or metric is touched, so an attached observer can never change
+ * a run's outcome.
  *
- * When the minute loop runs sharded (@p plan / @p runner non-null),
- * the aggregator's reduction fans over the same shards; its sharded
- * path is bit-identical to the serial one, so attached observers see
- * the same sample stream at every thread count. The watchdog poll
- * stays serial (it reads the aggregator's already-reduced sample).
+ * Above one thread the aggregator's reduction fans over the minute
+ * loop's shards; its sharded path is bit-identical to the serial one,
+ * so attached observers see the same sample stream at every thread
+ * count. The watchdog poll stays serial (it reads the aggregator's
+ * already-reduced sample).
  */
 void
 DatacenterPowerSim::observeMinute(std::size_t minute,
                                   const fleet::FleetState &state,
-                                  const util::ShardPlan *plan,
-                                  util::ShardRunner *runner) const
+                                  const util::ShardPlan &plan,
+                                  util::ShardRunner &runner) const
 {
     if (!fleetAggregator && !watchdog && !flightRecorder)
         return;
     const Seconds now = static_cast<double>(minute) * 60.0;
     if (fleetAggregator) {
-        if (plan && runner && runner->threads() > 1)
+        if (runner.threads() > 1)
             fleetAggregator->observe(now, fleet::fleetView(state), 60.0,
-                                     *plan, *runner);
+                                     plan, runner);
         else
             fleetAggregator->observe(now, fleet::fleetView(state), 60.0);
     }
@@ -159,10 +145,23 @@ DatacenterPowerSim::run(OverclockPolicy policy, util::Rng &rng, double days,
                         obs::MetricRegistry *metrics) const
 {
     obs::ProfScope prof("datacenter.run");
-    util::fatalIf(days <= 0.0, "DatacenterPowerSim::run: bad horizon");
-    return fidelityMode == FleetFidelity::PerServer
-               ? runPerServer(policy, rng, days, telemetry, metrics)
-               : runRackAggregate(policy, rng, days, telemetry, metrics);
+    PerServerSession session(*this, policy, rng, days, telemetry, metrics);
+    session.stepMinutes(session.totalMinutes());
+    return session.finish();
+}
+
+std::unique_ptr<PerServerSession>
+DatacenterPowerSim::startPerServerSession(OverclockPolicy policy,
+                                          util::Rng &rng, double days,
+                                          obs::TimeSeries *telemetry,
+                                          obs::MetricRegistry *metrics)
+    const
+{
+    util::fatalIf(physics.skus.empty(),
+                  "startPerServerSession: call enablePerServerFidelity "
+                  "first");
+    return std::unique_ptr<PerServerSession>(new PerServerSession(
+        *this, policy, rng, days, telemetry, metrics));
 }
 
 namespace {
@@ -207,230 +206,22 @@ shardCountFor(std::size_t units)
 
 } // namespace
 
-DatacenterOutcome
-DatacenterPowerSim::runRackAggregate(OverclockPolicy policy, util::Rng &rng,
-                                     double days,
-                                     obs::TimeSeries *telemetry,
-                                     obs::MetricRegistry *metrics) const
-{
-    obs::Counter *minute_metric = nullptr;
-    obs::Counter *capping_metric = nullptr;
-    obs::Counter *capped_rack_metric = nullptr;
-    obs::HistogramMetric *feed_util_metric = nullptr;
-    if (metrics) {
-        minute_metric = &metrics->counter("datacenter.minutes");
-        capping_metric = &metrics->counter("datacenter.capping_minutes");
-        capped_rack_metric =
-            &metrics->counter("datacenter.capped_rack_minutes");
-        feed_util_metric =
-            &metrics->histogram("datacenter.feed_utilization");
-    }
-    if (telemetry) {
-        *telemetry = obs::TimeSeries();
-        telemetry->setColumns({"feed_draw_w", "feed_utilization", "capped",
-                               "oc_server_minutes"});
-    }
-
-    const auto traces = generateRackTraces(racks.size(), rng, days);
-
-    DatacenterOutcome out;
-    out.policy = policy;
-
-    double feed_util_sum = 0.0;
-    double capping_minutes = 0.0;
-    double want_minutes = 0.0;
-    double oc_minutes = 0.0;
-    double capped_oc_minutes = 0.0;
-    double speedup_sum = 0.0;
-
-    // Everything the minute loop needs is built once up front — the
-    // budget, the consumer records (names, minimums, and priorities are
-    // constant; only demands change per minute), the allocator's
-    // scratch buffers, and the fleet columns — so each simulated minute
-    // runs without heap allocation (bench_hot_paths pins this).
-    const power::PowerBudget budget(feedCapacity, oversub);
-    power::AllocScratch scratch;
-    std::vector<power::PowerConsumer> consumers;
-    consumers.reserve(racks.size());
-    for (std::size_t r = 0; r < racks.size(); ++r) {
-        const auto &rack = racks[r];
-        consumers.push_back(power::PowerConsumer{
-            "rack" + std::to_string(r), 0.0,
-            static_cast<double>(rack.servers) * rack.idlePower,
-            rack.priority});
-    }
-    // In aggregate mode each fleet column entry is one rack: the
-    // utilization/overclock-share/capped columns carry the per-minute
-    // control state the original loop kept in ad-hoc locals, and
-    // totalPower mirrors the granted draw so attached telemetry reads
-    // one consistent layer.
-    fleet::FleetState state;
-    state.addServers(racks.size(), 0, 0.0);
-
-    // Intra-run sharding (setSimThreads): in aggregate mode the
-    // shardable units are racks. The demand refresh is elementwise per
-    // rack and the aggregator reduction shards bit-identically; the
-    // capping allocation and the accounting walk stay serial (they are
-    // FP-order-sensitive whole-fleet reductions). The plan's geometry
-    // depends only on the rack count, so every thread count computes
-    // identical results; threads == 1 never touches a pool.
-    util::ShardRunner runner(simThreadCount);
-    const bool sharded = runner.threads() > 1;
-    util::ShardPlan plan;
-    if (sharded)
-        plan = util::ShardPlan::even(racks.size(),
-                                     shardCountFor(racks.size()));
-
-    const std::size_t minutes = traces.front().size();
-    for (std::size_t minute = 0; minute < minutes; ++minute) {
-        obs::ProfScope minute_prof("datacenter.minute");
-        // Refresh the per-minute demands (elementwise per rack).
-        const auto refreshRack = [&](std::size_t r) {
-            const auto &rack = racks[r];
-            const double util = traces[r][minute].utilization;
-            const double servers = static_cast<double>(rack.servers);
-            Watts demand =
-                servers * (rack.idlePower +
-                           util * (rack.nominalPeak - rack.idlePower));
-            state.utilization[r] = util;
-
-            // Which share of the rack wants (and may get) an overclock?
-            state.overclockShare[r] = util * rack.overclockDemand;
-            bool grant = false;
-            switch (policy) {
-              case OverclockPolicy::Never:
-                break;
-              case OverclockPolicy::Always:
-                grant = true;
-                break;
-              case OverclockPolicy::PowerAware:
-                // Decided after the base demand pass; handled below by
-                // a headroom check on the running total.
-                grant = true;
-                break;
-            }
-            if (grant && state.overclockShare[r] > 0.0) {
-                demand +=
-                    servers * state.overclockShare[r] * rack.overclockExtra;
-            }
-            consumers[r].demand = demand;
-        };
-        if (sharded) {
-            runner.run(plan, [&](std::size_t, std::size_t begin,
-                                 std::size_t end) {
-                for (std::size_t r = begin; r < end; ++r)
-                    refreshRack(r);
-            });
-        } else {
-            for (std::size_t r = 0; r < racks.size(); ++r)
-                refreshRack(r);
-        }
-        // Fixed rack order: the same left-to-right sum as the serial
-        // loop, regardless of which thread refreshed which rack.
-        Watts demand_total = 0.0;
-        for (std::size_t r = 0; r < racks.size(); ++r)
-            demand_total += consumers[r].demand;
-
-        // Power-aware policy backs the overclock out again when the
-        // aggregate would breach the feed.
-        if (policy == OverclockPolicy::PowerAware &&
-            demand_total > feedCapacity) {
-            for (std::size_t r = 0; r < racks.size(); ++r) {
-                const auto &rack = racks[r];
-                const Watts oc_part = static_cast<double>(rack.servers) *
-                                      state.overclockShare[r] *
-                                      rack.overclockExtra;
-                consumers[r].demand -= oc_part;
-                demand_total -= oc_part;
-                // Mark "wanted but withheld".
-                state.overclockShare[r] = -state.overclockShare[r];
-            }
-        }
-
-        // Demands are structurally >= the idle-power minimums, so the
-        // per-consumer validation pass stays off this hot path.
-        budget.allocate(consumers, scratch, false);
-        Watts drawn = 0.0;
-        bool any_capped = false;
-        double minute_oc = 0.0;
-        std::size_t capped_racks = 0;
-        for (std::size_t r = 0; r < racks.size(); ++r) {
-            drawn += scratch.granted[r];
-            any_capped = any_capped || scratch.capped[r] != 0;
-            if (scratch.capped[r] != 0)
-                ++capped_racks;
-            state.capped[r] = scratch.capped[r];
-            state.totalPower[r] = scratch.granted[r];
-
-            const auto &rack = racks[r];
-            const double servers = static_cast<double>(rack.servers);
-            const double wanted =
-                std::abs(state.overclockShare[r]) * servers;
-            want_minutes += wanted;
-            const bool overclocked = policy != OverclockPolicy::Never &&
-                                     state.overclockShare[r] > 0.0;
-            state.overclocked[r] = overclocked ? 1 : 0;
-            if (overclocked) {
-                oc_minutes += wanted;
-                minute_oc += wanted;
-                if (scratch.capped[r] != 0) {
-                    // Capping claws the frequency back: the overclock
-                    // bought nothing this minute.
-                    capped_oc_minutes += wanted;
-                    speedup_sum += wanted * 1.0;
-                } else {
-                    speedup_sum += wanted * ocSpeedup;
-                }
-            } else {
-                speedup_sum += wanted * 1.0;
-            }
-        }
-        feed_util_sum += drawn / feedCapacity;
-        if (any_capped)
-            capping_minutes += 1.0;
-        out.energyMwh += drawn / 1e6 / 60.0;
-
-        const double feed_util = drawn / feedCapacity;
-        if (telemetry) {
-            telemetry->append(static_cast<double>(minute) * 60.0,
-                              {drawn, feed_util, any_capped ? 1.0 : 0.0,
-                               minute_oc});
-        }
-        if (metrics) {
-            minute_metric->inc();
-            if (any_capped)
-                capping_metric->inc();
-            capped_rack_metric->inc(
-                static_cast<std::uint64_t>(capped_racks));
-            feed_util_metric->observe(feed_util);
-        }
-        observeMinute(minute, state, sharded ? &plan : nullptr,
-                      sharded ? &runner : nullptr);
-    }
-
-    const double total_minutes = static_cast<double>(minutes);
-    out.meanFeedUtilization = feed_util_sum / total_minutes;
-    out.cappingMinutesShare = capping_minutes / total_minutes;
-    out.overclockShare =
-        want_minutes > 0.0 ? oc_minutes / want_minutes : 0.0;
-    out.cappedOverclockShare =
-        oc_minutes > 0.0 ? capped_oc_minutes / oc_minutes : 0.0;
-    out.speedupDelivered =
-        want_minutes > 0.0 ? speedup_sum / want_minutes : 1.0;
-    return out;
-}
-
 PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
                                    OverclockPolicy policy_in,
                                    util::Rng &rng, double days,
                                    obs::TimeSeries *telemetry_in,
                                    obs::MetricRegistry *metrics)
-    : owner(sim_in), policy(policy_in), telemetry(telemetry_in),
+    : owner(sim_in), policy(policy_in),
+      perServer(!sim_in.physics.skus.empty()), telemetry(telemetry_in),
       budget(sim_in.feedCapacity, sim_in.oversub),
       runner(sim_in.simThreadCount), feedCap(sim_in.feedCapacity),
       ceiling(std::numeric_limits<double>::infinity()),
       ocAdmission(sim_in.physics.skus.size(), 1.0)
 {
+    util::fatalIf(!(std::isfinite(days) &&
+                    days * units::kMinutesPerDay >= 1.0),
+                  "DatacenterPowerSim: horizon must be finite and at "
+                  "least one minute");
     const auto &racks = owner.racks;
     const auto &physics = owner.physics;
     const std::vector<fleet::SkuParams> &sku_table = physics.skus;
@@ -442,6 +233,8 @@ PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
             &metrics->counter("datacenter.capped_rack_minutes");
         feedUtilMetric =
             &metrics->histogram("datacenter.feed_utilization");
+    }
+    if (metrics && perServer) {
         // The fleet layer's own attachment points (per-server physics).
         serverMinuteMetric = &metrics->counter("fleet.server_minutes");
         cappedServerMetric =
@@ -454,66 +247,72 @@ PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
     }
     if (telemetry) {
         *telemetry = obs::TimeSeries();
-        telemetry->setColumns({"feed_draw_w", "feed_utilization", "capped",
-                               "oc_server_minutes", "mean_tj_c",
-                               "max_tj_c", "mean_wear"});
+        std::vector<std::string> columns = {"feed_draw_w",
+                                            "feed_utilization", "capped",
+                                            "oc_server_minutes"};
+        if (perServer)
+            columns.insert(columns.end(),
+                           {"mean_tj_c", "max_tj_c", "mean_wear"});
+        telemetry->setColumns(std::move(columns));
     }
 
     traces = generateRackTraces(racks.size(), rng, days);
 
-    // Build the fleet columns: rack r owns servers
-    // [rackBegin[r], rackBegin[r + 1]).
+    // Build the fleet columns: rack r owns units
+    // [rackBegin[r], rackBegin[r + 1]) — its servers, or in
+    // rack-aggregate mode the one unit standing for the whole rack.
     rackBegin.assign(racks.size() + 1, 0);
-    {
-        std::size_t total = 0;
-        for (const auto &rack : racks)
-            total += rack.servers;
-        state.reserve(total);
-    }
+    for (std::size_t r = 0; r < racks.size(); ++r)
+        rackBegin[r + 1] = rackBegin[r] + (perServer ? racks[r].servers : 1);
+    state.reserve(rackBegin.back());
     for (std::size_t r = 0; r < racks.size(); ++r) {
         const std::uint32_t sku =
             physics.rackSku.empty() ? 0u : physics.rackSku[r];
-        rackBegin[r + 1] = rackBegin[r] + racks[r].servers;
-        state.addServers(racks[r].servers, sku,
-                         sku_table[sku].coolantRef);
+        state.addServers(rackBegin[r + 1] - rackBegin[r], sku,
+                         perServer ? sku_table[sku].coolantRef : 0.0);
     }
     n = state.size();
 
-    // Per-server static utilization offsets (drawn after the traces so
-    // the rack-level load stream matches the aggregate mode).
-    offset.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        offset[i] = physics.utilSpread > 0.0
-                        ? rng.uniform(-physics.utilSpread,
-                                      physics.utilSpread)
-                        : 0.0;
+    if (perServer) {
+        // Per-server static utilization offsets (drawn after the traces
+        // so the rack-level load stream matches the aggregate mode).
+        offset.assign(n, 0.0);
+        for (std::size_t i = 0; i < n; ++i)
+            offset[i] = physics.utilSpread > 0.0
+                            ? rng.uniform(-physics.utilSpread,
+                                          physics.utilSpread)
+                            : 0.0;
 
-    // Deterministic overclock-demand ranks: the first
-    // ceil(share * servers) servers of a rack want the overclock when
-    // the wanting share is `share`, matching the aggregate model's
-    // expected fraction without extra RNG draws.
-    ocRank.assign(n, 0.0);
-    for (std::size_t r = 0; r < racks.size(); ++r) {
-        const double servers = static_cast<double>(racks[r].servers);
-        for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1]; ++i)
-            ocRank[i] = (static_cast<double>(i - rackBegin[r]) + 0.5) /
-                        servers;
+        // Deterministic overclock-demand ranks: the first
+        // ceil(share * servers) servers of a rack want the overclock
+        // when the wanting share is `share`, matching the aggregate
+        // model's expected fraction without extra RNG draws.
+        ocRank.assign(n, 0.0);
+        for (std::size_t r = 0; r < racks.size(); ++r) {
+            const double servers = static_cast<double>(racks[r].servers);
+            for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1]; ++i)
+                ocRank[i] = (static_cast<double>(i - rackBegin[r]) + 0.5) /
+                            servers;
+        }
     }
 
-    // The capping floors come from the physics: at zero utilization a
-    // server draws its constant components plus coolant-reference
-    // leakage, a guaranteed lower bound since Tj never falls below the
-    // coolant reference.
+    // Capping floors. Rack-aggregate: the configured idle power. Per
+    // server they come from the physics: at zero utilization a server
+    // draws its constant components plus coolant-reference leakage, a
+    // guaranteed lower bound since Tj never falls below the coolant
+    // reference.
     consumers.reserve(racks.size());
     for (std::size_t r = 0; r < racks.size(); ++r) {
-        const std::uint32_t sku =
-            physics.rackSku.empty() ? 0u : physics.rackSku[r];
-        const fleet::SkuParams &p = sku_table[sku];
-        const Watts idle_floor =
-            p.leakRef *
-                std::exp((p.coolantRef - p.leakRefTj) / p.leakTheta) *
-                p.sockets +
-            p.constantPower;
+        Watts idle_floor = racks[r].idlePower;
+        if (perServer) {
+            const fleet::SkuParams &p =
+                sku_table[physics.rackSku.empty() ? 0u : physics.rackSku[r]];
+            idle_floor =
+                p.leakRef *
+                    std::exp((p.coolantRef - p.leakRefTj) / p.leakTheta) *
+                    p.sockets +
+                p.constantPower;
+        }
         consumers.push_back(power::PowerConsumer{
             "rack" + std::to_string(r), 0.0,
             static_cast<double>(racks[r].servers) * idle_floor,
@@ -521,26 +320,23 @@ PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
     }
 
     out.policy = policy;
-    out.fleet.servers = n;
+    out.fleet.servers = perServer ? n : 0;
 
     // Intra-run sharding (setSimThreads): the fleet splits into
     // rack-aligned shards — every rack lies whole inside one shard, so
     // a rack's demand sum is still one thread's left-to-right
-    // accumulation, bit-identical to the serial loop. The plan's
-    // geometry depends only on the rack layout, never the thread
-    // count; shardRack[s] is the first rack of shard s.
-    sharded = runner.threads() > 1;
-    if (sharded) {
-        plan = util::ShardPlan::alignedTo(rackBegin, shardCountFor(n));
-        shardRack.reserve(plan.shards() + 1);
-        std::size_t r = 0;
-        for (std::size_t s = 0; s < plan.shards(); ++s) {
-            while (rackBegin[r] < plan.begin(s))
-                ++r;
-            shardRack.push_back(r);
-        }
-        shardRack.push_back(racks.size());
+    // accumulation. The plan's geometry depends only on the rack
+    // layout, never the thread count, and one thread runs every shard
+    // inline; shardRack[s] is the first rack of shard s.
+    plan = util::ShardPlan::alignedTo(rackBegin, shardCountFor(n));
+    shardRack.reserve(plan.shards() + 1);
+    std::size_t r = 0;
+    for (std::size_t s = 0; s < plan.shards(); ++s) {
+        while (rackBegin[r] < plan.begin(s))
+            ++r;
+        shardRack.push_back(r);
     }
+    shardRack.push_back(racks.size());
 
     minutesTotal = traces.front().size();
 }
@@ -592,7 +388,7 @@ PerServerSession::setFrequencyCeiling(GHz ceiling_in)
 void
 PerServerSession::setFeedCapacity(Watts capacity)
 {
-    util::fatalIf(capacity <= 0.0,
+    util::fatalIf(!(capacity > 0.0),
                   "PerServerSession: feed capacity must be positive");
     feedCap = capacity;
     budget.setCapacity(capacity);
@@ -607,7 +403,7 @@ PerServerSession::setRecoverableBrownout(bool recoverable)
 void
 PerServerSession::setPackingFraction(double fraction)
 {
-    util::fatalIf(fraction <= 0.0 || fraction > 1.0,
+    util::fatalIf(!(fraction > 0.0 && fraction <= 1.0),
                   "PerServerSession: packing fraction out of (0, 1]");
     packing = fraction;
 }
@@ -630,7 +426,6 @@ PerServerSession::finish()
     util::fatalIf(minuteIndex == 0,
                   "PerServerSession: finish before any step");
     finished = true;
-    const auto &sku_table = owner.physics.skus;
     const double total_minutes = static_cast<double>(minuteIndex);
     out.meanFeedUtilization = feedUtilSum / total_minutes;
     out.cappingMinutesShare = cappingMinutes / total_minutes;
@@ -640,12 +435,15 @@ PerServerSession::finish()
         ocMinutes > 0.0 ? cappedOcMinutes / ocMinutes : 0.0;
     out.speedupDelivered =
         wantMinutes > 0.0 ? speedupSum / wantMinutes : 1.0;
-    out.fleet.meanTj = meanTjSum / total_minutes;
-    out.fleet.peakTj = peakTj;
-    out.fleet.meanWearConsumed = state.meanWearConsumed();
-    out.fleet.meanWearCredit = state.meanWearCredit(sku_table);
-    out.fleet.meanServerPower =
-        fleetPowerSum / total_minutes / static_cast<double>(n);
+    if (perServer) {
+        out.fleet.meanTj = meanTjSum / total_minutes;
+        out.fleet.peakTj = peakTj;
+        out.fleet.meanWearConsumed = state.meanWearConsumed();
+        out.fleet.meanWearCredit =
+            state.meanWearCredit(owner.physics.skus);
+        out.fleet.meanServerPower =
+            fleetPowerSum / total_minutes / static_cast<double>(n);
+    }
     return out;
 }
 
@@ -656,24 +454,40 @@ PerServerSession::stepMinute()
     const std::vector<fleet::SkuParams> &skus = owner.physics.skus;
     const std::size_t minute = minuteIndex;
     const Seconds minute_dt = 60.0;
-    const Years minute_years = fleet::secondsToYears(minute_dt);
 
     obs::ProfScope minute_prof("datacenter.minute");
 
-    // Desired operating point per server (elementwise per rack). The
-    // control knobs nest so that their neutral values (packing == 1,
-    // admission == 1) take the exact branches of the original
-    // monolithic loop — a session with untouched knobs is bit-identical
-    // to run().
+    // Rack-aggregate demand: the closed-form rack power, plus the
+    // overclock power of the rack's wanting share unless the policy
+    // forbids it. The unit is the rack itself (unit index r).
+    const auto rackGranted = [&](std::size_t r) {
+        return policy != OverclockPolicy::Never &&
+               state.overclockShare[r] > 0.0;
+    };
+    const auto setRackDemand = [&](std::size_t r) {
+        const auto &rack = racks[r];
+        const double util = traces[r][minute].utilization;
+        const double servers = static_cast<double>(rack.servers);
+        Watts demand =
+            servers *
+            (rack.idlePower + util * (rack.nominalPeak - rack.idlePower));
+        state.utilization[r] = util;
+        state.overclockShare[r] = util * rack.overclockDemand;
+        if (rackGranted(r))
+            demand += servers * state.overclockShare[r] * rack.overclockExtra;
+        consumers[r].demand = demand;
+    };
+    // Per-server desired operating points. The control knobs nest so
+    // that their neutral values (packing == 1, admission == 1) take the
+    // exact branches of an unknobbed run — a session with untouched
+    // knobs is bit-identical to run().
     const auto setRackOperatingPoints = [&](std::size_t r) {
         const auto &rack = racks[r];
         const std::uint32_t sku =
             owner.physics.rackSku.empty() ? 0u : owner.physics.rackSku[r];
         const double rack_util = traces[r][minute].utilization;
-        for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1];
-             ++i) {
-            double u = std::clamp(rack_util + offset[i], 0.0,
-                                  1.0);
+        for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1]; ++i) {
+            double u = std::clamp(rack_util + offset[i], 0.0, 1.0);
             if (packing < 1.0) {
                 // Packing: the head of the rack's rank order carries
                 // the rack's whole load at proportionally higher
@@ -684,10 +498,8 @@ PerServerSession::stepMinute()
                         : 0.0;
             }
             state.utilization[i] = u;
-            const bool wants =
-                ocRank[i] < u * rack.overclockDemand;
-            bool grant =
-                wants && policy != OverclockPolicy::Never;
+            const bool wants = ocRank[i] < u * rack.overclockDemand;
+            bool grant = wants && policy != OverclockPolicy::Never;
             if (grant && ocAdmission[sku] < 1.0) {
                 // Frequency ceiling between the SKU's levels: admit
                 // only the head of the wanting ranks, in proportion.
@@ -699,40 +511,40 @@ PerServerSession::stepMinute()
             state.overclocked[i] = grant ? 1 : 0;
             state.freqLevel[i] =
                 grant ? fleet::kOverclocked : fleet::kNominal;
-            state.capped[i] = 0;
         }
     };
-    // Left-to-right sum over one rack's servers — whole inside a
-    // single shard, so serial and sharded runs associate
-    // identically.
-    const auto sumRackDemand = [&](std::size_t r) {
-        Watts demand = 0.0;
-        for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1]; ++i)
-            demand += state.totalPower[i];
-        consumers[r].demand = demand;
+    // Per-server power at the operating points, summed left to right
+    // over each rack — whole inside a single shard, so every thread
+    // count associates identically.
+    const auto stepShardPower = [&](std::size_t s, std::size_t begin,
+                                    std::size_t end) {
+        fleet::stepPower(state, skus, begin, end);
+        for (std::size_t r = shardRack[s]; r < shardRack[s + 1]; ++r) {
+            Watts demand = 0.0;
+            for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1]; ++i)
+                demand += state.totalPower[i];
+            consumers[r].demand = demand;
+        }
     };
 
-    // Physics pass: per-server dynamic + leakage power at the
-    // desired points feeds the rack demands and the capping
-    // decision.
-    if (sharded) {
-        runner.run(plan, [&](std::size_t s, std::size_t begin,
-                             std::size_t end) {
-            for (std::size_t r = shardRack[s]; r < shardRack[s + 1];
-                 ++r)
-                setRackOperatingPoints(r);
-            fleet::stepPower(state, skus, begin, end);
-            for (std::size_t r = shardRack[s]; r < shardRack[s + 1];
-                 ++r)
-                sumRackDemand(r);
-        });
-    } else {
-        for (std::size_t r = 0; r < racks.size(); ++r)
+    // Demand pass (per mode), elementwise per shard.
+    runner.run(plan, [&](std::size_t s, std::size_t begin,
+                         std::size_t end) {
+        const std::size_t r_end = shardRack[s + 1];
+        if (!perServer) {
+            for (std::size_t r = shardRack[s]; r < r_end; ++r)
+                setRackDemand(r);
+            // The flags get their own loop: a byte store may alias any
+            // column pointer, so inside the demand loop it would force
+            // them all to be reloaded for every rack.
+            for (std::size_t r = shardRack[s]; r < r_end; ++r)
+                state.overclocked[r] = rackGranted(r) ? 1 : 0;
+            return;
+        }
+        for (std::size_t r = shardRack[s]; r < r_end; ++r)
             setRackOperatingPoints(r);
-        fleet::stepPower(state, skus);
-        for (std::size_t r = 0; r < racks.size(); ++r)
-            sumRackDemand(r);
-    }
+        stepShardPower(s, begin, end);
+    });
     // Cross-rack total: serial, in fixed rack order (the barrier
     // before this line is what makes the order deterministic).
     Watts demand_total = 0.0;
@@ -740,109 +552,108 @@ PerServerSession::stepMinute()
         demand_total += consumers[r].demand;
 
     // Power-aware policy backs every overclock out when the fleet
-    // would breach the feed, before capping has to fire.
+    // would breach the feed, before capping has to fire: clear the
+    // flags, then drop each rack unit's overclock part (rack-aggregate)
+    // or re-evaluate the servers' power at nominal (per-server).
     if (policy == OverclockPolicy::PowerAware &&
         demand_total > feedCap && state.overclockedCount() > 0) {
-        const auto clearOverclocks = [&](std::size_t begin,
-                                         std::size_t end) {
+        runner.run(plan, [&](std::size_t s, std::size_t begin,
+                             std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
-                if (state.overclocked[i] != 0) {
-                    state.overclocked[i] = 0;
+                if (state.overclocked[i] == 0)
+                    continue;
+                state.overclocked[i] = 0;
+                if (perServer) {
                     state.freqLevel[i] = fleet::kNominal;
+                } else {
+                    consumers[i].demand -=
+                        static_cast<double>(racks[i].servers) *
+                        state.overclockShare[i] * racks[i].overclockExtra;
                 }
             }
-        };
-        if (sharded) {
-            runner.run(plan, [&](std::size_t s, std::size_t begin,
-                                 std::size_t end) {
-                clearOverclocks(begin, end);
-                fleet::stepPower(state, skus, begin, end);
-                for (std::size_t r = shardRack[s];
-                     r < shardRack[s + 1]; ++r)
-                    sumRackDemand(r);
-            });
-        } else {
-            clearOverclocks(0, n);
-            fleet::stepPower(state, skus);
-            for (std::size_t r = 0; r < racks.size(); ++r)
-                sumRackDemand(r);
-        }
-        demand_total = 0.0;
-        for (std::size_t r = 0; r < racks.size(); ++r)
-            demand_total += consumers[r].demand;
+            if (perServer)
+                stepShardPower(s, begin, end);
+        });
     }
 
     budget.allocate(consumers, scratch, false);
 
+    // Accounting walk, which also sets every unit's capped flag. A
+    // unit's wanted weight is its overclock-wanting share times the
+    // servers it stands for: 0 or 1 for a server, the fractional share
+    // of the whole rack for a rack unit.
     Watts drawn = 0.0;
     bool any_capped = false;
     double minute_oc = 0.0;
     std::size_t capped_racks = 0;
     std::size_t capped_servers = 0;
+    // The running totals are summed in locals: the walk's byte stores
+    // may alias the members, which would force every addition through
+    // memory.
+    double want = wantMinutes;
+    double oc = ocMinutes;
+    double capped_oc = cappedOcMinutes;
+    double speedup = speedupSum;
+    const double oc_speedup = owner.ocSpeedup;
     for (std::size_t r = 0; r < racks.size(); ++r) {
         drawn += scratch.granted[r];
         const bool rack_capped = scratch.capped[r] != 0;
+        const std::size_t units_end = rackBegin[r + 1];
         any_capped = any_capped || rack_capped;
-        if (rack_capped)
+        if (rack_capped) {
             ++capped_racks;
+            capped_servers += units_end - rackBegin[r];
+        }
+        const double unit_servers =
+            perServer ? 1.0 : static_cast<double>(racks[r].servers);
 
-        for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1];
-             ++i) {
-            if (state.wantsOverclock[i] != 0)
-                wantMinutes += 1.0;
-            if (rack_capped) {
-                state.capped[i] = 1;
-                ++capped_servers;
-            }
+        for (std::size_t i = rackBegin[r]; i < units_end; ++i) {
+            const double wanted = state.overclockShare[i] * unit_servers;
+            want += wanted;
+            state.capped[i] = rack_capped ? 1 : 0;
             if (state.overclocked[i] != 0) {
-                ocMinutes += 1.0;
-                minute_oc += 1.0;
+                oc += wanted;
+                minute_oc += wanted;
                 if (rack_capped) {
-                    // Capping claws the frequency back: the
-                    // overclock bought nothing this minute.
-                    cappedOcMinutes += 1.0;
-                    speedupSum += 1.0;
+                    // Capping claws the frequency back: the overclock
+                    // bought nothing this minute.
+                    capped_oc += wanted;
+                    speedup += wanted;
                     state.freqLevel[i] = fleet::kNominal;
                 } else {
-                    speedupSum += owner.ocSpeedup;
+                    speedup += wanted * oc_speedup;
                 }
-            } else if (state.wantsOverclock[i] != 0) {
-                speedupSum += 1.0;
+            } else {
+                speedup += wanted;
             }
         }
-        if (rack_capped && !sharded) {
-            // Re-evaluate the rack's power at the clawed-back
-            // frequencies so the thermal/wear steps see the capped
-            // operating point.
-            fleet::stepPower(state, skus, rackBegin[r],
-                             rackBegin[r + 1]);
-        }
     }
+    wantMinutes = want;
+    ocMinutes = oc;
+    cappedOcMinutes = capped_oc;
+    speedupSum = speedup;
 
-    // Thermal and wear advance at the post-capping operating point.
-    if (sharded) {
-        // The capped-rack power re-evaluation is deferred into this
-        // fused phase: every rack's freqLevel is final once the
-        // accounting loop above finishes, stepPower is elementwise
-        // over exactly that input, and nothing between the inline
-        // call site and here reads the power columns — so deferring
-        // it is bit-identical to the serial interleaving.
+    // Post-capping physics (per mode). Per server: re-evaluate the
+    // capped racks' power at the clawed-back frequencies, then advance
+    // thermal and wear at that operating point. Rack-aggregate: the
+    // unit's power is its granted draw.
+    if (perServer) {
         fleet::prepareThermalStep(state, skus, minute_dt);
         fleet::prepareWearStep(state);
         runner.run(plan, [&](std::size_t s, std::size_t begin,
                              std::size_t end) {
-            for (std::size_t r = shardRack[s]; r < shardRack[s + 1];
-                 ++r) {
+            for (std::size_t r = shardRack[s]; r < shardRack[s + 1]; ++r) {
                 if (scratch.capped[r] != 0)
                     fleet::stepPower(state, skus, rackBegin[r],
                                      rackBegin[r + 1]);
             }
             fleet::stepThermal(state, skus, minute_dt, begin, end);
-            fleet::stepWear(state, skus, minute_years, begin, end);
+            fleet::stepWear(state, skus, fleet::secondsToYears(minute_dt),
+                            begin, end);
         });
     } else {
-        fleet::stepThermal(state, skus, minute_dt);
-        fleet::stepWear(state, skus, minute_years);
+        for (std::size_t r = 0; r < racks.size(); ++r)
+            state.totalPower[r] = scratch.granted[r];
     }
 
     feedUtilSum += drawn / feedCap;
@@ -851,65 +662,41 @@ PerServerSession::stepMinute()
     out.energyMwh += drawn / 1e6 / 60.0;
 
     const double feed_util = drawn / feedCap;
-    const Celsius mean_tj = state.meanTj();
-    const Celsius max_tj = state.maxTj();
-    const double mean_wear = state.meanWearConsumed();
-    meanTjSum += mean_tj;
-    peakTj = std::max(peakTj, max_tj);
-    fleetPowerSum += state.fleetPower();
-
-    if (telemetry) {
-        telemetry->append(static_cast<double>(minute) * 60.0,
-                          {drawn, feed_util, any_capped ? 1.0 : 0.0,
-                           minute_oc, mean_tj, max_tj, mean_wear});
+    const Seconds now = static_cast<double>(minute) * 60.0;
+    if (perServer) {
+        const Celsius mean_tj = state.meanTj();
+        const Celsius max_tj = state.maxTj();
+        const double mean_wear = state.meanWearConsumed();
+        meanTjSum += mean_tj;
+        peakTj = std::max(peakTj, max_tj);
+        fleetPowerSum += state.fleetPower();
+        if (telemetry) {
+            telemetry->append(now, {drawn, feed_util, any_capped ? 1.0 : 0.0,
+                                    minute_oc, mean_tj, max_tj, mean_wear});
+        }
+        if (serverMinuteMetric) {
+            serverMinuteMetric->inc(static_cast<std::uint64_t>(n));
+            cappedServerMetric->inc(
+                static_cast<std::uint64_t>(capped_servers));
+            ocServerMetric->inc(static_cast<std::uint64_t>(minute_oc));
+            meanTjGauge->set(mean_tj);
+            maxTjGauge->set(max_tj);
+            meanWearGauge->set(mean_wear);
+            meanCreditGauge->set(state.meanWearCredit(skus));
+        }
+    } else if (telemetry) {
+        telemetry->append(now, {drawn, feed_util, any_capped ? 1.0 : 0.0,
+                                minute_oc});
     }
     if (minuteMetric) {
         minuteMetric->inc();
         if (any_capped)
             cappingMetric->inc();
-        cappedRackMetric->inc(
-            static_cast<std::uint64_t>(capped_racks));
+        cappedRackMetric->inc(static_cast<std::uint64_t>(capped_racks));
         feedUtilMetric->observe(feed_util);
-        serverMinuteMetric->inc(static_cast<std::uint64_t>(n));
-        cappedServerMetric->inc(
-            static_cast<std::uint64_t>(capped_servers));
-        ocServerMetric->inc(static_cast<std::uint64_t>(minute_oc));
-        meanTjGauge->set(mean_tj);
-        maxTjGauge->set(max_tj);
-        meanWearGauge->set(mean_wear);
-        meanCreditGauge->set(state.meanWearCredit(skus));
     }
-    owner.observeMinute(minute, state, sharded ? &plan : nullptr,
-                        sharded ? &runner : nullptr);
+    owner.observeMinute(minute, state, plan, runner);
     ++minuteIndex;
-}
-
-std::unique_ptr<PerServerSession>
-DatacenterPowerSim::startPerServerSession(OverclockPolicy policy,
-                                          util::Rng &rng, double days,
-                                          obs::TimeSeries *telemetry,
-                                          obs::MetricRegistry *metrics)
-    const
-{
-    util::fatalIf(fidelityMode != FleetFidelity::PerServer,
-                  "startPerServerSession: call enablePerServerFidelity "
-                  "first");
-    util::fatalIf(days <= 0.0, "startPerServerSession: bad horizon");
-    return std::unique_ptr<PerServerSession>(new PerServerSession(
-        *this, policy, rng, days, telemetry, metrics));
-}
-
-DatacenterOutcome
-DatacenterPowerSim::runPerServer(OverclockPolicy policy, util::Rng &rng,
-                                 double days, obs::TimeSeries *telemetry,
-                                 obs::MetricRegistry *metrics) const
-{
-    // The monolithic run is the steppable session driven straight to
-    // the horizon with every knob at its neutral default.
-    PerServerSession session(*this, policy, rng, days, telemetry,
-                             metrics);
-    session.stepMinutes(session.totalMinutes());
-    return session.finish();
 }
 
 } // namespace cluster

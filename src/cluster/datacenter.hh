@@ -65,13 +65,6 @@ struct RackConfig
                                    ///< tenants want overclocking.
 };
 
-/** Fidelity of the per-minute physics. */
-enum class FleetFidelity
-{
-    RackAggregate, ///< Closed-form rack power (default; the original model).
-    PerServer,     ///< Per-server Tj/leakage/wear via the fleet kernels.
-};
-
 /**
  * Configuration of the per-server fidelity mode: the SKU physics table
  * (fleet::SkuParams lifted from the scalar models) and how racks map
@@ -127,10 +120,20 @@ struct DatacenterOutcome
 class DatacenterPowerSim;
 
 /**
- * An in-flight per-server-fidelity run that an external control loop
- * can advance minute by minute (DatacenterPowerSim::run steps it to
- * the horizon in one go — stepping in chunks is bit-identical to that
- * monolithic run when no knob is touched mid-flight).
+ * An in-flight datacenter run, advanced minute by minute. This is the
+ * one minute loop of both fidelity modes: DatacenterPowerSim::run
+ * builds a session, steps it to the horizon and calls finish(). In
+ * per-server fidelity every fleet unit is a server; in rack-aggregate
+ * fidelity every unit is a rack, whose power is the closed-form rack
+ * model and whose Tj and wear columns are not stepped. Traces, the
+ * capping allocation, the accounting walk, telemetry, metrics and the
+ * observer hook are shared; only the demand pass, the PowerAware
+ * backout, the post-capping physics and the per-server telemetry
+ * columns, `fleet.*` metrics and FleetPhysicsStats differ per mode.
+ *
+ * An external control loop can step a per-server session itself
+ * (DatacenterPowerSim::startPerServerSession); stepping in chunks is
+ * bit-identical to run() when no knob is touched mid-flight.
  *
  * Between steps, a controller may turn the actuation knobs:
  *
@@ -146,9 +149,12 @@ class DatacenterPowerSim;
  *    first `fraction` of servers (the rest idle) — the packing-density
  *    knob trading per-server utilization against idle-power overhead.
  *
- * Sessions are created by DatacenterPowerSim::startPerServerSession
- * and borrow the parent sim (racks, physics, attached observers),
- * which must outlive them. Determinism follows the parent's contract:
+ * Externally stepped sessions come from
+ * DatacenterPowerSim::startPerServerSession, so the knobs only ever
+ * act on per-server units; run() builds rack-aggregate sessions
+ * internally and leaves every knob neutral. A session borrows the
+ * parent sim (racks, physics, attached observers), which must outlive
+ * it. Determinism follows the parent's contract:
  * for a fixed seed and knob/step schedule, any --sim-threads value
  * reproduces the same bits.
  */
@@ -220,6 +226,8 @@ class PerServerSession
 
   private:
     friend class DatacenterPowerSim;
+    /** @throws FatalError when @p days is not finite or shorter than
+     *  one minute. */
     PerServerSession(const DatacenterPowerSim &sim_in,
                      OverclockPolicy policy_in, util::Rng &rng,
                      double days, obs::TimeSeries *telemetry_in,
@@ -228,6 +236,7 @@ class PerServerSession
 
     const DatacenterPowerSim &owner;
     OverclockPolicy policy;
+    bool perServer; ///< Units are servers (else racks).
     obs::TimeSeries *telemetry = nullptr;
     obs::Counter *minuteMetric = nullptr;
     obs::Counter *cappingMetric = nullptr;
@@ -243,6 +252,7 @@ class PerServerSession
 
     std::vector<std::vector<workload::TraceSample>> traces;
     fleet::FleetState state;
+    /** Rack r owns units [rackBegin[r], rackBegin[r + 1]). */
     std::vector<std::size_t> rackBegin;
     std::size_t n = 0;
     std::vector<double> offset; ///< Static per-server util offsets.
@@ -251,9 +261,8 @@ class PerServerSession
     power::AllocScratch scratch;
     std::vector<power::PowerConsumer> consumers;
     util::ShardRunner runner;
-    bool sharded = false;
     util::ShardPlan plan;
-    std::vector<std::size_t> shardRack;
+    std::vector<std::size_t> shardRack; ///< First rack of each shard.
 
     DatacenterOutcome out;
     double feedUtilSum = 0.0;
@@ -296,16 +305,12 @@ class DatacenterPowerSim
                        double oc_speedup = 1.2);
 
     /**
-     * Simulate @p days of operation under @p policy.
+     * Simulate @p days of operation under @p policy: a session
+     * (PerServerSession) stepped straight to the horizon.
      *
-     * @param rng Random stream (drives the per-rack diurnal traces).
-     */
-    DatacenterOutcome run(OverclockPolicy policy, util::Rng &rng,
-                          double days) const;
-
-    /**
-     * As run(), also recording per-minute telemetry and counters.
-     *
+     * @param rng       Random stream (drives the per-rack diurnal
+     *                  traces).
+     * @param days      Horizon; must be finite and at least one minute.
      * @param telemetry When non-null, receives one row per simulated
      *                  minute with columns `feed_draw_w`,
      *                  `feed_utilization`, `capped`,
@@ -318,8 +323,8 @@ class DatacenterPowerSim
      *                  `datacenter.feed_utilization`.
      */
     DatacenterOutcome run(OverclockPolicy policy, util::Rng &rng,
-                          double days, obs::TimeSeries *telemetry,
-                          obs::MetricRegistry *metrics) const;
+                          double days, obs::TimeSeries *telemetry = nullptr,
+                          obs::MetricRegistry *metrics = nullptr) const;
 
     /**
      * Switch the per-minute loop to per-server fidelity: every server
@@ -330,13 +335,11 @@ class DatacenterPowerSim
      * DatacenterOutcome::fleet, appends `mean_tj_c`, `max_tj_c`,
      * `mean_wear` telemetry columns, and publishes `fleet.*` metrics.
      *
-     * The default RackAggregate mode is untouched (bit-for-bit) by
-     * this switch existing; fidelity only changes runs after the call.
+     * Without this call the sim runs in rack-aggregate fidelity:
+     * closed-form rack power, one fleet unit per rack. Fidelity only
+     * changes runs after the call.
      */
     void enablePerServerFidelity(PerServerPhysics physics);
-
-    /** @return the active physics fidelity. */
-    FleetFidelity fidelity() const { return fidelityMode; }
 
     /**
      * Use @p threads compute threads inside each run(): the per-minute
@@ -346,13 +349,14 @@ class DatacenterPowerSim
      * capping allocation.
      *
      * Determinism contract (tests/test_fleet.cc holds it bit-exact):
-     * threads == 1 (the default) runs the original serial loop, and
-     * any thread count reproduces it bit-for-bit — shard geometry
-     * depends only on the rack layout (never on the thread count),
-     * shard bodies are elementwise, per-rack demand sums stay whole
-     * inside one shard, and every order-sensitive floating-point
-     * reduction runs serially in fixed rack/server order after the
-     * barrier. --sim-threads trades wall-clock only, never results.
+     * threads == 1 (the default) runs every shard inline on the
+     * calling thread, and any thread count reproduces it bit-for-bit —
+     * shard geometry depends only on the rack layout (never on the
+     * thread count), shard bodies are elementwise, per-rack demand
+     * sums stay whole inside one shard, and every order-sensitive
+     * floating-point reduction runs serially in fixed rack/server
+     * order after the barrier. --sim-threads trades wall-clock only,
+     * never results.
      *
      * @param threads Compute threads per run, caller included
      *                (0 is clamped to 1).
@@ -370,24 +374,22 @@ class DatacenterPowerSim
      * minute's physics, @p aggregator (when non-null) reduces the
      * fleet columns (obs::FleetAggregator::observe with the minute's
      * wall time and dt=60 s) and @p watchdog (when non-null) polls its
-     * rules. Works in both fidelity modes — in RackAggregate mode the
+     * rules. Works in both fidelity modes — in rack-aggregate mode the
      * aggregated "units" are racks and only the power/utilization
      * channels carry signal (Tj and wear columns are not modelled).
      *
+     * When non-null, @p recorder (obs::FlightRecorder) is ticked once
+     * per minute, after the aggregator reduction and the watchdog
+     * poll, so its channels can read the minute's published sample
+     * and alert state.
+     *
      * Observers are pure reads: attaching them never changes a run's
      * outcome, telemetry, or RNG stream. Pass nullptrs to detach.
-     * Both pointers must outlive subsequent run() calls.
-     *
-     * The three-argument overload additionally ticks @p recorder
-     * (obs::FlightRecorder) once per minute, after the aggregator
-     * reduction and the watchdog poll, so its channels can read the
-     * minute's published sample and alert state.
+     * Every pointer must outlive subsequent run() calls.
      */
     void attachObservability(obs::FleetAggregator *aggregator,
-                             obs::Watchdog *watchdog);
-    void attachObservability(obs::FleetAggregator *aggregator,
                              obs::Watchdog *watchdog,
-                             obs::FlightRecorder *recorder);
+                             obs::FlightRecorder *recorder = nullptr);
 
     /** @return total nominal peak power across racks [W]. */
     Watts fleetNominalPeak() const;
@@ -417,24 +419,16 @@ class DatacenterPowerSim
 
   private:
     friend class PerServerSession;
-    DatacenterOutcome runRackAggregate(OverclockPolicy policy,
-                                       util::Rng &rng, double days,
-                                       obs::TimeSeries *telemetry,
-                                       obs::MetricRegistry *metrics) const;
-    DatacenterOutcome runPerServer(OverclockPolicy policy, util::Rng &rng,
-                                   double days, obs::TimeSeries *telemetry,
-                                   obs::MetricRegistry *metrics) const;
     void observeMinute(std::size_t minute, const fleet::FleetState &state,
-                       const util::ShardPlan *plan,
-                       util::ShardRunner *runner) const;
+                       const util::ShardPlan &plan,
+                       util::ShardRunner &runner) const;
 
     std::vector<RackConfig> racks;
     Watts feedCapacity;
     double oversub;
     double ocSpeedup;
     std::size_t simThreadCount = 1;
-    FleetFidelity fidelityMode = FleetFidelity::RackAggregate;
-    PerServerPhysics physics;
+    PerServerPhysics physics; ///< Empty skus = rack-aggregate fidelity.
     obs::FleetAggregator *fleetAggregator = nullptr;
     obs::Watchdog *watchdog = nullptr;
     obs::FlightRecorder *flightRecorder = nullptr;

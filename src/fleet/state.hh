@@ -149,8 +149,7 @@ struct SkuParams
  *  - wantsOverclock/overclocked/capped are the per-step control flags;
  *  - overclockShare[i] is the share of the unit wanting an overclock
  *    this step (a whole server: 0 or 1; a rack-aggregate unit: the
- *    fractional share, where the datacenter loop negates the value to
- *    mark "wanted but withheld").
+ *    fractional share of its servers).
  *
  * Columns are public by design: the batched kernels (and tests) index
  * them directly, and any accessor layer would just be loop overhead.

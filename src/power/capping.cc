@@ -27,15 +27,17 @@ RaplCapper::setPowerLimit(Watts watts)
 PowerBudget::PowerBudget(Watts capacity, double oversubscription)
     : cap(capacity), oversub(oversubscription)
 {
-    util::fatalIf(capacity <= 0.0, "PowerBudget: capacity must be positive");
-    util::fatalIf(oversubscription < 1.0,
+    util::fatalIf(!(capacity > 0.0),
+                  "PowerBudget: capacity must be positive");
+    util::fatalIf(!(oversubscription >= 1.0),
                   "PowerBudget: oversubscription ratio must be >= 1");
 }
 
 void
 PowerBudget::setCapacity(Watts capacity)
 {
-    util::fatalIf(capacity <= 0.0, "PowerBudget: capacity must be positive");
+    util::fatalIf(!(capacity > 0.0),
+                  "PowerBudget: capacity must be positive");
     cap = capacity;
 }
 

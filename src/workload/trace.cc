@@ -18,7 +18,7 @@ TraceGenerator::TraceGenerator(TraceParams params) : cfg(params)
     util::fatalIf(cfg.cores <= 0, "TraceGenerator: need cores");
     util::fatalIf(cfg.meanUtil < 0.0 || cfg.meanUtil > 1.0,
                   "TraceGenerator: mean utilization out of [0,1]");
-    util::fatalIf(cfg.sampleInterval <= 0.0,
+    util::fatalIf(!(cfg.sampleInterval > 0.0),
                   "TraceGenerator: sample interval must be positive");
     util::fatalIf(cfg.noisePhi < 0.0 || cfg.noisePhi >= 1.0,
                   "TraceGenerator: AR(1) phi out of [0,1)");
@@ -27,7 +27,8 @@ TraceGenerator::TraceGenerator(TraceParams params) : cfg(params)
 std::vector<TraceSample>
 TraceGenerator::generate(util::Rng &rng, double days) const
 {
-    util::fatalIf(days <= 0.0, "TraceGenerator: days must be positive");
+    util::fatalIf(!(days > 0.0 && std::isfinite(days)),
+                  "TraceGenerator: days must be positive and finite");
     // Round the sample count up so an interval that does not divide the
     // horizon keeps its final partial sample instead of silently
     // truncating it; the epsilon keeps exact multiples stable against
@@ -36,6 +37,8 @@ TraceGenerator::generate(util::Rng &rng, double days) const
         days * kSecondsPerDay / cfg.sampleInterval;
     const auto samples =
         static_cast<std::size_t>(std::ceil(exact_samples - 1e-9));
+    util::fatalIf(samples == 0,
+                  "TraceGenerator: horizon too short for one sample");
     std::vector<TraceSample> out;
     out.reserve(samples);
 

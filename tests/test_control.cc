@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "autoscale/predictive.hh"
+#include "cluster/datacenter.hh"
 #include "control/controllers.hh"
 #include "control/env.hh"
 #include "util/logging.hh"
@@ -201,6 +203,40 @@ TEST(ControlEnv, ActionsAreClampedToBounds)
     env.act(low);
     env.step();
     EXPECT_EQ(env.observe().frequencyCeilingGhz, env.minCeiling());
+}
+
+TEST(ControlEnv, NanPackingActionIsFatal)
+{
+    // std::clamp passes NaN through; the session knob must refuse it
+    // rather than store it and behave as if packing were 1.
+    util::Rng rng(11);
+    control::ControlEnv env(shortConfig(), rng);
+    control::Action action;
+    action.packingFraction = std::numeric_limits<double>::quiet_NaN();
+    env.act(action);
+    EXPECT_THROW(env.step(), FatalError);
+}
+
+TEST(PerServerSession, NanKnobsAreFatal)
+{
+    std::vector<cluster::RackConfig> racks(2);
+    for (auto &r : racks)
+        r.servers = 4;
+    cluster::DatacenterPowerSim sim(racks, 8000.0, 1.2, 1.2);
+    sim.enablePerServerFidelity(
+        cluster::PerServerPhysics::openComputeImmersed());
+    util::Rng rng(5);
+    auto session =
+        sim.startPerServerSession(cluster::OverclockPolicy::Always, rng, 0.01);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(session->setPackingFraction(nan), FatalError);
+    EXPECT_THROW(session->setFeedCapacity(nan), FatalError);
+    EXPECT_THROW(session->setFrequencyCeiling(nan), FatalError);
+    // A refused knob leaves the session's setting untouched.
+    EXPECT_EQ(session->packingFraction(), 1.0);
+    EXPECT_EQ(session->feedCapacity(), 8000.0);
+    session->stepMinutes(session->totalMinutes());
+    EXPECT_GT(session->finish().energyMwh, 0.0);
 }
 
 TEST(ControlEnv, SurvivesScriptedCrises)

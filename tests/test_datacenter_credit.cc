@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cluster/datacenter.hh"
 #include "core/credit.hh"
+#include "power/capping.hh"
 #include "reliability/lifetime.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -112,6 +115,24 @@ TEST(Datacenter, InvalidConfigurationIsFatal)
                  FatalError);
     racks[0].overclockDemand = 1.5;
     EXPECT_THROW(cluster::DatacenterPowerSim(racks, 1000.0), FatalError);
+
+    // NaN fails every range check instead of slipping past `x <= 0`.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    racks = defaultRacks();
+    EXPECT_THROW(cluster::DatacenterPowerSim(racks, nan), FatalError);
+    EXPECT_THROW(cluster::DatacenterPowerSim(racks, 1000.0, nan),
+                 FatalError);
+    EXPECT_THROW(cluster::DatacenterPowerSim(racks, 1000.0, 1.2, nan),
+                 FatalError);
+    racks[0].overclockDemand = nan;
+    EXPECT_THROW(cluster::DatacenterPowerSim(racks, 1000.0), FatalError);
+    EXPECT_THROW(power::PowerBudget{nan}, FatalError);
+    EXPECT_THROW(power::PowerBudget(1000.0, nan), FatalError);
+
+    cluster::DatacenterPowerSim sim(defaultRacks(), 40000.0);
+    auto physics = cluster::PerServerPhysics::openComputeImmersed();
+    physics.utilSpread = nan;
+    EXPECT_THROW(sim.enablePerServerFidelity(physics), FatalError);
 }
 
 // --- Credit scheduler ---------------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "autoscale/predictive.hh"
 #include "cluster/migration.hh"
 #include "power/dvfs.hh"
@@ -190,6 +192,12 @@ TEST(Trace, InvalidParamsAreFatal)
     workload::TraceGenerator gen;
     util::Rng rng(6);
     EXPECT_THROW(gen.generate(rng, 0.0), FatalError);
+    EXPECT_THROW(gen.generate(rng, std::numeric_limits<double>::quiet_NaN()),
+                 FatalError);
+    EXPECT_THROW(gen.generate(rng, std::numeric_limits<double>::infinity()),
+                 FatalError);
+    // Positive but too short to yield a single sample.
+    EXPECT_THROW(gen.generate(rng, 1e-13), FatalError);
 }
 
 // --- Live migration -------------------------------------------------------------

@@ -4,9 +4,10 @@
  * the FP-identity contract of fleet/kernels.hh (a batched step must be
  * bit-for-bit equal to stepping the scalar ThermalNode /
  * SocketPowerModel / WearTracker objects one server at a time), edge
- * cases of the columnar state, and the DatacenterPowerSim run-overload
- * regression (the non-telemetry overload must forward to the telemetry
- * one and produce an identical outcome).
+ * cases of the columnar state, and the DatacenterPowerSim run()
+ * regression (instrumented and plain runs produce identical outcomes,
+ * and every outcome, telemetry column and metric name is pinned for
+ * each policy in both fidelity modes).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "thermal/cooling.hh"
 #include "thermal/fluid.hh"
 #include "thermal/junction.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 #include "util/shard.hh"
 
@@ -313,8 +318,8 @@ TEST(FleetEdgeCases, AllCappedMinute)
 }
 
 // ---------------------------------------------------------------------
-// Run-overload regression: the 3-arg run() must forward to the
-// telemetry overload and produce an identical outcome.
+// Instrumentation regression: run() without telemetry or metrics must
+// produce the outcome of an instrumented run.
 // ---------------------------------------------------------------------
 
 void
@@ -387,6 +392,178 @@ TEST(DatacenterRunOverloads, PerServerIdenticalWithTelemetry)
     EXPECT_EQ(telemetry.columns()[4], "mean_tj_c");
     EXPECT_EQ(telemetry.columns()[5], "max_tj_c");
     EXPECT_EQ(telemetry.columns()[6], "mean_wear");
+}
+
+// ---------------------------------------------------------------------
+// Pinned outcomes: every DatacenterOutcome field, the telemetry schema,
+// the registered metric names and the counter totals of run() for each
+// policy in both fidelity modes. A refactor of the minute loop must
+// reproduce them bit for bit (EXPECT_EQ, not closeness); a model
+// change that moves them must update them deliberately.
+// ---------------------------------------------------------------------
+
+struct PinnedRun
+{
+    cluster::OverclockPolicy policy;
+    cluster::DatacenterOutcome outcome;
+    std::vector<std::uint64_t> counters; ///< In registration order.
+};
+
+void
+expectPinnedRuns(const cluster::DatacenterPowerSim &sim,
+                 std::uint64_t seed, double days,
+                 const std::vector<PinnedRun> &pins,
+                 const std::vector<std::string> &columns,
+                 const std::vector<std::string> &metric_names)
+{
+    for (const PinnedRun &pin : pins) {
+        SCOPED_TRACE(static_cast<int>(pin.policy));
+        util::Rng rng(seed);
+        obs::TimeSeries telemetry;
+        obs::MetricRegistry metrics;
+        const auto outcome =
+            sim.run(pin.policy, rng, days, &telemetry, &metrics);
+        expectOutcomesIdentical(pin.outcome, outcome);
+        EXPECT_EQ(telemetry.columns(), columns);
+        EXPECT_EQ(telemetry.rows(),
+                  static_cast<std::size_t>(days * 24 * 60));
+        std::vector<std::string> names;
+        for (const auto &entry : metrics.snapshot())
+            names.push_back(entry.first);
+        EXPECT_EQ(names, metric_names);
+        std::vector<std::uint64_t> counters;
+        for (const auto &entry : metrics.counters())
+            counters.push_back(entry.second->value());
+        EXPECT_EQ(counters, pin.counters);
+    }
+}
+
+const std::vector<std::string> kFeedHistogramNames = {
+    "datacenter.feed_utilization.count",
+    "datacenter.feed_utilization.mean",
+    "datacenter.feed_utilization.p50",
+    "datacenter.feed_utilization.p95",
+    "datacenter.feed_utilization.p99"};
+
+std::vector<std::string>
+concat(std::vector<std::string> head, const std::vector<std::string> &tail)
+{
+    head.insert(head.end(), tail.begin(), tail.end());
+    return head;
+}
+
+TEST(DatacenterRunOverloads, RackAggregatePinnedOutcomes)
+{
+    using cluster::OverclockPolicy;
+    std::vector<cluster::RackConfig> racks(3);
+    racks[2].priority = 2;
+    const cluster::DatacenterPowerSim sim(racks, 40000.0, 1.3, 1.2);
+    const std::vector<PinnedRun> pins = {
+        {OverclockPolicy::Never,
+         {OverclockPolicy::Never, 1.4732607239254818, 0.76732329371119112,
+          0.003472222222222222, 0, 0, 1, {}},
+         {2880, 10, 20}},
+        {OverclockPolicy::Always,
+         {OverclockPolicy::Always, 1.6060641343150646, 0.83649173662243914,
+          0.25833333333333336, 1, 0.24324487097243486, 1.1513510258055155,
+          {}},
+         {2880, 744, 1488}},
+        {OverclockPolicy::PowerAware,
+         {OverclockPolicy::PowerAware, 1.5728314129780037,
+          0.81918302759270756, 0.003472222222222222, 0.6364054224696033, 0,
+          1.1272810844939194, {}},
+         {2880, 10, 20}},
+    };
+    expectPinnedRuns(
+        sim, 7, 2.0, pins,
+        {"feed_draw_w", "feed_utilization", "capped", "oc_server_minutes"},
+        concat({"datacenter.minutes", "datacenter.capping_minutes",
+                "datacenter.capped_rack_minutes"},
+               kFeedHistogramNames));
+}
+
+TEST(DatacenterRunOverloads, PerServerPinnedOutcomes)
+{
+    using cluster::OverclockPolicy;
+    std::vector<cluster::RackConfig> racks(2);
+    for (auto &r : racks)
+        r.servers = 12;
+    racks[1].priority = 2;
+    // Feed sized so capping, capped overclocks and the PowerAware
+    // backout all occur within the day.
+    cluster::DatacenterPowerSim sim(racks, 11500.0, 1.2, 1.2);
+    sim.enablePerServerFidelity(
+        cluster::PerServerPhysics::openComputeImmersed());
+    const std::vector<PinnedRun> pins = {
+        {OverclockPolicy::Never,
+         {OverclockPolicy::Never, 0.25713540536797663, 0.93165001944917658,
+          0.38194444444444442, 0, 0, 1,
+          {24, 58.284031466868072, 64.532698212478323,
+           0.00011551979000005893, 0.0004320503674263649,
+           455.12460845228605}},
+         {1440, 550, 550, 34560, 6600, 0}},
+        {OverclockPolicy::Always,
+         {OverclockPolicy::Always, 0.26014708762454014, 0.94256191168309889,
+          0.48541666666666666, 1, 0.34095902804704664, 1.1318081943905725,
+          {24, 58.743105368287019, 66.819285615064288,
+           0.00013411533418176397, 0.00041345482324465989,
+           466.60287963057976}},
+         {1440, 699, 699, 34560, 8388, 7737}},
+        {OverclockPolicy::PowerAware,
+         {OverclockPolicy::PowerAware, 0.25967103613947562,
+          0.94083708746185379, 0.38194444444444442, 0.33488432208866487, 0,
+          1.0669768644177251,
+          {24, 58.460105716569728, 64.532698212478323,
+           0.0001227556284986138, 0.00042481452892781011,
+           459.52788833764617}},
+         {1440, 550, 550, 34560, 6600, 2591}},
+    };
+    expectPinnedRuns(
+        sim, 21, 1.0, pins,
+        {"feed_draw_w", "feed_utilization", "capped", "oc_server_minutes",
+         "mean_tj_c", "max_tj_c", "mean_wear"},
+        concat({"datacenter.minutes", "datacenter.capping_minutes",
+                "datacenter.capped_rack_minutes", "fleet.server_minutes",
+                "fleet.capped_server_minutes", "fleet.oc_server_minutes",
+                "fleet.mean_tj_c", "fleet.max_tj_c", "fleet.mean_wear",
+                "fleet.mean_credit"},
+               kFeedHistogramNames));
+}
+
+TEST(DatacenterRunOverloads, HorizonShorterThanOneMinuteIsFatal)
+{
+    std::vector<cluster::RackConfig> racks(2);
+    for (auto &r : racks)
+        r.servers = 4;
+    cluster::DatacenterPowerSim rack_sim(racks, 8000.0, 1.2, 1.2);
+    cluster::DatacenterPowerSim server_sim(racks, 8000.0, 1.2, 1.2);
+    server_sim.enablePerServerFidelity(
+        cluster::PerServerPhysics::openComputeImmersed());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const cluster::DatacenterPowerSim *sim : {&rack_sim, &server_sim}) {
+        for (const double days : {1e-13, 0.5 / 1440.0, 0.0, -1.0, nan, inf}) {
+            SCOPED_TRACE(days);
+            util::Rng rng(3);
+            EXPECT_THROW(
+                sim->run(cluster::OverclockPolicy::PowerAware, rng, days),
+                FatalError);
+        }
+        // Exactly one minute is the shortest valid horizon.
+        util::Rng rng(3);
+        obs::TimeSeries telemetry;
+        const auto outcome = sim->run(cluster::OverclockPolicy::PowerAware,
+                                      rng, 1.0 / 1440.0, &telemetry);
+        EXPECT_EQ(telemetry.rows(), 1u);
+        EXPECT_TRUE(std::isfinite(outcome.meanFeedUtilization));
+        EXPECT_TRUE(std::isfinite(outcome.cappingMinutesShare));
+    }
+    for (const double days : {1e-13, nan, inf}) {
+        util::Rng rng(3);
+        EXPECT_THROW(server_sim.startPerServerSession(
+                         cluster::OverclockPolicy::Never, rng, days),
+                     FatalError);
+    }
 }
 
 // ---------------------------------------------------------------------
