@@ -1,27 +1,36 @@
 #!/usr/bin/env bash
-# Golden-payload gate for the datacenter minute loop (registered as the
-# `golden_payloads_check` ctest, label fleet-par): regenerate two
-# `--report` payloads at every --jobs {1,4} x --sim-threads {1,4}
-# combination and require each to be byte-identical to its committed
-# golden once the manifest line (timestamp/argv) is dropped.
+# Golden-payload gate for the datacenter minute loop and the auto-scaler
+# (registered as the `golden_payloads_check` ctest, label fleet-par):
+# regenerate three `--report` payloads and require each to be
+# byte-identical to its committed golden once the manifest line
+# (timestamp/argv) is dropped.
 #
-#   tests/golden/power_oversub.json  bench_power_oversub: rack-aggregate
-#                                    fidelity, three policies;
-#   tests/golden/control_smoke.json  bench_control --smoke: per-server
-#                                    sessions stepped by six controllers
-#                                    over twelve episodes.
+#   tests/golden/power_oversub.json   bench_power_oversub: rack-aggregate
+#                                     fidelity, three policies, at every
+#                                     --jobs {1,4} x --sim-threads {1,4};
+#   tests/golden/control_smoke.json   bench_control --smoke: per-server
+#                                     sessions stepped by six controllers
+#                                     over twelve episodes, same matrix;
+#   tests/golden/table11_step60.json  bench_table11_autoscaler --step 60
+#                                     --skip-downramp: the Table XI
+#                                     up-ramp for three policies, at
+#                                     --jobs {1,4}, with and without
+#                                     --telemetry (the gauges then read
+#                                     the windowed utilization before
+#                                     the auto-scaler decides).
 #
-# Both reports print 17 significant digits, so any change in the bits
+# Every report prints 17 significant digits, so any change in the bits
 # of an outcome fails the gate.
 #
 # Usage: scripts/check_golden_payloads.sh POWER_OVERSUB_BIN CONTROL_BIN \
-#            GOLDEN_DIR OUTDIR
+#            TABLE11_BIN GOLDEN_DIR OUTDIR
 set -euo pipefail
 
 POWER_BIN="$1"
 CONTROL_BIN="$2"
-GOLDEN_DIR="$3"
-OUTDIR="$4"
+TABLE11_BIN="$3"
+GOLDEN_DIR="$4"
+OUTDIR="$5"
 
 mkdir -p "$OUTDIR"
 status=0
@@ -48,9 +57,15 @@ for jobs in 1 4; do
             "$GOLDEN_DIR/control_smoke.json" \
             "$CONTROL_BIN" --smoke --jobs "$jobs" --sim-threads "$threads"
     done
+    check "table11_step60_j${jobs}" "$GOLDEN_DIR/table11_step60.json" \
+        "$TABLE11_BIN" --step 60 --skip-downramp --jobs "$jobs"
+    check "table11_step60_j${jobs}_telemetry" \
+        "$GOLDEN_DIR/table11_step60.json" \
+        "$TABLE11_BIN" --step 60 --skip-downramp --jobs "$jobs" \
+        --telemetry "$OUTDIR/table11_step60_j${jobs}.csv"
 done
 
 if [ "$status" -ne 0 ]; then
     exit "$status"
 fi
-echo "golden_payloads_check: OK (8 payloads)"
+echo "golden_payloads_check: OK (12 payloads)"

@@ -82,14 +82,48 @@ PercentileEstimator::percentile(double p)
     return percentileSorted(samples, p);
 }
 
+namespace {
+
+/** The two order statistics percentile p of n >= 2 samples blends. */
+struct PercentileRank
+{
+    std::size_t lo;
+    std::size_t hi;
+    double frac;
+
+    PercentileRank(std::size_t n, double p)
+    {
+        const double rank = p / 100.0 * static_cast<double>(n - 1);
+        lo = static_cast<std::size_t>(rank);
+        hi = std::min(lo + 1, n - 1);
+        frac = rank - static_cast<double>(lo);
+    }
+
+    double blend(double lo_value, double hi_value) const
+    {
+        return lo_value * (1.0 - frac) + hi_value * frac;
+    }
+};
+
+} // namespace
+
 double
 PercentileEstimator::percentile(double p) const
 {
-    if (sorted)
+    if (sorted || samples.size() < 2)
         return percentileSorted(samples, p);
+    fatalIf(p < 0.0 || p > 100.0, "percentile: p out of [0,100]");
+    // Only the lo-th and hi-th smallest samples are read, so select
+    // them instead of sorting the copy: nth_element places the lo-th
+    // and leaves every larger-ranked sample after it, where the hi-th
+    // (lo + 1) is the minimum. Same values, same blend, same bits.
     std::vector<double> copy(samples);
-    std::sort(copy.begin(), copy.end());
-    return percentileSorted(copy, p);
+    const PercentileRank rank(copy.size(), p);
+    const auto lo_it = copy.begin() + static_cast<std::ptrdiff_t>(rank.lo);
+    std::nth_element(copy.begin(), lo_it, copy.end());
+    const double hi_value =
+        rank.hi == rank.lo ? *lo_it : *std::min_element(lo_it + 1, copy.end());
+    return rank.blend(*lo_it, hi_value);
 }
 
 double
@@ -101,14 +135,8 @@ PercentileEstimator::percentileSorted(
         return 0.0;
     if (sorted_samples.size() == 1)
         return sorted_samples.front();
-    const double rank =
-        p / 100.0 * static_cast<double>(sorted_samples.size() - 1);
-    const auto lo_idx = static_cast<std::size_t>(rank);
-    const std::size_t hi_idx =
-        std::min(lo_idx + 1, sorted_samples.size() - 1);
-    const double frac = rank - static_cast<double>(lo_idx);
-    return sorted_samples[lo_idx] * (1.0 - frac) +
-           sorted_samples[hi_idx] * frac;
+    const PercentileRank rank(sorted_samples.size(), p);
+    return rank.blend(sorted_samples[rank.lo], sorted_samples[rank.hi]);
 }
 
 double
@@ -176,9 +204,26 @@ SlidingTimeWindow::average(Seconds now, Seconds sub_window) const
 
     const Seconds start = now - sub_window;
 
+    // Skip, by binary search, every segment whose successor starts at
+    // or before `start`: the loop below would `continue` past each of
+    // them without touching `weighted` or `span`, so starting at the
+    // first segment that can overlap [start, now] is bit-identical to
+    // the full scan. Timestamps are non-decreasing (record() enforces
+    // it), so those segments form a prefix; the last segment always
+    // remains, since it extends to `now`.
+    std::size_t first = 0;
+    std::size_t last = segments.size() - 1;
+    while (first < last) {
+        const std::size_t mid = first + (last - first) / 2;
+        if (segments[mid + 1].first <= start)
+            first = mid + 1;
+        else
+            last = mid;
+    }
+
     double weighted = 0.0;
     double span = 0.0;
-    for (std::size_t i = 0; i < segments.size(); ++i) {
+    for (std::size_t i = first; i < segments.size(); ++i) {
         const Seconds seg_start = std::max(segments[i].first, start);
         const Seconds seg_end =
             (i + 1 < segments.size()) ? segments[i + 1].first : now;

@@ -102,8 +102,9 @@ class PercentileEstimator
 
     /**
      * Non-mutating overload: reads a pre-sorted store directly, and
-     * otherwise computes the same value from a local copy without
-     * touching this object — safe for concurrent const readers.
+     * otherwise selects the two order statistics it needs from a local
+     * copy (O(n), no full sort) without touching this object — safe
+     * for concurrent const readers. Bit-identical to sorting first.
      */
     double percentile(double p) const;
 
@@ -151,7 +152,9 @@ class PercentileEstimator
  *
  * Segments that fell out of the retained window are evicted by record()
  * (a non-const operation); average() is a pure read, so concurrent
- * queries through const references are race-free.
+ * queries through const references are race-free. A query binary-
+ * searches to the first segment that can overlap its sub-window, so a
+ * 30-s read of a 200-s history visits only the last 30 s of segments.
  *
  * Storage is a RingDeque, so once the segment buffer reaches the
  * window's high-water mark, record() is allocation-free — std::deque

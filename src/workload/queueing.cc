@@ -32,7 +32,7 @@ QueueingCluster::addServer(GHz freq)
     server->createdAt = sim.now();
     server->lastChange = sim.now();
     server->lastCounterAdvance = sim.now();
-    server->utilWindow.record(sim.now(), 0.0);
+    recordUtilization(*server, 0.0);
     servers.push_back(std::move(server));
     const std::size_t id = servers.size() - 1;
     maxActive = std::max(maxActive, activeServers());
@@ -53,6 +53,7 @@ QueueingCluster::removeServer()
     for (std::size_t id = servers.size(); id-- > 0;) {
         if (servers[id]->active) {
             servers[id]->active = false;
+            ++utilStamp;
             return id;
         }
     }
@@ -75,7 +76,7 @@ QueueingCluster::crashServer(std::size_t id)
     server.busy = 0;
     server.active = false;
     server.crashed = true;
-    server.utilWindow.record(sim.now(), 0.0);
+    recordUtilization(server, 0.0);
 
     // Cancel the in-flight completions and requeue their requests, in
     // arrival order (slot index breaks ties), ahead of the queued
@@ -120,7 +121,7 @@ QueueingCluster::repairServer(std::size_t id)
     // cycles (callers invalidate their Aperf/Pperf deltas on crash).
     server.lastChange = sim.now();
     server.lastCounterAdvance = sim.now();
-    server.utilWindow.record(sim.now(), 0.0);
+    recordUtilization(server, 0.0);
     maxActive = std::max(maxActive, activeServers());
     // A repaired server can immediately absorb queued work.
     while (!queue.empty() && server.busy < server.threads) {
@@ -265,9 +266,8 @@ QueueingCluster::dispatch(std::size_t id, Request req)
                   "QueueingCluster::dispatch: server has no free thread");
     recordBusyChange(server);
     ++server.busy;
-    server.utilWindow.record(
-        sim.now(), static_cast<double>(server.busy) /
-                       static_cast<double>(server.threads));
+    recordUtilization(server, static_cast<double>(server.busy) /
+                                  static_cast<double>(server.threads));
 
     const double scale =
         serviceTimeScale(cfg.kappa, cfg.refFreq, server.freq);
@@ -317,9 +317,8 @@ QueueingCluster::onCompletion(std::size_t id)
     --server.busy;
     util::panicIf(server.busy < 0,
                   "QueueingCluster::onCompletion: negative busy count");
-    server.utilWindow.record(
-        sim.now(), static_cast<double>(server.busy) /
-                       static_cast<double>(server.threads));
+    recordUtilization(server, static_cast<double>(server.busy) /
+                                  static_cast<double>(server.threads));
 
     if (server.active && !queue.empty()) {
         Request req = queue.front();
@@ -335,6 +334,13 @@ QueueingCluster::recordBusyChange(Server &server)
     server.busyIntegral += dt * static_cast<double>(server.busy);
     server.lastChange = sim.now();
     advanceCounters(server);
+}
+
+void
+QueueingCluster::recordUtilization(Server &server, double value)
+{
+    server.utilWindow.record(sim.now(), value);
+    ++utilStamp;
 }
 
 void
@@ -361,6 +367,12 @@ QueueingCluster::utilization(std::size_t id, Seconds window) const
 double
 QueueingCluster::fleetUtilization(Seconds window) const
 {
+    const Seconds now = sim.now();
+    for (const FleetUtilMemo &memo : utilMemo)
+        if (memo.stamp == utilStamp && memo.now == now &&
+            memo.window == window)
+            return memo.value;
+
     double total = 0.0;
     std::size_t active = 0;
     for (std::size_t id = 0; id < servers.size(); ++id) {
@@ -369,7 +381,10 @@ QueueingCluster::fleetUtilization(Seconds window) const
         total += utilization(id, window);
         ++active;
     }
-    return active ? total / static_cast<double>(active) : 0.0;
+    const double value = active ? total / static_cast<double>(active) : 0.0;
+    utilMemo[utilMemoNext] = FleetUtilMemo{now, window, utilStamp, value};
+    utilMemoNext ^= 1;
+    return value;
 }
 
 hw::CounterSample

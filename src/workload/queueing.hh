@@ -15,6 +15,8 @@
 #ifndef IMSIM_WORKLOAD_QUEUEING_HH
 #define IMSIM_WORKLOAD_QUEUEING_HH
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -123,7 +125,17 @@ class QueueingCluster
      */
     double utilization(std::size_t id, Seconds window) const;
 
-    /** Average utilization across active servers over @p window. */
+    /**
+     * Average utilization across active servers over @p window.
+     *
+     * The auto-scaler, its gauges and the power accounting all read
+     * this at the same instant, so the last two results are memoized,
+     * keyed on (now, window, a stamp that moves on every utilization
+     * record and every change to the active set); a hit returns
+     * exactly what a fresh scan would. The memo makes this method
+     * thread-compatible, not thread-safe: concurrent calls on one
+     * cluster must be synchronized by the caller.
+     */
     double fleetUtilization(Seconds window) const;
 
     /** Counter sample of server @p id (advances counters to now). */
@@ -237,6 +249,7 @@ class QueueingCluster
     void complete(std::uint32_t slot);
     void onCompletion(std::size_t id);
     void recordBusyChange(Server &server);
+    void recordUtilization(Server &server, double value);
     void advanceCounters(Server &server);
     int pickServer() const;
     std::uint32_t allocInFlight();
@@ -258,6 +271,19 @@ class QueueingCluster
     double vmSecondsIntegral = 0.0;
     Seconds lastVmAccounting = 0.0;
     std::size_t maxActive = 0;
+
+    /// One memoized fleetUtilization() result.
+    struct FleetUtilMemo
+    {
+        Seconds now = 0.0;
+        Seconds window = 0.0;
+        std::uint64_t stamp = ~std::uint64_t{0}; ///< Never a live stamp.
+        double value = 0.0;
+    };
+    /// Bumped whenever an input of fleetUtilization() changes.
+    std::uint64_t utilStamp = 0;
+    mutable std::array<FleetUtilMemo, 2> utilMemo{};
+    mutable std::size_t utilMemoNext = 0; ///< Slot the next miss fills.
 
     /// Windowed tail-latency ring (empty until enableTailTracking).
     std::vector<util::QuantileSketch> tailBuckets;

@@ -122,6 +122,61 @@ TEST(Queueing, RemoveServerDrains)
     EXPECT_GT(cluster.completed(), completed_before);
 }
 
+/** Mean of utilization(id, window) over the active servers, in id order:
+ *  what fleetUtilization() computes when its memo misses. */
+double
+freshFleetUtilization(const workload::QueueingCluster &cluster,
+                      Seconds window)
+{
+    double total = 0.0;
+    std::size_t active = 0;
+    for (std::size_t id = 0; id < cluster.serverCount(); ++id) {
+        if (!cluster.isActive(id))
+            continue;
+        total += cluster.utilization(id, window);
+        ++active;
+    }
+    return active ? total / static_cast<double>(active) : 0.0;
+}
+
+TEST(Queueing, FleetUtilizationMemoFollowsEveryInputChange)
+{
+    sim::Simulation sim;
+    workload::QueueingCluster cluster(sim, util::Rng(15), defaultParams());
+    for (int i = 0; i < 3; ++i)
+        cluster.addServer(3.4);
+    cluster.setArrivalRate(4500.0); // rho ~ 0.98: a backlog to absorb.
+    sim.runUntil(200.0);
+
+    // Every step happens at t = 200 (the event loop is paused), so only
+    // the utilization-state stamp can tell a stale memo from a live one.
+    auto expect_fresh = [&](const char *step) {
+        for (Seconds window : {30.0, 180.0, 30.0})
+            EXPECT_EQ(cluster.fleetUtilization(window),
+                      freshFleetUtilization(cluster, window))
+                << "after " << step << ", window " << window;
+    };
+    expect_fresh("warm-up");
+    cluster.addServer(3.4);
+    expect_fresh("addServer");
+    cluster.crashServer(0);
+    expect_fresh("crashServer");
+    cluster.removeServer();
+    expect_fresh("removeServer");
+    cluster.repairServer(0);
+    expect_fresh("repairServer");
+    EXPECT_EQ(sim.now(), 200.0);
+    sim.runUntil(200.5);
+    expect_fresh("a later instant");
+    // Once the cluster drains, time moves on with no record at all:
+    // the window slides, and only the instant in the key can tell.
+    cluster.setArrivalRate(0.0);
+    sim.runUntil(260.0);
+    expect_fresh("draining");
+    sim.runUntil(270.0);
+    expect_fresh("an idle later instant");
+}
+
 TEST(Queueing, RemoveLastServerThenFatal)
 {
     sim::Simulation sim;

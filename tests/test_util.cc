@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/json.hh"
@@ -296,6 +299,129 @@ TEST(SlidingTimeWindow, EmptyReturnsZero)
     EXPECT_DOUBLE_EQ(window.latest(), 0.0);
 }
 
+/**
+ * Oracle for the bounded scan: a mirror of SlidingTimeWindow with the
+ * same eviction rule and the full-history scan average() ran before it
+ * learned to skip, by binary search, the segments that end before its
+ * sub-window starts. The skip must not change a single bit.
+ */
+class FullScanWindow
+{
+  public:
+    explicit FullScanWindow(Seconds window_s) : windowLen(window_s) {}
+
+    void record(Seconds t, double value)
+    {
+        segments.emplace_back(t, value);
+        const Seconds retain_start = t - windowLen;
+        while (segments.size() > 1 && segments[1].first <= retain_start)
+            segments.pop_front();
+    }
+
+    double average(Seconds now, Seconds sub_window) const
+    {
+        if (segments.empty())
+            return 0.0;
+        const Seconds start = now - sub_window;
+        double weighted = 0.0;
+        double span = 0.0;
+        for (std::size_t i = 0; i < segments.size(); ++i) {
+            const Seconds seg_start = std::max(segments[i].first, start);
+            const Seconds seg_end =
+                (i + 1 < segments.size()) ? segments[i + 1].first : now;
+            if (seg_end <= seg_start)
+                continue;
+            weighted += segments[i].second * (seg_end - seg_start);
+            span += seg_end - seg_start;
+        }
+        if (span <= 0.0)
+            return segments.back().second;
+        return weighted / span;
+    }
+
+    const std::deque<std::pair<Seconds, double>> &history() const
+    {
+        return segments;
+    }
+
+  private:
+    Seconds windowLen;
+    std::deque<std::pair<Seconds, double>> segments;
+};
+
+TEST(SlidingTimeWindow, BoundedScanMatchesFullScanBitForBit)
+{
+    constexpr Seconds kWindow = 200.0;
+    util::SlidingTimeWindow window(kWindow);
+    FullScanWindow oracle(kWindow);
+    util::Rng rng(2021);
+
+    std::size_t checked = 0;
+    std::size_t on_segment_start = 0;
+    std::size_t before_first = 0;
+    auto check = [&](Seconds now, Seconds sub_window) {
+        ASSERT_EQ(window.average(now, sub_window),
+                  oracle.average(now, sub_window))
+            << "now=" << now << " sub_window=" << sub_window;
+        ++checked;
+    };
+
+    Seconds t = 0.0;
+    for (int i = 0; i < 10000; ++i) {
+        // Half the run steps on a 1/8-s grid, where now - sub_window is
+        // exact and lands on segment starts; the rest steps by
+        // arbitrary doubles. About one step in five repeats the last
+        // timestamp, and a rare long gap empties most of the history.
+        const double step_kind = rng.uniform();
+        if (step_kind < 0.2)
+            t += 0.0;
+        else if (step_kind < 0.99)
+            t += i < 5000 ? 0.125 * static_cast<double>(rng.uniformInt(1, 40))
+                          : rng.uniform(0.0, 5.0);
+        else
+            t += rng.uniform(150.0, 400.0);
+        const double value = rng.bernoulli(0.3)
+                                 ? static_cast<double>(rng.uniformInt(0, 4)) / 4.0
+                                 : rng.uniform();
+        window.record(t, value);
+        oracle.record(t, value);
+
+        // Check every record while the history is younger than the
+        // window (so full-window reads start before the first record),
+        // then every seventh.
+        if (i % 7 != 0 && t > kWindow)
+            continue;
+        const Seconds later = t + rng.uniform(0.0, 20.0);
+        for (Seconds now : {t, later}) {
+            check(now, 30.0);
+            check(now, 180.0);
+            check(now, kWindow);
+            check(now, kWindow + 1e-10); // Retention edge tolerance.
+            check(now, rng.uniform(1e-6, kWindow));
+            // Sub-windows that start exactly on a retained segment
+            // start (including duplicates of it).
+            const auto &history = oracle.history();
+            const Seconds seg = history[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(history.size()) -
+                                      1))].first;
+            const Seconds sub = now - seg;
+            if (sub > 0.0 && sub <= kWindow) {
+                if (now - sub == seg)
+                    ++on_segment_start;
+                check(now, sub);
+            }
+            // A sub-window reaching back before the first record.
+            if (now - kWindow < history.front().first) {
+                ++before_first;
+                check(now, kWindow);
+            }
+        }
+    }
+    EXPECT_GT(checked, 10000u);
+    EXPECT_GT(on_segment_start, 500u);
+    EXPECT_GT(before_first, 10u);
+}
+
 TEST(Histogram, BinningAndClamping)
 {
     util::Histogram hist(0.0, 10.0, 10);
@@ -349,6 +475,28 @@ TEST(PercentileEstimator, ConstPercentileMatchesAndDoesNotMutate)
     const double mut_p99 = est.p99();
     EXPECT_DOUBLE_EQ(const_p99, mut_p99);
     EXPECT_DOUBLE_EQ(view.p50(), est.p50());
+}
+
+TEST(PercentileEstimator, ConstSelectionMatchesTheSortingPathBitForBit)
+{
+    // percentile() const selects the two order statistics it blends
+    // instead of sorting a copy; the mutating overload sorts in place.
+    // With n = 1001 every listed p lands on an integer rank, so n = 997
+    // also blends two distinct order statistics at each p.
+    util::Rng rng(95);
+    for (std::size_t n : {1u, 2u, 3u, 997u, 1001u}) {
+        util::PercentileEstimator est;
+        for (std::size_t i = 0; i < n; ++i)
+            // About a third of the samples repeat one of a few values.
+            est.add(rng.bernoulli(0.3)
+                        ? static_cast<double>(rng.uniformInt(1, 3)) * 1e-3
+                        : rng.exponential(3.3e-3));
+        util::PercentileEstimator sorting = est;
+        const util::PercentileEstimator &view = est;
+        for (double p : {0.0, 0.1, 33.3, 50.0, 95.0, 99.0, 99.9, 100.0})
+            EXPECT_EQ(view.percentile(p), sorting.percentile(p))
+                << "n=" << n << " p=" << p;
+    }
 }
 
 TEST(PercentileEstimator, ConcurrentConstReadsAreRaceFree)
@@ -560,6 +708,13 @@ TEST(ThreadPool, ParallelForStopsClaimingIndicesAfterAThrow)
                                        ran.fetch_add(1);
                                        if (i == 0)
                                            throw std::runtime_error("boom");
+                                       // Long enough that the other
+                                       // thread cannot run the other 999
+                                       // indices before the throw drags
+                                       // the cursor (trivial bodies
+                                       // sometimes could).
+                                       std::this_thread::sleep_for(
+                                           std::chrono::microseconds(100));
                                    }),
                  std::runtime_error);
     // Indices already claimed may finish, but the cursor is dragged to
