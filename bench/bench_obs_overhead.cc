@@ -25,9 +25,10 @@
  *
  * Like bench_hot_paths, the binary instruments global operator new so
  * the fleet-aggregation cases can report allocs_per_op directly.
- * `--check` skips the timing runs and enforces the flight recorder's
- * allocation contract directly (exit 1 on any steady-state alloc),
- * which is how scripts/bench.sh gates it in CI.
+ * `--check` skips the timing runs and enforces the fleet aggregator's
+ * and the flight recorder's allocation contracts directly (exit 1 on
+ * any steady-state alloc), which is how scripts/bench.sh gates it in
+ * CI.
  */
 
 #include <benchmark/benchmark.h>
@@ -613,12 +614,13 @@ BM_SketchMergedQuantile(benchmark::State &state)
 BENCHMARK(BM_SketchMergedQuantile);
 
 /**
- * `--check`: enforce the flight recorder's allocation contract without
- * the timing harness. A 16384-server fleet pipeline warms up long
- * enough to size every tier and cross all three bin boundaries, then
- * 1000 further record ticks must perform zero heap allocations. Also
- * smoke-tests the dump path (non-empty, schema-stamped). Exit 0 on
- * pass, 1 with a diagnostic on stderr otherwise.
+ * `--check`: enforce the fleet aggregator's and the flight recorder's
+ * allocation contracts without the timing harness. A 16384-server
+ * fleet pipeline warms up long enough to size every tier and cross all
+ * three bin boundaries, then 1000 further ticks must perform zero heap
+ * allocations in either FleetAggregator::observe or the record tick.
+ * Also smoke-tests the dump path (non-empty, schema-stamped). Exit 0
+ * on pass, 1 with a diagnostic on stderr otherwise.
  */
 int
 runSteadyStateCheck()
@@ -644,17 +646,28 @@ runSteadyStateCheck()
         box.recorder.tick(t);
     }
 
+    std::uint64_t observe_allocs = 0;
     std::uint64_t tick_allocs = 0;
     for (std::size_t i = 0; i < kMeasuredTicks; ++i, ++tick) {
         fleet.mutate(tick);
         const Seconds t = static_cast<double>(tick) * 60.0;
+        const std::uint64_t before_observe = allocsSoFar();
         box.aggregator.observe(t, fleet.view(), 60.0);
         const std::uint64_t before = allocsSoFar();
+        observe_allocs += before - before_observe;
         box.recorder.tick(t);
         tick_allocs += allocsSoFar() - before;
     }
 
     int failures = 0;
+    if (observe_allocs != 0) {
+        std::fprintf(stderr,
+                     "FAIL: FleetAggregator::observe allocated %llu "
+                     "times over %zu steady-state ticks (contract: 0)\n",
+                     static_cast<unsigned long long>(observe_allocs),
+                     kMeasuredTicks);
+        ++failures;
+    }
     if (tick_allocs != 0) {
         std::fprintf(stderr,
                      "FAIL: FlightRecorder::tick allocated %llu times "
@@ -678,9 +691,10 @@ runSteadyStateCheck()
         ++failures;
     }
     if (failures == 0) {
-        std::printf("bench_obs_overhead --check: flight recorder "
-                    "steady-state ticks allocation-free over %zu ticks "
-                    "(%zu servers); dump schema-stamped. PASS\n",
+        std::printf("bench_obs_overhead --check: fleet aggregator and "
+                    "flight recorder steady-state ticks allocation-free "
+                    "over %zu ticks (%zu servers); dump schema-stamped. "
+                    "PASS\n",
                     kMeasuredTicks, kServers);
     }
     return failures == 0 ? 0 : 1;

@@ -65,11 +65,11 @@ fi
 "$BUILD_DIR"/bench/bench_fault_crisis --smoke >/dev/null
 echo "bench_fault_crisis --smoke: ok"
 
-# Flight-recorder steady-state contract: 1000 recorder ticks over a
-# 16384-server fleet bundle must perform zero heap allocations (see
-# bench/bench_obs_overhead.cc). A functional gate like the crisis
-# smoke above — the timing of these cases lives in the
-# flight_recorder_tick row of BENCH_hotpaths.json.
+# Fleet-aggregator and flight-recorder steady-state contract: 1000
+# observe() calls and recorder ticks over a 16384-server fleet bundle
+# must perform zero heap allocations (see bench/bench_obs_overhead.cc).
+# A functional gate like the crisis smoke above — the timing of these
+# cases lives in the flight_recorder_tick row of BENCH_hotpaths.json.
 "$BUILD_DIR"/bench/bench_obs_overhead --check
 echo "bench_obs_overhead --check: ok"
 

@@ -111,11 +111,11 @@ DatacenterPowerSim::attachObservability(obs::FleetAggregator *aggregator,
  * row, or metric is touched, so an attached observer can never change
  * a run's outcome.
  *
- * Above one thread the aggregator's reduction fans over the minute
- * loop's shards; its sharded path is bit-identical to the serial one,
- * so attached observers see the same sample stream at every thread
- * count. The watchdog poll stays serial (it reads the aggregator's
- * already-reduced sample).
+ * The aggregator's reduction runs over the minute loop's shards on its
+ * runner (inline at one thread). min/max/count merge per shard and only
+ * the sum re-reduces in unit order, so attached observers see the same
+ * sample stream at every thread count. The watchdog poll stays serial
+ * (it reads the aggregator's already-reduced sample).
  */
 void
 DatacenterPowerSim::observeMinute(std::size_t minute,
@@ -126,13 +126,9 @@ DatacenterPowerSim::observeMinute(std::size_t minute,
     if (!fleetAggregator && !watchdog && !flightRecorder)
         return;
     const Seconds now = static_cast<double>(minute) * 60.0;
-    if (fleetAggregator) {
-        if (runner.threads() > 1)
-            fleetAggregator->observe(now, fleet::fleetView(state), 60.0,
-                                     plan, runner);
-        else
-            fleetAggregator->observe(now, fleet::fleetView(state), 60.0);
-    }
+    if (fleetAggregator)
+        fleetAggregator->observe(now, fleet::fleetView(state), 60.0, plan,
+                                 runner);
     if (watchdog)
         watchdog->evaluate(now);
     if (flightRecorder)

@@ -1,5 +1,6 @@
 #include "obs/fleet_agg.hh"
 
+#include <array>
 #include <limits>
 
 #include "obs/metrics.hh"
@@ -102,61 +103,9 @@ FleetAggregator::FleetAggregator(Config config) : cfg(config)
 void
 FleetAggregator::observe(Seconds t, const FleetView &view, Seconds dt)
 {
-    const std::size_t n = view.count;
-
-    // Wear rate: finite-difference of the wear column against the
-    // previous tick, in consumed-life-per-year. The first tick (or a
-    // fleet resize) has no baseline and reports 0 for every unit.
-    const double dt_years =
-        dt > 0.0 ? dt / (units::kSecondsPerHour * units::kHoursPerYear)
-                 : 0.0;
-    const bool have_wear = view.wearConsumed != nullptr && n > 0;
-    if (have_wear) {
-        if (prevWear.size() != n) {
-            prevWear.assign(view.wearConsumed, view.wearConsumed + n);
-            wearRateScratch.assign(n, 0.0);
-        } else {
-            const double inv_years =
-                dt_years > 0.0 ? 1.0 / dt_years : 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                wearRateScratch[i] =
-                    (view.wearConsumed[i] - prevWear[i]) * inv_years;
-                prevWear[i] = view.wearConsumed[i];
-            }
-        }
-    }
-
-    // Reset per-tick scratch (geometry retained: allocation-free).
-    for (Accum &acc : accums)
-        acc = Accum{kInf, -kInf, 0.0, 0};
-    for (util::QuantileSketch &sketch : sketches)
-        sketch.reset();
-
-    // The single per-unit reduction pass.
-    const std::size_t sku_count = cfg.skuCount;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t sku = view.sku ? view.sku[i] : 0;
-        util::fatalIf(sku >= sku_count,
-                "FleetAggregator::observe: sku out of range");
-        const std::size_t base = sku * kFleetChannels;
-        const double values[kFleetChannels] = {
-            view.tj ? view.tj[i] : 0.0,
-            view.totalPower ? view.totalPower[i] : 0.0,
-            view.utilization ? view.utilization[i] : 0.0,
-            have_wear ? wearRateScratch[i] : 0.0,
-        };
-        for (std::size_t ch = 0; ch < kFleetChannels; ++ch) {
-            const double v = values[ch];
-            Accum &acc = accums[base + ch];
-            acc.min = v < acc.min ? v : acc.min;
-            acc.max = v > acc.max ? v : acc.max;
-            acc.sum += v;
-            ++acc.n;
-            sketches[base + ch].add(v);
-        }
-    }
-
-    finishTick(t);
+    if (inlinePlan.units() != view.count)
+        inlinePlan = util::ShardPlan::even(view.count, 1);
+    observe(t, view, dt, inlinePlan, inlineRunner);
 }
 
 void
@@ -168,17 +117,18 @@ FleetAggregator::observe(Seconds t, const FleetView &view, Seconds dt,
     util::fatalIf(plan.units() != n,
                   "FleetAggregator::observe: plan does not cover the view");
 
-    // (Re)build the shard-private sketch scratch when the plan shape
-    // changes; geometry clones of the per-SKU sketches. Stable plans
-    // (the minute loop's case) hit this once.
+    // (Re)build the shard-private scratch when the plan shape changes:
+    // an accumulator plus a geometry clone of the per-SKU sketch per
+    // cell. Stable plans (the minute loop's, the inline one-shard plan)
+    // hit this once.
     const std::size_t cells = cfg.skuCount * kFleetChannels;
     const std::size_t shards = plan.shards();
-    if (shardSketches.size() != shards * cells) {
-        shardSketches.clear();
-        shardSketches.reserve(shards * cells);
+    if (shardCells.size() != shards * cells) {
+        shardCells.clear();
+        shardCells.reserve(shards * cells);
         for (std::size_t s = 0; s < shards; ++s)
             for (std::size_t cell = 0; cell < cells; ++cell)
-                shardSketches.push_back(sketches[cell]);
+                shardCells.push_back(ShardCell{{}, sketches[cell]});
     }
 
     // Wear-rate scratch sizing stays serial (it allocates on the first
@@ -210,8 +160,19 @@ FleetAggregator::observe(Seconds t, const FleetView &view, Seconds dt,
                           "FleetAggregator::observe: sku out of range");
     }
 
-    // Parallel phase: wear-rate fills (elementwise) and sketch fills
-    // (shard-private bins). Nothing here is FP-order-sensitive.
+    // Unit i's channel values, in FleetChannel order.
+    auto unitValues = [&](std::size_t i) {
+        return std::array<double, kFleetChannels>{
+            view.tj ? view.tj[i] : 0.0,
+            view.totalPower ? view.totalPower[i] : 0.0,
+            view.utilization ? view.utilization[i] : 0.0,
+            have_wear ? wearRateScratch[i] : 0.0,
+        };
+    };
+
+    // The per-unit pass, one shard per task: wear-rate fills
+    // (elementwise), then min/max/n and sketch fills into shard-private
+    // scratch. NaN fails both comparisons, so it never enters min/max.
     runner.run(plan, [&](std::size_t s, std::size_t begin,
                          std::size_t end) {
         if (have_wear) {
@@ -228,58 +189,58 @@ FleetAggregator::observe(Seconds t, const FleetView &view, Seconds dt,
                 }
             }
         }
-        util::QuantileSketch *mine = &shardSketches[s * cells];
-        for (std::size_t cell = 0; cell < cells; ++cell)
-            mine[cell].reset();
+        ShardCell *mine = &shardCells[s * cells];
+        for (std::size_t cell = 0; cell < cells; ++cell) {
+            mine[cell].acc = Accum{kInf, -kInf, 0.0, 0};
+            mine[cell].sketch.reset();
+        }
         for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t sku = view.sku ? view.sku[i] : 0;
-            const std::size_t base = sku * kFleetChannels;
-            const double values[kFleetChannels] = {
-                view.tj ? view.tj[i] : 0.0,
-                view.totalPower ? view.totalPower[i] : 0.0,
-                view.utilization ? view.utilization[i] : 0.0,
-                have_wear ? wearRateScratch[i] : 0.0,
-            };
-            for (std::size_t ch = 0; ch < kFleetChannels; ++ch)
-                mine[base + ch].add(values[ch]);
+            const std::size_t base =
+                (view.sku ? view.sku[i] : 0) * kFleetChannels;
+            const auto values = unitValues(i);
+            for (std::size_t ch = 0; ch < kFleetChannels; ++ch) {
+                const double v = values[ch];
+                ShardCell &c = mine[base + ch];
+                c.acc.min = v < c.acc.min ? v : c.acc.min;
+                c.acc.max = v > c.acc.max ? v : c.acc.max;
+                ++c.acc.n;
+                c.sketch.add(v);
+            }
         }
     });
 
-    // Deterministic reduction. The min/max/sum accumulators are the
-    // FP-order-sensitive part, so they run serially in unit order —
-    // the exact loop (minus sketch fills) the serial observe() runs.
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t sku = view.sku ? view.sku[i] : 0;
-        const std::size_t base = sku * kFleetChannels;
-        const double values[kFleetChannels] = {
-            view.tj ? view.tj[i] : 0.0,
-            view.totalPower ? view.totalPower[i] : 0.0,
-            view.utilization ? view.utilization[i] : 0.0,
-            have_wear ? wearRateScratch[i] : 0.0,
-        };
-        for (std::size_t ch = 0; ch < kFleetChannels; ++ch) {
-            const double v = values[ch];
-            Accum &acc = accums[base + ch];
-            acc.min = v < acc.min ? v : acc.min;
-            acc.max = v > acc.max ? v : acc.max;
-            acc.sum += v;
-            ++acc.n;
+    // Deterministic merge in ascending shard order. The strict
+    // comparisons keep the earlier shard's value on ties, which is the
+    // unit-order fold's tie rule, so min/max keep their bits (signed
+    // zeros included); counts and sketch bins are integers.
+    for (std::size_t s = 0; s < shards; ++s) {
+        for (std::size_t cell = 0; cell < cells; ++cell) {
+            const ShardCell &part = shardCells[s * cells + cell];
+            Accum &acc = accums[cell];
+            acc.min = part.acc.min < acc.min ? part.acc.min : acc.min;
+            acc.max = part.acc.max > acc.max ? part.acc.max : acc.max;
+            acc.n += part.acc.n;
+            sketches[cell].merge(part.sketch);
         }
     }
-    // Shard sketches merge in ascending shard order; bin counts are
-    // integers, so the merged counts equal the serial fill exactly.
-    for (std::size_t s = 0; s < shards; ++s)
-        for (std::size_t cell = 0; cell < cells; ++cell)
-            sketches[cell].merge(shardSketches[s * cells + cell]);
+    // The sum is the one order-sensitive chain: it runs serially in
+    // unit order after the join.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t base =
+            (view.sku ? view.sku[i] : 0) * kFleetChannels;
+        const auto values = unitValues(i);
+        for (std::size_t ch = 0; ch < kFleetChannels; ++ch)
+            accums[base + ch].sum += values[ch];
+    }
 
     finishTick(t);
 }
 
 /**
- * Shared epilogue of both observe() paths: fold the per-(SKU, channel)
- * accumulators and sketches into the current sample, advance the tick
- * count, update the cumulative sketches, record the series row, and
- * publish for cross-thread snapshot() readers.
+ * Epilogue of observe(): fold the per-(SKU, channel) accumulators and
+ * sketches into the current sample, advance the tick count, update the
+ * cumulative sketches, record the series row, and publish for
+ * cross-thread snapshot() readers.
  */
 void
 FleetAggregator::finishTick(Seconds t)

@@ -97,6 +97,11 @@ struct FleetSample
 /**
  * Allocation-free streaming reducer over fleet columns.
  *
+ * There is one reduction path, the sharded observe(). One thread runs
+ * it inline over a one-shard plan; more threads fan its shards out.
+ * min/max/n and the sketches merge per shard, and only the sum chain
+ * re-reduces in unit order, so every thread count yields the same bits.
+ *
  * Construction sizes every scratch structure (per-SKU accumulators and
  * sketches, the published sample) so steady-state observe() calls
  * perform zero heap allocations — bench_obs_overhead holds this as a
@@ -130,28 +135,29 @@ class FleetAggregator
     /**
      * Reduce one tick: @p t is the sample time, @p dt the time since
      * the previous tick (used to turn the wear column's deltas into a
-     * per-year rate; the first tick reports rate 0). O(count) with no
-     * allocations once the per-unit wear scratch has been sized.
-     */
-    void observe(Seconds t, const FleetView &view, Seconds dt);
-
-    /**
-     * Sharded observe: the sketch fills (the per-unit hot loop) fan
-     * out over @p runner's threads, one private sketch set per shard
-     * of @p plan, then reduce deterministically — per-shard sketches
-     * merge in ascending shard order (integer bin counts, exact under
-     * any grouping), and the order-sensitive floating-point min/max/sum
-     * accumulators run in a serial pass in unit order. The published
-     * sample, recorded series row, and cumulative sketches are
-     * bit-identical to the serial observe() for any plan and any
-     * thread count.
+     * per-year rate; the first tick reports rate 0). The per-unit pass
+     * is split over the shards of @p plan and run on @p runner's
+     * threads. Each shard folds min/max/n and its sketches into
+     * private scratch; after the join the shards merge in ascending
+     * shard order, keeping the earlier value on ties as the unit-order
+     * fold does, and only the floating-point sum chain re-reduces
+     * serially in unit order. The published sample, recorded series
+     * row, and cumulative sketches are therefore bit-identical for any
+     * plan and any thread count.
      *
-     * @p plan must cover exactly view.count units. Steady-state calls
-     * are allocation-free once the per-shard scratch has been sized
-     * (re-sized only when the plan's shard count changes).
+     * @p plan must cover exactly view.count units. O(count); steady-
+     * state calls are allocation-free once the per-unit wear scratch
+     * and the per-shard scratch are sized (re-sized only when the
+     * fleet size or the plan's shard count changes).
      */
     void observe(Seconds t, const FleetView &view, Seconds dt,
                  const util::ShardPlan &plan, util::ShardRunner &runner);
+
+    /**
+     * observe() with a cached one-shard plan on an inline one-thread
+     * runner (the plan is rebuilt only when view.count changes).
+     */
+    void observe(Seconds t, const FleetView &view, Seconds dt);
 
     /** @return the last tick's sample (sim thread; no lock). */
     const FleetSample &latest() const { return current; }
@@ -217,10 +223,22 @@ class FleetAggregator
     /** Per-unit wear-rate scratch for the sketch pass. */
     std::vector<double> wearRateScratch;
     /**
-     * Shard-private sketch scratch for the sharded observe():
-     * [shard * (skuCount * channels) + cell]; sized to the plan.
+     * One shard's scratch for one (SKU, channel) cell. The sum field is
+     * unused (the sum runs in unit order). Cache-line aligned, so
+     * threads on neighbouring shards never write the same line.
      */
-    std::vector<util::QuantileSketch> shardSketches;
+    struct alignas(64) ShardCell
+    {
+        Accum acc;
+        util::QuantileSketch sketch;
+    };
+
+    /** [shard * (skuCount * channels) + cell]; sized to the plan. */
+    std::vector<ShardCell> shardCells;
+
+    /** The three-argument observe()'s plan and inline runner. */
+    util::ShardPlan inlinePlan;
+    util::ShardRunner inlineRunner{1};
 
     std::size_t tickCount = 0;
     TimeSeries recorded;

@@ -21,7 +21,7 @@ bool haveLast = false;
 std::size_t repeatCount = 0;     ///< Consecutive emissions of lastMsg.
 std::size_t suppressedCount = 0; ///< Swallowed repeats not yet reported.
 
-/** Mirrors util::inform()/warn(): warnings to stderr, rest to stdout. */
+/** Mirrors util::warn(): warnings to stderr, the rest to stdout. */
 void
 consoleSink(util::LogLevel level, const std::string &logger,
             const std::string &msg)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Leveled structured logging front-end, subsuming util::inform():
- * named loggers, trace/debug/info/warn levels against the process-wide
- * util::LogLevel threshold (set by `--log-level` / `--verbose` /
- * util::setVerbose), and pluggable sinks so tests and tools can
- * capture the stream instead of printing it.
+ * Leveled structured logging front-end, the library's one path for
+ * informational messages: named loggers, trace/debug/info/warn levels
+ * against the process-wide util::LogLevel threshold (set by
+ * `--log-level` / `--verbose` / util::setVerbose), and pluggable sinks
+ * so tests and tools can capture the stream instead of printing it.
  *
  * Disabled-path cost: one relaxed atomic load and a compare per call
  * site — message strings are only built when the level is enabled

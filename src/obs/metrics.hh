@@ -91,9 +91,9 @@ class HistogramMetric
   public:
     /**
      * Record one sample. Non-finite values (NaN, +/-Inf) are diverted
-     * into dropped() instead of the reservoir — the util::Histogram
-     * guard applied here too, so a single bad sample cannot poison
-     * every percentile of a metric.
+     * into dropped() instead of the reservoir — the
+     * util::QuantileSketch guard applied here too, so a single bad
+     * sample cannot poison every percentile of a metric.
      */
     void
     observe(double x)

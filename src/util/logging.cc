@@ -8,7 +8,7 @@ namespace imsim {
 namespace util {
 
 namespace {
-/** Process-wide threshold; warnings print, inform() does not. */
+/** Process-wide threshold; warnings print, info messages do not. */
 std::atomic<LogLevel> levelFlag{LogLevel::Warn};
 
 /** The installed error hook (guarded; fatal paths are cold). */
@@ -89,19 +89,6 @@ void
 setVerbose(bool verbose)
 {
     setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
-}
-
-bool
-verbose()
-{
-    return logEnabled(LogLevel::Info);
-}
-
-void
-inform(const std::string &msg)
-{
-    if (logEnabled(LogLevel::Info))
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 void

@@ -9,15 +9,15 @@
  *                library users and tests can recover.
  *  - panic()  -> the condition indicates a bug inside the library; throws
  *                imsim::PanicError carrying the broken invariant.
- *  - warn() / inform() -> non-fatal notices on stderr/stdout.
+ *  - warn()   -> non-fatal notices on stderr.
  *
  * Verbosity is a single process-wide LogLevel threshold shared with the
  * structured obs::Logger front-end (src/obs/log.hh): a message prints
- * when its level is at or above the threshold. inform() sits at Info,
- * warn() at Warn; the historical setVerbose() switch maps onto the
- * threshold (true -> Info, false -> Warn) so existing callers keep
- * working while `--log-level`/`--verbose` (util::Cli) control the same
- * state.
+ * when its level is at or above the threshold. warn() sits at Warn;
+ * informational messages go through obs::Logger. The historical
+ * setVerbose() switch maps onto the threshold (true -> Info,
+ * false -> Warn) so existing callers keep working while
+ * `--log-level`/`--verbose` (util::Cli) control the same state.
  */
 
 #ifndef IMSIM_UTIL_LOGGING_HH
@@ -88,15 +88,9 @@ bool logEnabled(LogLevel level);
 
 /**
  * Legacy verbosity switch, routed through the LogLevel threshold:
- * true -> Info (inform() prints), false -> Warn (the default).
+ * true -> Info, false -> Warn (the default).
  */
 void setVerbose(bool verbose);
-
-/** @return whether inform() currently prints (threshold <= Info). */
-bool verbose();
-
-/** Print an informational message (suppressed below Info level). */
-void inform(const std::string &msg);
 
 /** Print a warning to stderr (suppressed only by LogLevel::Off). */
 void warn(const std::string &msg);

@@ -249,44 +249,6 @@ SlidingTimeWindow::reset()
     segments.clear();
 }
 
-Histogram::Histogram(double lo_edge, double hi_edge, std::size_t nbins)
-    : lo(lo_edge), hi(hi_edge), counts(nbins, 0)
-{
-    fatalIf(nbins == 0, "Histogram: need at least one bin");
-    fatalIf(hi_edge <= lo_edge, "Histogram: hi must exceed lo");
-}
-
-void
-Histogram::add(double x)
-{
-    // A NaN/Inf frac would make the float-to-long cast below undefined
-    // *before* the clamp can help; divert non-finite samples instead.
-    if (!std::isfinite(x)) {
-        ++droppedCount;
-        return;
-    }
-    const double frac = (x - lo) / (hi - lo);
-    auto idx = static_cast<long>(frac * static_cast<double>(counts.size()));
-    idx = std::clamp<long>(idx, 0, static_cast<long>(counts.size()) - 1);
-    ++counts[static_cast<std::size_t>(idx)];
-    ++totalCount;
-}
-
-std::size_t
-Histogram::binCount(std::size_t i) const
-{
-    fatalIf(i >= counts.size(), "Histogram::binCount: bin out of range");
-    return counts[i];
-}
-
-double
-Histogram::binCenter(std::size_t i) const
-{
-    fatalIf(i >= counts.size(), "Histogram::binCenter: bin out of range");
-    const double width = (hi - lo) / static_cast<double>(counts.size());
-    return lo + (static_cast<double>(i) + 0.5) * width;
-}
-
 QuantileSketch::QuantileSketch(bool log_scale, double lo, double hi,
                                std::size_t nbins)
     : logScale(log_scale), counts(nbins, 0)

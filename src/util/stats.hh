@@ -201,48 +201,6 @@ class SlidingTimeWindow
 };
 
 /**
- * Fixed-width-bin histogram over [lo, hi); finite out-of-range samples
- * clamp to the end bins. Non-finite samples (NaN, +/-Inf) are never
- * binned — they count into dropped() instead, keeping the bin-index
- * arithmetic free of undefined float-to-integer casts.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo    Left edge of the first bin.
-     * @param hi    Right edge of the last bin (> lo).
-     * @param nbins Number of bins (> 0).
-     */
-    Histogram(double lo, double hi, std::size_t nbins);
-
-    /** Add one sample (non-finite values go to the dropped counter). */
-    void add(double x);
-
-    /** @return count in bin @p i. */
-    std::size_t binCount(std::size_t i) const;
-
-    /** @return center value of bin @p i. */
-    double binCenter(std::size_t i) const;
-
-    /** @return number of bins. */
-    std::size_t bins() const { return counts.size(); }
-
-    /** @return total samples binned (excludes dropped non-finite ones). */
-    std::size_t total() const { return totalCount; }
-
-    /** @return non-finite samples rejected by add(). */
-    std::size_t dropped() const { return droppedCount; }
-
-  private:
-    double lo;
-    double hi;
-    std::vector<std::size_t> counts;
-    std::size_t totalCount = 0;
-    std::size_t droppedCount = 0;
-};
-
-/**
  * Mergeable fixed-bin quantile sketch.
  *
  * Unlike PercentileEstimator (which stores every sample — exact but
@@ -258,7 +216,8 @@ class Histogram
  * spaced (equal ratio per bin — the right shape for latencies spanning
  * decades). Finite out-of-range samples clamp into the end bins;
  * non-finite samples (NaN, +/-Inf) count into dropped() and are never
- * binned, mirroring Histogram::add. quantile() walks the cumulative
+ * binned, which keeps the bin-index arithmetic free of undefined
+ * float-to-integer casts. quantile() walks the cumulative
  * counts and interpolates linearly inside the selected bin, so the
  * answer is deterministic and within one bin width (one bin *ratio*
  * for log spacing) of the exact order statistic.

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/datacenter.hh"
@@ -27,6 +29,7 @@
 #include "sim/simulation.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
+#include "util/units.hh"
 #include "workload/queueing.hh"
 
 using namespace imsim;
@@ -58,12 +61,15 @@ TEST(QuantileSketch, FiniteOutOfRangeClampsNonFiniteDrops)
     auto sketch = util::QuantileSketch::linear(0.0, 10.0, 10);
     sketch.add(-5.0);  // Clamps to the first bin.
     sketch.add(50.0);  // Clamps to the last bin.
+    sketch.add(5.0);   // In range: bin 5.
     sketch.add(kNan);
     sketch.add(std::numeric_limits<double>::infinity());
-    EXPECT_EQ(sketch.count(), 2u);
-    EXPECT_EQ(sketch.dropped(), 2u);
-    EXPECT_GE(sketch.binCount(0), 1u);
-    EXPECT_GE(sketch.binCount(sketch.bins() - 1), 1u);
+    sketch.add(-std::numeric_limits<double>::infinity());
+    EXPECT_EQ(sketch.count(), 3u);
+    EXPECT_EQ(sketch.dropped(), 3u);
+    EXPECT_EQ(sketch.binCount(0), 1u);
+    EXPECT_EQ(sketch.binCount(5), 1u);
+    EXPECT_EQ(sketch.binCount(sketch.bins() - 1), 1u);
 }
 
 TEST(QuantileSketch, LogarithmicCoversDecades)
@@ -134,6 +140,8 @@ TEST(QuantileSketch, IncompatibleMergeIsFatal)
     EXPECT_FALSE(a.compatible(c));
     EXPECT_THROW(a.merge(b), FatalError);
     EXPECT_THROW(util::QuantileSketch::linear(5.0, 5.0, 10), FatalError);
+    EXPECT_THROW(util::QuantileSketch::linear(5.0, 1.0, 10), FatalError);
+    EXPECT_THROW(util::QuantileSketch::linear(0.0, 1.0, 0), FatalError);
     EXPECT_THROW(util::QuantileSketch::logarithmic(0.0, 1.0, 10),
                  FatalError);
     EXPECT_THROW(a.quantile(101.0), FatalError);
@@ -368,12 +376,151 @@ expectSampleIdentical(const obs::FleetSample &a, const obs::FleetSample &b)
         expectChannelStatsIdentical(a.perSku[i], b.perSku[i]);
 }
 
+/**
+ * Unit-order reference reduction, independent of FleetAggregator's
+ * observe(): per (SKU, channel) cell one plain loop folds min/max/sum/
+ * count in unit order and fills one QuantileSketch::linear. The overall
+ * stats fold the cells in SKU order, as the aggregator documents.
+ */
+class ReferenceReducer
+{
+  public:
+    explicit ReferenceReducer(obs::FleetAggregator::Config config)
+        : cfg(config)
+    {
+        for (int c = 0; c < obs::kFleetChannels; ++c)
+            cumulative.push_back(sketchFor(c));
+    }
+
+    /** Reduce one tick; @return the expected sample. */
+    obs::FleetSample
+    observe(Seconds t, const obs::FleetView &view, Seconds dt)
+    {
+        // Wear rate: per-year finite difference, 0 on the first tick.
+        std::vector<double> rate(view.count, 0.0);
+        if (prevWear.size() == view.count) {
+            const double dt_years =
+                dt / (units::kSecondsPerHour * units::kHoursPerYear);
+            for (std::size_t i = 0; i < view.count; ++i)
+                rate[i] = (view.wearConsumed[i] - prevWear[i]) *
+                          (1.0 / dt_years);
+        }
+        prevWear.assign(view.wearConsumed, view.wearConsumed + view.count);
+
+        std::vector<Cell> cells;
+        for (std::size_t sku = 0; sku < cfg.skuCount; ++sku)
+            for (int c = 0; c < obs::kFleetChannels; ++c)
+                cells.push_back(Cell{kInf, -kInf, 0.0, 0, sketchFor(c)});
+        for (std::size_t i = 0; i < view.count; ++i) {
+            const double values[obs::kFleetChannels] = {
+                view.tj[i], view.totalPower[i], view.utilization[i],
+                rate[i]};
+            for (int c = 0; c < obs::kFleetChannels; ++c) {
+                Cell &cell = cells[view.sku[i] * obs::kFleetChannels + c];
+                const double v = values[c];
+                cell.min = v < cell.min ? v : cell.min;
+                cell.max = v > cell.max ? v : cell.max;
+                cell.sum += v;
+                ++cell.n;
+                cell.sketch.add(v);
+            }
+        }
+
+        obs::FleetSample sample;
+        sample.t = t;
+        sample.perSku.resize(cells.size());
+        for (int c = 0; c < obs::kFleetChannels; ++c) {
+            Cell overall{kInf, -kInf, 0.0, 0, sketchFor(c)};
+            for (std::size_t sku = 0; sku < cfg.skuCount; ++sku) {
+                const Cell &cell = cells[sku * obs::kFleetChannels + c];
+                if (cell.n > 0) {
+                    overall.min = std::min(overall.min, cell.min);
+                    overall.max = std::max(overall.max, cell.max);
+                    overall.sum += cell.sum;
+                    overall.n += cell.n;
+                }
+                overall.sketch.merge(cell.sketch);
+                sample.perSku[sku * obs::kFleetChannels + c] = stats(cell);
+            }
+            sample.overall[c] = stats(overall);
+            cumulative[c].merge(overall.sketch);
+            if (c == obs::kChanPower) {
+                sample.units = overall.n;
+                sample.fleetPower = overall.sum;
+            }
+        }
+        return sample;
+    }
+
+    /** Whole-run sketch per channel. */
+    std::vector<util::QuantileSketch> cumulative;
+
+  private:
+    struct Cell
+    {
+        double min;
+        double max;
+        double sum;
+        std::size_t n;
+        util::QuantileSketch sketch;
+    };
+
+    static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+    util::QuantileSketch
+    sketchFor(int channel) const
+    {
+        const double lo[] = {cfg.tjLo, cfg.powerLo, cfg.utilLo,
+                             cfg.wearRateLo};
+        const double hi[] = {cfg.tjHi, cfg.powerHi, cfg.utilHi,
+                             cfg.wearRateHi};
+        return util::QuantileSketch::linear(lo[channel], hi[channel],
+                                            cfg.sketchBins);
+    }
+
+    static obs::ChannelStats
+    stats(const Cell &cell)
+    {
+        obs::ChannelStats out;
+        out.count = cell.n;
+        if (cell.n == 0)
+            return out;
+        out.min = cell.min;
+        out.max = cell.max;
+        out.mean = cell.sum / static_cast<double>(cell.n);
+        out.p50 = cell.sketch.quantile(50.0);
+        out.p95 = cell.sketch.quantile(95.0);
+        out.p99 = cell.sketch.quantile(99.0);
+        return out;
+    }
+
+    obs::FleetAggregator::Config cfg;
+    std::vector<double> prevWear;
+};
+
+/** @return the series row the aggregator records for @p sample. */
+std::vector<double>
+seriesRow(const obs::FleetSample &sample)
+{
+    std::vector<double> row{static_cast<double>(sample.units),
+                            sample.fleetPower};
+    for (const obs::ChannelStats &stats : sample.overall) {
+        for (double v : {stats.min, stats.mean, stats.max, stats.p50,
+                         stats.p95, stats.p99})
+            row.push_back(v);
+    }
+    return row;
+}
+
 TEST(FleetAggregator, ShardedObserveIsBitIdenticalToSerial)
 {
-    // A 1000-unit, 3-SKU fleet with a wear column that advances every
-    // tick (so the finite-difference wear-rate path is exercised) and
-    // one NaN Tj (the drop path must count identically per shard).
+    // A 1000-unit, 4-SKU fleet with a wear column that advances
+    // unevenly every tick (so the finite-difference wear-rate path is
+    // exercised) and one NaN Tj (the drop path must count identically
+    // per shard). Even plans put shard boundaries at 125 (8 shards)
+    // and 333 (3 shards); the values below straddle them.
     constexpr std::size_t kUnits = 1000;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     std::vector<std::uint32_t> sku(kUnits);
     std::vector<double> util(kUnits), power(kUnits), tj(kUnits),
         wear(kUnits);
@@ -382,9 +529,27 @@ TEST(FleetAggregator, ShardedObserveIsBitIdenticalToSerial)
         util[i] = static_cast<double>(i % 101) / 100.0;
         power[i] = 150.0 + static_cast<double>(i % 487);
         tj[i] = 35.0 + static_cast<double>(i % 67);
-        wear[i] = 0.0;
     }
     tj[kUnits / 2] = kNan;
+    // SKU 2 (units 332 | 335): +inf then -inf across a 3-shard boundary.
+    tj[332] = kInf;
+    tj[335] = -kInf;
+    // SKU 3 holds only signed zeros, in the order -0 | +0 across the
+    // 8-shard boundary and +0 | -0 across the 3-shard one. The
+    // unit-order fold keeps the first of equal values, so min and max
+    // are both -0.0; a merge that let a later shard win a tie would
+    // report +0.0.
+    const std::pair<std::size_t, double> zeros[] = {
+        {123, -0.0}, {126, +0.0}, {331, +0.0}, {336, -0.0}};
+    for (const auto &[unit, zero] : zeros) {
+        sku[unit] = 3;
+        util[unit] = power[unit] = tj[unit] = zero;
+    }
+    auto advanceWear = [&wear] {
+        for (std::size_t i = 0; i < kUnits; ++i)
+            wear[i] += 1e-5 * static_cast<double>(1 + i % 7);
+    };
+
     obs::FleetView view;
     view.count = kUnits;
     view.sku = sku.data();
@@ -394,50 +559,56 @@ TEST(FleetAggregator, ShardedObserveIsBitIdenticalToSerial)
     view.wearConsumed = wear.data();
 
     obs::FleetAggregator::Config cfg;
-    cfg.skuCount = 3;
+    cfg.skuCount = 4;
     constexpr int kTicks = 4;
 
-    obs::FleetAggregator serial(cfg);
+    ReferenceReducer reference(cfg);
+    std::vector<obs::FleetSample> expected;
     for (int t = 0; t < kTicks; ++t) {
-        serial.observe(60.0 * (t + 1), view, 60.0);
-        for (auto &w : wear)
-            w += 1e-5;
+        expected.push_back(reference.observe(60.0 * (t + 1), view, 60.0));
+        advanceWear();
     }
+    const auto &tj3 = expected.back().perSku[3 * obs::kFleetChannels +
+                                             obs::kChanTj];
+    ASSERT_TRUE(bitIdentical(tj3.min, -0.0));
+    ASSERT_TRUE(bitIdentical(tj3.max, -0.0));
 
-    for (const std::size_t shards : {1u, 3u, 8u}) {
+    // shards == 0 stands for the three-argument observe().
+    for (const std::size_t shards : {0u, 1u, 3u, 8u}) {
         for (const std::size_t threads : {1u, 2u, 7u}) {
-            for (auto &w : wear)
-                w = 0.0;
-            obs::FleetAggregator sharded(cfg);
+            if (shards == 0 && threads > 1)
+                continue;
+            std::fill(wear.begin(), wear.end(), 0.0);
+            obs::FleetAggregator agg(cfg);
             const util::ShardPlan plan =
                 util::ShardPlan::even(kUnits, shards);
             util::ShardRunner runner(threads);
             for (int t = 0; t < kTicks; ++t) {
-                sharded.observe(60.0 * (t + 1), view, 60.0, plan,
-                                runner);
-                for (auto &w : wear)
-                    w += 1e-5;
+                if (shards == 0)
+                    agg.observe(60.0 * (t + 1), view, 60.0);
+                else
+                    agg.observe(60.0 * (t + 1), view, 60.0, plan, runner);
+                advanceWear();
+                SCOPED_TRACE(::testing::Message()
+                             << "tick " << t << " shards " << shards
+                             << " threads " << threads);
+                expectSampleIdentical(expected[t], agg.latest());
+                const auto &row = agg.series().row(t);
+                const std::vector<double> want = seriesRow(expected[t]);
+                ASSERT_EQ(row.size(), want.size());
+                for (std::size_t c = 0; c < row.size(); ++c)
+                    EXPECT_TRUE(bitIdentical(want[c], row[c]))
+                        << "col " << c;
             }
-            expectSampleIdentical(serial.latest(), sharded.latest());
-            expectSampleIdentical(serial.snapshot(), sharded.snapshot());
-            ASSERT_EQ(serial.series().rows(), sharded.series().rows());
-            for (std::size_t r = 0; r < serial.series().rows(); ++r) {
-                const auto &sr = serial.series().row(r);
-                const auto &pr = sharded.series().row(r);
-                ASSERT_EQ(sr.size(), pr.size());
-                for (std::size_t c = 0; c < sr.size(); ++c)
-                    EXPECT_TRUE(bitIdentical(sr[c], pr[c]))
-                        << "row " << r << " col " << c << " shards "
-                        << shards << " threads " << threads;
-            }
+            expectSampleIdentical(expected.back(), agg.snapshot());
             for (int c = 0; c < obs::kFleetChannels; ++c) {
                 const auto chan = static_cast<obs::FleetChannel>(c);
-                EXPECT_EQ(serial.cumulative(chan).count(),
-                          sharded.cumulative(chan).count());
+                EXPECT_EQ(reference.cumulative[c].count(),
+                          agg.cumulative(chan).count());
                 for (double p : {50.0, 95.0, 99.0})
                     EXPECT_TRUE(
-                        bitIdentical(serial.cumulative(chan).quantile(p),
-                                     sharded.cumulative(chan).quantile(p)));
+                        bitIdentical(reference.cumulative[c].quantile(p),
+                                     agg.cumulative(chan).quantile(p)));
             }
         }
     }

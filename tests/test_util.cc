@@ -422,43 +422,6 @@ TEST(SlidingTimeWindow, BoundedScanMatchesFullScanBitForBit)
     EXPECT_GT(before_first, 10u);
 }
 
-TEST(Histogram, BinningAndClamping)
-{
-    util::Histogram hist(0.0, 10.0, 10);
-    hist.add(0.5);
-    hist.add(9.5);
-    hist.add(-3.0);  // Clamps to first bin.
-    hist.add(42.0);  // Clamps to last bin.
-    EXPECT_EQ(hist.binCount(0), 2u);
-    EXPECT_EQ(hist.binCount(9), 2u);
-    EXPECT_EQ(hist.total(), 4u);
-    EXPECT_DOUBLE_EQ(hist.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(hist.binCenter(9), 9.5);
-}
-
-TEST(Histogram, InvalidConstructionIsFatal)
-{
-    EXPECT_THROW(util::Histogram(0.0, 0.0, 10), FatalError);
-    EXPECT_THROW(util::Histogram(0.0, 1.0, 0), FatalError);
-}
-
-TEST(Histogram, NonFiniteSamplesAreDroppedNotBinned)
-{
-    // Regression: NaN used to fall through the bin-index arithmetic
-    // (UB on the float->size_t cast) and +/-inf landed in the edge
-    // bins, poisoning means. They now only bump dropped().
-    util::Histogram hist(0.0, 10.0, 10);
-    hist.add(5.0);
-    hist.add(std::numeric_limits<double>::quiet_NaN());
-    hist.add(std::numeric_limits<double>::infinity());
-    hist.add(-std::numeric_limits<double>::infinity());
-    EXPECT_EQ(hist.total(), 1u);
-    EXPECT_EQ(hist.dropped(), 3u);
-    EXPECT_EQ(hist.binCount(0), 0u);
-    EXPECT_EQ(hist.binCount(9), 0u);
-    EXPECT_EQ(hist.binCount(5), 1u);
-}
-
 // --- Const-read thread safety (regression; run under `ctest -L tsan`) ----
 
 TEST(PercentileEstimator, ConstPercentileMatchesAndDoesNotMutate)
