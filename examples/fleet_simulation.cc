@@ -115,7 +115,7 @@ main(int argc, char **argv)
 
     // 2. How sensitive is the power-aware win to the diurnal draw?
     //    16 Monte-Carlo replications, each seeded by Rng::split, fanned
-    //    across the pool.
+    //    across the --jobs threads.
     std::cout << "\n== Power-aware policy: 16-seed Monte-Carlo"
                  " confidence ==\n";
     const std::size_t replications = 16;

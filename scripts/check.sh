@@ -10,7 +10,8 @@
 #      the bench_obs_overhead --check 0-allocs contract).
 #
 # Stops at the first failing step. The tsan suites have their own
-# entry point (scripts/tsan.sh) because they need a separate build.
+# entry points (scripts/tsan.sh, scripts/asan.sh) because they need a
+# separate build.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 set -euo pipefail

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Golden-payload gate for the datacenter minute loop and the auto-scaler
-# (registered as the `golden_payloads_check` ctest, label fleet-par):
-# regenerate three `--report` payloads and require each to be
-# byte-identical to its committed golden once the manifest line
-# (timestamp/argv) is dropped.
+# Golden-payload gate for the datacenter minute loop, the auto-scaler
+# and the sweep benches (registered as the `golden_payloads_check`
+# ctest, label fleet-par): regenerate six `--report` payloads and
+# require each to be byte-identical to its committed golden once the
+# manifest line (timestamp/argv) is dropped.
 #
 #   tests/golden/power_oversub.json   bench_power_oversub: rack-aggregate
 #                                     fidelity, three policies, at every
@@ -17,20 +17,32 @@
 #                                     --jobs {1,4}, with and without
 #                                     --telemetry (the gauges then read
 #                                     the windowed utilization before
-#                                     the auto-scaler decides).
+#                                     the auto-scaler decides);
+#   tests/golden/fig9_workloads.json  bench_fig9_workloads, at
+#                                     --jobs {1,4};
+#   tests/golden/fig12_oversub_latency.json
+#                                     bench_fig12_oversub_latency, at
+#                                     --jobs {1,4};
+#   tests/golden/fault_crisis_smoke.json
+#                                     bench_fault_crisis --smoke: the
+#                                     crisis-day grid, at --jobs {1,4}.
 #
 # Every report prints 17 significant digits, so any change in the bits
 # of an outcome fails the gate.
 #
 # Usage: scripts/check_golden_payloads.sh POWER_OVERSUB_BIN CONTROL_BIN \
-#            TABLE11_BIN GOLDEN_DIR OUTDIR
+#            TABLE11_BIN FIG9_BIN FIG12_BIN FAULT_CRISIS_BIN GOLDEN_DIR \
+#            OUTDIR
 set -euo pipefail
 
 POWER_BIN="$1"
 CONTROL_BIN="$2"
 TABLE11_BIN="$3"
-GOLDEN_DIR="$4"
-OUTDIR="$5"
+FIG9_BIN="$4"
+FIG12_BIN="$5"
+FAULT_CRISIS_BIN="$6"
+GOLDEN_DIR="$7"
+OUTDIR="$8"
 
 mkdir -p "$OUTDIR"
 status=0
@@ -63,9 +75,17 @@ for jobs in 1 4; do
         "$GOLDEN_DIR/table11_step60.json" \
         "$TABLE11_BIN" --step 60 --skip-downramp --jobs "$jobs" \
         --telemetry "$OUTDIR/table11_step60_j${jobs}.csv"
+    check "fig9_workloads_j${jobs}" "$GOLDEN_DIR/fig9_workloads.json" \
+        "$FIG9_BIN" --jobs "$jobs"
+    check "fig12_oversub_latency_j${jobs}" \
+        "$GOLDEN_DIR/fig12_oversub_latency.json" \
+        "$FIG12_BIN" --jobs "$jobs"
+    check "fault_crisis_smoke_j${jobs}" \
+        "$GOLDEN_DIR/fault_crisis_smoke.json" \
+        "$FAULT_CRISIS_BIN" --smoke --jobs "$jobs"
 done
 
 if [ "$status" -ne 0 ]; then
     exit "$status"
 fi
-echo "golden_payloads_check: OK (12 payloads)"
+echo "golden_payloads_check: OK (18 payloads)"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build the ThreadSanitizer configuration (warnings-as-errors) and run
-# the concurrency-sensitive tests (ctest label "tsan"): the experiment
-# engine's thread pool, parallel sweeps, the observability layer's
+# the concurrency-sensitive tests (ctest label "tsan"): the
+# util::ShardRunner executor, the parallel sweeps that run on it
+# (including points that shard internally), the observability layer's
 # per-point capture/merge path, and the intra-run fleet sharding (the
 # "fleet-par-tsan"/"obs-tsan" labels match the tsan regex, so the
 # sharded minute loop and sharded FleetAggregator::observe run under

@@ -79,7 +79,9 @@ ProgressMonitor::begin(std::size_t total_in)
     lastStatusAt = beganAt;
     statusEverPainted = false;
     lastStatusLen = 0;
-    pointStates.assign(total, PointState{});
+    PointState queued;
+    queued.queued = beganAt;
+    pointStates.assign(total, queued);
     workerIds.clear();
     if (heartbeat.is_open()) {
         std::string line = "{\"event\": \"begin\", \"label\": ";
@@ -99,15 +101,6 @@ ProgressMonitor::workerIdLocked()
     const int fresh = static_cast<int>(workerIds.size());
     workerIds.emplace_back(self, fresh);
     return fresh;
-}
-
-void
-ProgressMonitor::pointQueued(std::size_t index)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (index >= pointStates.size())
-        return;
-    pointStates[index].queued = Clock::now();
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Live sweep progress: exp::ProgressMonitor observes a SweepRunner
- * (per-point queue/start/finish events), renders a rate-limited status
+ * (per-point start/finish events), renders a rate-limited status
  * line with throughput and ETA to stderr, optionally appends a
  * machine-readable JSONL heartbeat (`--progress FILE`), and snapshots
  * per-point wall-clock timing for the report's "timing" section.
@@ -69,11 +69,12 @@ class ProgressMonitor
 
     ProgressMonitor(std::string label, Options opts);
 
-    /** Start observing a sweep of @p total points (resets state). */
+    /**
+     * Start observing a sweep of @p total points (resets state). Every
+     * point is queued at the sweep's fork, so this stamps all of them
+     * queued now.
+     */
     void begin(std::size_t total);
-
-    /** Point @p index was submitted to the pool (or serial loop). */
-    void pointQueued(std::size_t index);
 
     /** Point @p index started executing on the calling thread. */
     void pointStarted(std::size_t index);

@@ -99,7 +99,7 @@ struct RunRecord
 struct PointTiming
 {
     std::size_t index = 0; ///< Sweep point index.
-    double queueMs = 0.0;  ///< Submission-to-start queue wait.
+    double queueMs = 0.0;  ///< Wait from the sweep's fork to start.
     double wallMs = 0.0;   ///< Point body wall time.
     int worker = 0;        ///< Worker slot that ran the point.
 };

@@ -4,21 +4,10 @@ namespace imsim {
 namespace exp {
 
 SweepRunner::SweepRunner(SweepOptions opts)
-    : workerCount(opts.jobs == 0 ? util::ThreadPool::defaultWorkers()
+    : workerCount(opts.jobs == 0 ? util::ShardRunner::defaultThreads()
                                  : opts.jobs),
       rootSeed(opts.seed), monitor(opts.progress)
 {}
-
-void
-SweepRunner::parallelFor(
-    std::size_t n,
-    const std::function<void(std::size_t, util::Rng &)> &fn) const
-{
-    map<bool>(n, [&fn](std::size_t i, util::Rng &rng) {
-        fn(i, rng);
-        return true;
-    });
-}
 
 RunReport
 SweepRunner::run(const std::string &name, const std::vector<Params> &grid,

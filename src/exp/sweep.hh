@@ -1,11 +1,12 @@
 /**
  * @file
  * Parallel experiment engine: fans parameter-grid points and
- * Monte-Carlo seed replications across a util::ThreadPool.
+ * Monte-Carlo seed replications across a util::ShardRunner, one shard
+ * per point.
  *
  * Determinism contract: every sweep point i receives the substream
  * Rng(seed).split(i), which depends only on (seed, i) — never on
- * worker scheduling — and results are collected in point order. A
+ * thread scheduling — and results are collected in point order. A
  * sweep therefore produces bit-identical output with --jobs 1 and
  * --jobs N, provided the point body itself is a pure function of
  * (point, rng).
@@ -17,15 +18,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/progress.hh"
 #include "exp/report.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
-#include "util/thread_pool.hh"
+#include "util/shard.hh"
 
 namespace imsim {
 namespace exp {
@@ -33,7 +35,8 @@ namespace exp {
 /** Knobs shared by every sweep (typically filled from the CLI). */
 struct SweepOptions
 {
-    std::size_t jobs = 0;    ///< Worker threads; 0 = hardware concurrency.
+    std::size_t jobs = 0; ///< Compute threads, caller included;
+                          ///< 0 = hardware concurrency.
     std::uint64_t seed = 0x1ce5eedULL; ///< Root seed for Rng::split.
     /** Optional observer (not owned); see progressFromCli. */
     ProgressMonitor *progress = nullptr;
@@ -42,7 +45,7 @@ struct SweepOptions
 /**
  * Raised when a sweep point's body throws: carries the *lowest* failed
  * point index and the original message, composed identically whether
- * the sweep ran serially or across a pool — so failure reports do not
+ * the sweep ran on one thread or many — so failure reports do not
  * depend on --jobs.
  */
 class SweepPointError : public FatalError
@@ -65,15 +68,15 @@ class SweepPointError : public FatalError
  * Runs experiment bodies over index ranges or parameter grids, in
  * parallel, with per-point deterministic substreams.
  *
- * jobs == 1 executes on the calling thread with no pool at all, which
- * is the byte-for-byte serial reference path.
+ * jobs == 1 executes every point inline on the calling thread, in
+ * index order.
  */
 class SweepRunner
 {
   public:
     explicit SweepRunner(SweepOptions opts = {});
 
-    /** @return worker count the runner fans across. */
+    /** @return compute threads the runner fans across (caller included). */
     std::size_t jobs() const { return workerCount; }
 
     /** @return the root seed points are split from. */
@@ -83,13 +86,13 @@ class SweepRunner
      * Run @p fn(i, rng) for every i in [0, n) and return the results
      * in index order. @p fn must not touch shared mutable state.
      *
-     * Failure semantics: when a body throws, the call raises a
-     * SweepPointError for the lowest failed index, with the same
-     * message under --jobs 1 and --jobs N (the parallel path still
-     * joins every in-flight point before throwing).
+     * Failure semantics: when a body throws a std::exception, no
+     * further points start and the call raises a SweepPointError for
+     * the lowest failed index, with the same message under --jobs 1
+     * and --jobs N (points already in flight are joined first).
      *
-     * When options.progress is set, the monitor sees begin/queued/
-     * started/finished/end events; results are unaffected.
+     * When options.progress is set, the monitor sees begin/started/
+     * finished/end events; results are unaffected.
      */
     template <typename T>
     std::vector<T>
@@ -99,67 +102,43 @@ class SweepRunner
         ProgressMonitor *mon = monitor;
         if (mon)
             mon->begin(n);
-        std::vector<T> results;
-        results.reserve(n);
-        if (workerCount == 1 || n <= 1) {
-            for (std::size_t i = 0; i < n; ++i) {
-                if (mon) {
-                    mon->pointQueued(i);
-                    mon->pointStarted(i);
-                }
-                util::Rng rng = substream(i);
-                try {
-                    results.push_back(fn(i, rng));
-                } catch (const std::exception &e) {
-                    if (mon)
-                        mon->end();
-                    throw SweepPointError(i, e.what());
-                }
-                if (mon)
-                    mon->pointFinished(i);
-            }
+        std::vector<std::optional<T>> slots(n);
+        std::vector<std::optional<std::string>> failures(n);
+        try {
+            util::ShardRunner(workerCount)
+                .run(util::ShardPlan::even(n, n),
+                     [&](std::size_t i, std::size_t, std::size_t) {
+                         if (mon)
+                             mon->pointStarted(i);
+                         util::Rng rng = substream(i);
+                         try {
+                             slots[i].emplace(fn(i, rng));
+                         } catch (const std::exception &e) {
+                             failures[i] = e.what();
+                             throw;
+                         }
+                         if (mon)
+                             mon->pointFinished(i);
+                     });
+        } catch (...) {
             if (mon)
                 mon->end();
-            return results;
-        }
-        util::ThreadPool pool(workerCount);
-        std::vector<std::future<T>> futures;
-        futures.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (mon)
-                mon->pointQueued(i);
-            futures.push_back(pool.submit([this, i, &fn, mon]() {
-                if (mon)
-                    mon->pointStarted(i);
-                util::Rng rng = substream(i);
-                T result = fn(i, rng);
-                if (mon)
-                    mon->pointFinished(i);
-                return result;
-            }));
-        }
-        // Collect in index order, so the exception that surfaces is the
-        // lowest failed index's — matching the serial path exactly.
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                results.push_back(futures[i].get());
-            } catch (const std::exception &e) {
-                for (std::size_t j = i + 1; j < n; ++j)
-                    futures[j].wait();
-                if (mon)
-                    mon->end();
-                throw SweepPointError(i, e.what());
-            }
+            // Points are claimed in ascending order, so every index
+            // below a recorded failure has run: the lowest one is the
+            // failure a one-thread run stops at.
+            for (std::size_t i = 0; i < n; ++i)
+                if (failures[i])
+                    throw SweepPointError(i, *failures[i]);
+            throw;
         }
         if (mon)
             mon->end();
+        std::vector<T> results;
+        results.reserve(n);
+        for (auto &slot : slots)
+            results.push_back(std::move(*slot));
         return results;
     }
-
-    /** map() for bodies with side-effect-free void results. */
-    void parallelFor(
-        std::size_t n,
-        const std::function<void(std::size_t, util::Rng &)> &fn) const;
 
     /**
      * Sweep a parameter grid and collect a structured report.

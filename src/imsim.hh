@@ -14,7 +14,6 @@
 #include "util/random.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
-#include "util/thread_pool.hh"
 #include "util/units.hh"
 
 #include "sim/simulation.hh"

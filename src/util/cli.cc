@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
+#include "util/shard.hh"
 
 namespace imsim {
 namespace util {
@@ -75,7 +75,7 @@ std::size_t
 Cli::jobs() const
 {
     const std::int64_t n = getInt(
-        "--jobs", static_cast<std::int64_t>(ThreadPool::defaultWorkers()));
+        "--jobs", static_cast<std::int64_t>(ShardRunner::defaultThreads()));
     fatalIf(n < 1, "Cli: --jobs expects a positive worker count");
     return static_cast<std::size_t>(n);
 }
@@ -86,7 +86,7 @@ Cli::simThreads() const
     const std::int64_t n = getInt("--sim-threads", 1);
     fatalIf(n < 0, "Cli: --sim-threads expects a non-negative count");
     if (n == 0)
-        return ThreadPool::defaultWorkers();
+        return ShardRunner::defaultThreads();
     return static_cast<std::size_t>(n);
 }
 

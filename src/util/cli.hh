@@ -54,7 +54,9 @@ class Cli
     double getDouble(const std::string &flag, double fallback) const;
 
     /**
-     * Shared "--jobs N" flag for the parallel benches/examples.
+     * Shared "--jobs N" flag for the parallel benches/examples:
+     * compute threads for sweep points, the calling thread included
+     * (the same count --sim-threads uses).
      *
      * @return N when "--jobs N" was given (FatalError when < 1);
      *         otherwise the hardware concurrency. "--jobs 1" runs the

@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests for the experiment engine: ThreadPool lifecycle and
- * exception propagation, Rng::split stream independence, SweepRunner
- * serial-vs-parallel determinism, RunReport JSON round-trip, and the
- * shared --jobs flag. Registered under the `tsan` ctest label so the
- * pool runs under IMSIM_SANITIZE=thread in CI.
+ * Unit tests for the experiment engine: Rng::split stream
+ * independence, SweepRunner serial-vs-parallel determinism, failure
+ * reporting and nesting with an inner ShardRunner, RunReport JSON
+ * round-trip, and the shared --jobs flag. Registered under the `tsan`
+ * ctest label so the sweeps run under IMSIM_SANITIZE=thread in CI.
  */
 
 #include <gtest/gtest.h>
@@ -23,61 +23,10 @@
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/table.hh"
-#include "util/thread_pool.hh"
+#include "util/shard.hh"
 
 namespace imsim {
 namespace {
-
-TEST(ThreadPool, StartSubmitShutdown)
-{
-    std::atomic<int> counter{0};
-    {
-        util::ThreadPool pool(4);
-        EXPECT_EQ(pool.size(), 4u);
-        std::vector<std::future<void>> futures;
-        for (int i = 0; i < 100; ++i)
-            futures.push_back(pool.submit([&counter]() { ++counter; }));
-        for (auto &future : futures)
-            future.get();
-        EXPECT_EQ(counter.load(), 100);
-    }
-    // Destructor joined all workers; tasks submitted before shutdown ran.
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, DrainsQueuedTasksOnShutdown)
-{
-    std::atomic<int> counter{0};
-    {
-        util::ThreadPool pool(2);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&counter]() { ++counter; });
-        // No explicit wait: the destructor must drain the queue.
-    }
-    EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, ZeroWorkersClampsToOne)
-{
-    util::ThreadPool pool(0);
-    EXPECT_EQ(pool.size(), 1u);
-    EXPECT_EQ(pool.submit([]() { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, SubmitReturnsValueAndPropagatesExceptions)
-{
-    util::ThreadPool pool(2);
-    auto ok = pool.submit([]() { return 21 * 2; });
-    EXPECT_EQ(ok.get(), 42);
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, DefaultWorkersIsPositive)
-{
-    EXPECT_GE(util::ThreadPool::defaultWorkers(), 1u);
-}
 
 TEST(RngSplit, IndependentOfDrawState)
 {
@@ -174,22 +123,58 @@ TEST(SweepRunner, ParallelForCoversEveryIndexOnce)
 {
     std::vector<std::atomic<int>> hits(64);
     exp::SweepRunner runner({4, 1});
-    runner.parallelFor(hits.size(),
-                       [&hits](std::size_t i, util::Rng &) { ++hits[i]; });
+    const auto indices = runner.map<std::size_t>(
+        hits.size(), [&hits](std::size_t i, util::Rng &) {
+            ++hits[i];
+            return i;
+        });
     for (const auto &hit : hits)
         EXPECT_EQ(hit.load(), 1);
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        EXPECT_EQ(indices[i], i);
 }
 
 TEST(SweepRunner, ExceptionsPropagateToCaller)
 {
     exp::SweepRunner runner({4, 1});
-    EXPECT_THROW(
-        runner.parallelFor(8,
-                           [](std::size_t i, util::Rng &) {
-                               if (i == 5)
-                                   util::fatal("boom");
-                           }),
-        FatalError);
+    EXPECT_THROW(runner.map<int>(8,
+                                 [](std::size_t i, util::Rng &) {
+                                     if (i == 5)
+                                         util::fatal("boom");
+                                     return 0;
+                                 }),
+                 FatalError);
+}
+
+TEST(SweepRunner, PointsMayShardInternally)
+{
+    // The --jobs N --sim-threads M nesting: every point drives its own
+    // ShardRunner while the sweep's runner is mid-fork.
+    constexpr std::size_t kPoints = 16;
+    constexpr std::size_t kUnits = 1000;
+    for (const std::size_t jobs : {1u, 4u}) {
+        std::vector<std::atomic<int>> hits(kPoints * kUnits);
+        exp::SweepRunner runner({jobs, 1});
+        const auto points = runner.map<std::size_t>(
+            kPoints, [&hits](std::size_t i, util::Rng &) {
+                util::ShardRunner inner(3);
+                inner.run(util::ShardPlan::even(kUnits, 8),
+                          [&](std::size_t, std::size_t begin,
+                              std::size_t end) {
+                              for (std::size_t u = begin; u < end; ++u)
+                                  hits[i * kUnits + u].fetch_add(
+                                      1, std::memory_order_relaxed);
+                          });
+                return i;
+            });
+        for (std::size_t k = 0; k < hits.size(); ++k)
+            EXPECT_EQ(hits[k].load(), 1)
+                << "jobs " << jobs << " point " << k / kUnits << " unit "
+                << k % kUnits;
+        ASSERT_EQ(points.size(), kPoints);
+        for (std::size_t i = 0; i < kPoints; ++i)
+            EXPECT_EQ(points[i], i) << "jobs " << jobs;
+    }
 }
 
 TEST(SweepRunner, ParamGridIsSecondKeyMajor)
@@ -298,14 +283,15 @@ TEST(RunReport, WriteJsonFileRoundTrips)
 TEST(SweepRunner, FirstFailureIsIdenticalAcrossJobCounts)
 {
     // Two points fail; the surfaced error must name the lowest index
-    // with the same message whether the sweep ran serially or pooled.
+    // with the same message at every job count.
     const auto run = [](std::size_t jobs) -> std::string {
         exp::SweepRunner runner({jobs, 1});
         try {
-            runner.parallelFor(8, [](std::size_t i, util::Rng &) {
+            runner.map<int>(8, [](std::size_t i, util::Rng &) {
                 if (i == 3 || i == 6)
                     throw std::runtime_error("boom at " +
                                              std::to_string(i));
+                return 0;
             });
         } catch (const exp::SweepPointError &e) {
             return std::to_string(e.index()) + "|" + e.what();
@@ -357,7 +343,6 @@ TEST(ProgressMonitor, TimingHeartbeatAndStatus)
     exp::ProgressMonitor monitor("unit_sweep", opts);
     monitor.begin(2);
     for (std::size_t i = 0; i < 2; ++i) {
-        monitor.pointQueued(i);
         monitor.pointStarted(i);
         monitor.pointFinished(i);
     }
@@ -434,7 +419,7 @@ TEST(Cli, JobsFlagDefaultsToHardwareConcurrency)
 {
     const char *argv_default[] = {"bench"};
     const util::Cli plain(1, argv_default);
-    EXPECT_EQ(plain.jobs(), util::ThreadPool::defaultWorkers());
+    EXPECT_EQ(plain.jobs(), util::ShardRunner::defaultThreads());
 
     const char *argv_jobs[] = {"bench", "--jobs", "3"};
     const util::Cli with_jobs(3, argv_jobs);

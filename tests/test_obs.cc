@@ -973,19 +973,20 @@ TEST(Profiler, ReportJsonRoundTripsAndMerges)
 
 TEST(Profiler, SweepWorkersProfileWithoutRacing)
 {
-    // Concurrent scopes on pool threads touch only their own trees;
+    // Concurrent scopes on sweep threads touch only their own trees;
     // report() after the sweep joins merges them by path. Runs under
     // the tsan label.
     obs::Profiler::reset();
     obs::Profiler::setEnabled(true);
     exp::SweepRunner runner({4, 3});
-    runner.parallelFor(16, [](std::size_t, util::Rng &rng) {
+    runner.map<double>(16, [](std::size_t, util::Rng &rng) {
         obs::ProfScope scope("test.worker");
         double sum = 0.0;
         for (int i = 0; i < 100; ++i)
             sum += rng.uniform();
         if (sum < 0.0) // Defeat optimisation; never true.
             std::abort();
+        return sum;
     });
     obs::Profiler::setEnabled(false);
     const obs::ProfileReport report = obs::Profiler::report();

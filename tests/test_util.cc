@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the util module: logging/error split, RNG determinism
  * and distribution moments, online statistics, percentile estimation,
- * sliding windows, histograms, and table formatting.
+ * sliding windows, histograms, table formatting, and the ShardPlan /
+ * ShardRunner fork-join.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +28,6 @@
 #include "util/shard.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
-#include "util/thread_pool.hh"
 
 namespace imsim {
 namespace {
@@ -613,76 +613,97 @@ TEST(Json, TypePredicatesAndMismatchesAreFatal)
 }
 
 // ---------------------------------------------------------------------
-// ThreadPool::parallelFor — the allocation-free fork-join under the
-// intra-run fleet sharding.
+// ShardRunner — the allocation-free fork-join under the intra-run fleet
+// sharding and the sweep engine, driven one unit per shard.
 // ---------------------------------------------------------------------
 
-TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce)
+TEST(ShardRunner, RunsEveryShardExactlyOnce)
 {
-    util::ThreadPool pool(3);
+    util::ShardRunner runner(4);
     constexpr std::size_t kCount = 1000;
     std::vector<std::atomic<int>> hits(kCount);
-    pool.forEachIndex(kCount, [&](std::size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-    });
+    runner.run(util::ShardPlan::even(kCount, kCount),
+               [&](std::size_t s, std::size_t, std::size_t) {
+                   hits[s].fetch_add(1, std::memory_order_relaxed);
+               });
     for (std::size_t i = 0; i < kCount; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, ParallelForIsReusableAndHandlesEmptyRanges)
+TEST(ShardRunner, IsReusableAndHandlesEmptyPlans)
 {
-    util::ThreadPool pool(2);
+    util::ShardRunner runner(3);
     std::atomic<std::size_t> total{0};
-    pool.forEachIndex(0, [&](std::size_t) { total.fetch_add(1); });
+    const auto count = [&](std::size_t, std::size_t, std::size_t) {
+        total.fetch_add(1);
+    };
+    runner.run(util::ShardPlan::even(0, 0), count);
     EXPECT_EQ(total.load(), 0u);
     for (int round = 0; round < 50; ++round)
-        pool.forEachIndex(7, [&](std::size_t) { total.fetch_add(1); });
+        runner.run(util::ShardPlan::even(7, 7), count);
     EXPECT_EQ(total.load(), 50u * 7u);
 }
 
-TEST(ThreadPool, ParallelForRethrowsTheShardExceptionOnTheCaller)
+TEST(ShardRunner, RethrowsTheShardExceptionOnTheCaller)
 {
-    util::ThreadPool pool(3);
+    util::ShardRunner runner(4);
     constexpr std::size_t kCount = 64;
+    const util::ShardPlan plan = util::ShardPlan::even(kCount, kCount);
     // Repeat so the throw lands on workers as well as the caller.
     for (int round = 0; round < 20; ++round) {
         try {
-            pool.forEachIndex(kCount, [&](std::size_t i) {
-                if (i == 13)
+            runner.run(plan, [&](std::size_t s, std::size_t, std::size_t) {
+                if (s == 13)
                     util::fatal("shard body failed");
             });
             FAIL() << "expected FatalError";
         } catch (const FatalError &err) {
             EXPECT_STREQ(err.what(), "fatal: shard body failed");
         }
-        // The pool must stay fully usable after a failed job.
+        // The runner must stay fully usable after a failed job.
         std::atomic<std::size_t> ran{0};
-        pool.forEachIndex(kCount, [&](std::size_t) { ran.fetch_add(1); });
+        runner.run(plan, [&](std::size_t, std::size_t, std::size_t) {
+            ran.fetch_add(1);
+        });
         EXPECT_EQ(ran.load(), kCount);
     }
 }
 
-TEST(ThreadPool, ParallelForStopsClaimingIndicesAfterAThrow)
+TEST(ShardRunner, StopsClaimingShardsAfterAThrow)
 {
-    util::ThreadPool pool(1);
+    util::ShardRunner runner(2);
     std::atomic<std::size_t> ran{0};
-    EXPECT_THROW(pool.forEachIndex(1000,
-                                   [&](std::size_t i) {
-                                       ran.fetch_add(1);
-                                       if (i == 0)
-                                           throw std::runtime_error("boom");
-                                       // Long enough that the other
-                                       // thread cannot run the other 999
-                                       // indices before the throw drags
-                                       // the cursor (trivial bodies
-                                       // sometimes could).
-                                       std::this_thread::sleep_for(
-                                           std::chrono::microseconds(100));
-                                   }),
+    EXPECT_THROW(runner.run(util::ShardPlan::even(1000, 1000),
+                            [&](std::size_t s, std::size_t, std::size_t) {
+                                ran.fetch_add(1);
+                                if (s == 0)
+                                    throw std::runtime_error("boom");
+                                // Long enough that the other thread
+                                // cannot run the other 999 shards
+                                // before the throw drags the cursor
+                                // (trivial bodies sometimes could).
+                                std::this_thread::sleep_for(
+                                    std::chrono::microseconds(100));
+                            }),
                  std::runtime_error);
-    // Indices already claimed may finish, but the cursor is dragged to
+    // Shards already claimed may finish, but the cursor is dragged to
     // the end on the first throw: nowhere near all 1000 run.
     EXPECT_LT(ran.load(), 1000u);
+}
+
+TEST(ShardRunner, ZeroThreadsClampsToOne)
+{
+    util::ShardRunner runner(0);
+    EXPECT_EQ(runner.threads(), 1u);
+    std::size_t ran = 0;
+    runner.run(util::ShardPlan::even(5, 5),
+               [&](std::size_t, std::size_t, std::size_t) { ++ran; });
+    EXPECT_EQ(ran, 5u);
+}
+
+TEST(ShardRunner, DefaultThreadsIsPositive)
+{
+    EXPECT_GE(util::ShardRunner::defaultThreads(), 1u);
 }
 
 // ---------------------------------------------------------------------
