@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Golden-payload gate for the datacenter minute loop, the auto-scaler
 # and the sweep benches (registered as the `golden_payloads_check`
-# ctest, label fleet-par): regenerate six `--report` payloads and
-# require each to be byte-identical to its committed golden once the
-# manifest line (timestamp/argv) is dropped.
+# ctest, label fleet-par): regenerate the `--report` payloads and the
+# observer artifacts below and require each to be byte-identical to its
+# committed golden once the manifest is dropped (the `"meta"` line of a
+# JSON payload; every `# key:` comment line but `# schema:` of a CSV).
 #
 #   tests/golden/power_oversub.json   bench_power_oversub: rack-aggregate
 #                                     fidelity, three policies, at every
@@ -18,6 +19,10 @@
 #                                     --telemetry (the gauges then read
 #                                     the windowed utilization before
 #                                     the auto-scaler decides);
+#   tests/golden/table11_step60_telemetry.csv
+#                                     the --telemetry CSV of that run:
+#                                     the auto-scaler's gauges and
+#                                     counters, in registration order;
 #   tests/golden/fig9_workloads.json  bench_fig9_workloads, at
 #                                     --jobs {1,4};
 #   tests/golden/fig12_oversub_latency.json
@@ -25,7 +30,18 @@
 #                                     --jobs {1,4};
 #   tests/golden/fault_crisis_smoke.json
 #                                     bench_fault_crisis --smoke: the
-#                                     crisis-day grid, at --jobs {1,4}.
+#                                     crisis-day grid, at --jobs {1,4},
+#                                     with and without --telemetry and
+#                                     --watchdog;
+#   tests/golden/fault_crisis_smoke_telemetry.csv
+#                                     the --telemetry CSV of that run:
+#                                     auto-scaler, watchdog, fault and
+#                                     invariant metrics, in registration
+#                                     order (the order the crisis run
+#                                     attaches its observers in);
+#   tests/golden/fault_crisis_smoke_incidents.json
+#                                     the --watchdog incident timelines
+#                                     of that run.
 #
 # Every report prints 17 significant digits, so any change in the bits
 # of an outcome fails the gate.
@@ -47,17 +63,25 @@ OUTDIR="$8"
 mkdir -p "$OUTDIR"
 status=0
 
+# same NAME OUT GOLDEN : compare OUT, manifest dropped, to GOLDEN.
+same() {
+    local name="$1" out="$2" golden="$3"
+    local stripped="$OUTDIR/$name.stripped"
+    sed -e '/"meta"/d' -e '/^# /{/^# schema:/!d}' "$out" > "$stripped"
+    if ! cmp -s "$stripped" "$golden"; then
+        echo "FAIL: $name differs from $golden" >&2
+        diff "$stripped" "$golden" >&2 || true
+        status=1
+    fi
+}
+
 # check NAME GOLDEN CMD... : run CMD with --report, compare to GOLDEN.
 check() {
     local name="$1" golden="$2"
     shift 2
     local out="$OUTDIR/$name.json"
     "$@" --report "$out" >/dev/null 2>&1
-    if ! cmp -s <(sed '/"meta"/d' "$out") "$golden"; then
-        echo "FAIL: $name differs from $golden" >&2
-        diff <(sed '/"meta"/d' "$out") "$golden" >&2 || true
-        status=1
-    fi
+    same "$name" "$out" "$golden"
 }
 
 for jobs in 1 4; do
@@ -75,6 +99,9 @@ for jobs in 1 4; do
         "$GOLDEN_DIR/table11_step60.json" \
         "$TABLE11_BIN" --step 60 --skip-downramp --jobs "$jobs" \
         --telemetry "$OUTDIR/table11_step60_j${jobs}.csv"
+    same "table11_step60_j${jobs}_telemetry_csv" \
+        "$OUTDIR/table11_step60_j${jobs}.csv" \
+        "$GOLDEN_DIR/table11_step60_telemetry.csv"
     check "fig9_workloads_j${jobs}" "$GOLDEN_DIR/fig9_workloads.json" \
         "$FIG9_BIN" --jobs "$jobs"
     check "fig12_oversub_latency_j${jobs}" \
@@ -83,9 +110,20 @@ for jobs in 1 4; do
     check "fault_crisis_smoke_j${jobs}" \
         "$GOLDEN_DIR/fault_crisis_smoke.json" \
         "$FAULT_CRISIS_BIN" --smoke --jobs "$jobs"
+    check "fault_crisis_smoke_j${jobs}_observed" \
+        "$GOLDEN_DIR/fault_crisis_smoke.json" \
+        "$FAULT_CRISIS_BIN" --smoke --jobs "$jobs" \
+        --telemetry "$OUTDIR/fault_crisis_smoke_j${jobs}.csv" \
+        --watchdog "$OUTDIR/fault_crisis_smoke_j${jobs}_incidents.json"
+    same "fault_crisis_smoke_j${jobs}_telemetry_csv" \
+        "$OUTDIR/fault_crisis_smoke_j${jobs}.csv" \
+        "$GOLDEN_DIR/fault_crisis_smoke_telemetry.csv"
+    same "fault_crisis_smoke_j${jobs}_incidents" \
+        "$OUTDIR/fault_crisis_smoke_j${jobs}_incidents.json" \
+        "$GOLDEN_DIR/fault_crisis_smoke_incidents.json"
 done
 
 if [ "$status" -ne 0 ]; then
     exit "$status"
 fi
-echo "golden_payloads_check: OK (18 payloads)"
+echo "golden_payloads_check: OK (26 payloads)"
