@@ -41,14 +41,15 @@ AutoScaler::AutoScaler(sim::Simulation &simulation,
 }
 
 void
-AutoScaler::attachTelemetry(obs::MetricRegistry *registry,
-                            obs::EventTracer *tracer_in)
+AutoScaler::attach(const obs::Observers &bundle)
 {
-    util::fatalIf(running,
-                  "AutoScaler::attachTelemetry: call before start()");
-    tracer = tracer_in;
-    if (!registry)
+    util::fatalIf(running, "AutoScaler::attach: call before start()");
+    tracer = bundle.tracer;
+    obs::MetricRegistry *registry = bundle.metrics;
+    if (!registry) {
+        scaleOutMetric = scaleInMetric = freqChangeMetric = nullptr;
         return;
+    }
     scaleOutMetric = &registry->counter("autoscaler.scale_outs");
     scaleInMetric = &registry->counter("autoscaler.scale_ins");
     freqChangeMetric = &registry->counter("autoscaler.freq_changes");
@@ -114,9 +115,10 @@ AutoScaler::applyFrequency(GHz f)
         tracer->instantAt("freq_change", "autoscale", sim.now(),
                           {{"ghz", f}});
     }
-    if (log.enabled(util::LogLevel::Debug)) {
-        log.debug("t=" + std::to_string(sim.now()) + " fleet frequency -> " +
-                  std::to_string(f) + " GHz");
+    if (util::logEnabled(util::LogLevel::Debug)) {
+        util::log(util::LogLevel::Debug, "autoscaler",
+                  "t=" + std::to_string(sim.now()) +
+                      " fleet frequency -> " + std::to_string(f) + " GHz");
     }
 }
 
@@ -180,9 +182,10 @@ AutoScaler::triggerScaleOut()
             "scale_out", "autoscale", sim.now(),
             {{"vms", static_cast<double>(cluster.activeServers())}});
     }
-    if (log.enabled(util::LogLevel::Debug)) {
-        log.debug("t=" + std::to_string(sim.now()) + " scale-out from " +
-                  std::to_string(cluster.activeServers()) + " VMs");
+    if (util::logEnabled(util::LogLevel::Debug)) {
+        util::log(util::LogLevel::Debug, "autoscaler",
+                  "t=" + std::to_string(sim.now()) + " scale-out from " +
+                      std::to_string(cluster.activeServers()) + " VMs");
     }
     sim.after(cfg.scaleOutLatency, [this] {
         cluster.addServer(fleetFreq);
@@ -243,10 +246,11 @@ AutoScaler::decide()
                     {{"vms",
                       static_cast<double>(cluster.activeServers())}});
             }
-            if (log.enabled(util::LogLevel::Debug)) {
-                log.debug("t=" + std::to_string(now) + " scale-in to " +
-                          std::to_string(cluster.activeServers()) +
-                          " VMs");
+            if (util::logEnabled(util::LogLevel::Debug)) {
+                util::log(util::LogLevel::Debug, "autoscaler",
+                          "t=" + std::to_string(now) + " scale-in to " +
+                              std::to_string(cluster.activeServers()) +
+                              " VMs");
             }
             if (cfg.policy == Policy::OcA &&
                 fleetFreq > cfg.baseFrequency + 1e-9) {

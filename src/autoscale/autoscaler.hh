@@ -28,7 +28,7 @@
 
 #include "autoscale/model.hh"
 #include "hw/counters.hh"
-#include "obs/log.hh"
+#include "obs/observers.hh"
 #include "sim/simulation.hh"
 #include "workload/queueing.hh"
 
@@ -36,8 +36,6 @@ namespace imsim {
 
 namespace obs {
 class Counter;
-class EventTracer;
-class MetricRegistry;
 } // namespace obs
 
 namespace autoscale {
@@ -99,19 +97,18 @@ class AutoScaler
                workload::QueueingCluster &cluster, AutoScalerConfig config);
 
     /**
-     * Attach observability. Either pointer may be null.
-     *
-     * With a registry, registers counters `autoscaler.scale_outs`,
-     * `autoscaler.scale_ins`, `autoscaler.freq_changes` and gauges
-     * `autoscaler.vms`, `autoscaler.frequency_ghz`,
-     * `autoscaler.util30`, `autoscaler.util180`,
-     * `autoscaler.queue_depth` (polled from the cluster, so a
-     * TelemetrySampler sees live values). With a tracer, emits
-     * instant events for scale-out/in and frequency changes. Both
-     * must outlive the scaler. Call before start().
+     * Attach observers; reads `metrics` and `tracer`. Call before
+     * start().
+     *  - metrics: counters `autoscaler.scale_outs`,
+     *    `autoscaler.scale_ins`, `autoscaler.freq_changes` and gauges
+     *    `autoscaler.vms`, `autoscaler.frequency_ghz`,
+     *    `autoscaler.util30`, `autoscaler.util180`,
+     *    `autoscaler.queue_depth` (polled from the cluster, so a
+     *    TelemetrySampler sees live values), registered here.
+     *  - tracer: instant events for scale-out/in and frequency
+     *    changes.
      */
-    void attachTelemetry(obs::MetricRegistry *registry,
-                         obs::EventTracer *tracer);
+    void attach(const obs::Observers &bundle);
 
     /** Arm the decision loop (first decision after one period). */
     void start();
@@ -196,7 +193,6 @@ class AutoScaler
     Seconds lastFreqChange = 0.0;
     Seconds startTime = 0.0;
 
-    obs::Logger log{"autoscaler"};
     obs::EventTracer *tracer = nullptr;
     obs::Counter *scaleOutMetric = nullptr;
     obs::Counter *scaleInMetric = nullptr;

@@ -80,7 +80,8 @@ runSchedule(Policy policy, const ExperimentParams &params,
     if (capture) {
         if (!capture->tracer.enabled())
             capture->tracer.enable([&sim] { return sim.now(); });
-        scaler.attachTelemetry(&capture->registry, &capture->tracer);
+        scaler.attach({.metrics = &capture->registry,
+                       .tracer = &capture->tracer});
         if (capture->traceKernel) {
             kernel_tracer = std::make_unique<obs::KernelTracer>(
                 capture->tracer, sim);

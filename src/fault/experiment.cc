@@ -132,8 +132,6 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
         brownout.clearThreshold = 0.0; // Cumulative count: never clears.
         watchdog.addRule(brownout);
     }
-    watchdog.attachIncidentLog(&incident_log);
-    injector.attachIncidentLog(&incident_log);
     sim.every(params.watchdogPeriod,
               [&watchdog, &sim] { watchdog.evaluate(sim.now()); });
 
@@ -165,26 +163,31 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
         box->addChannel("alerts_firing", [&watchdog] {
             return static_cast<double>(watchdog.firingCount());
         });
-        watchdog.attachFlightRecorder(box);
-        injector.attachFlightRecorder(box);
-        checker.attachFlightRecorder(box);
         sim.every(params.watchdogPeriod,
                   [box, &sim] { box->tick(sim.now()); });
     }
 
-    // Optional observability capture, wired like the auto-scaler
-    // experiments: one capture per run, merged by the caller.
+    // One observer bundle for the run: the incident log always, the
+    // flight recorder when given, and the optional observability
+    // capture (wired like the auto-scaler experiments: one capture per
+    // run, merged by the caller). The attach order is the metric
+    // registration order, i.e. the telemetry CSV's column order.
     autoscale::ObsCapture *capture = params.obs;
-    std::optional<obs::TelemetrySampler> sampler;
+    obs::Observers observers;
+    observers.incidents = &incident_log;
+    observers.recorder = params.blackbox;
     if (capture) {
         if (!capture->tracer.enabled())
             capture->tracer.enable([&sim] { return sim.now(); });
-        scaler.attachTelemetry(&capture->registry, &capture->tracer);
-        watchdog.attachMetrics(capture->registry);
-        injector.attachMetrics(capture->registry);
-        injector.attachTracer(&capture->tracer);
-        checker.attachMetrics(capture->registry);
-        checker.attachTracer(&capture->tracer);
+        observers.metrics = &capture->registry;
+        observers.tracer = &capture->tracer;
+    }
+    scaler.attach(observers);
+    watchdog.attach(observers);
+    injector.attach(observers);
+    checker.attach(observers);
+    std::optional<obs::TelemetrySampler> sampler;
+    if (capture) {
         sampler.emplace(sim, capture->registry, capture->telemetryPeriod);
         sampler->mirrorToTracer(&capture->tracer);
         sampler->start();

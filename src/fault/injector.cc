@@ -51,34 +51,21 @@ FaultInjector::attachPowerBudget(power::PowerBudget &budget_in)
 }
 
 void
-FaultInjector::attachMetrics(obs::MetricRegistry &registry,
-                             const std::string &prefix)
+FaultInjector::attach(const obs::Observers &bundle)
 {
-    crashMetric = &registry.counter(prefix + ".server_crashes");
-    repairMetric = &registry.counter(prefix + ".server_repairs");
-    coolingMetric = &registry.counter(prefix + ".cooling_faults");
-    powerMetric = &registry.counter(prefix + ".power_faults");
-    registry.registerGauge(prefix + ".servers_down", [this] {
+    observers = bundle;
+    obs::MetricRegistry *metrics = observers.metrics;
+    if (!metrics) {
+        crashMetric = repairMetric = coolingMetric = powerMetric = nullptr;
+        return;
+    }
+    crashMetric = &metrics->counter("fault.server_crashes");
+    repairMetric = &metrics->counter("fault.server_repairs");
+    coolingMetric = &metrics->counter("fault.cooling_faults");
+    powerMetric = &metrics->counter("fault.power_faults");
+    metrics->registerGauge("fault.servers_down", [this] {
         return static_cast<double>(downIds.size());
     });
-}
-
-void
-FaultInjector::attachTracer(obs::EventTracer *tracer_in)
-{
-    tracer = tracer_in;
-}
-
-void
-FaultInjector::attachIncidentLog(obs::IncidentLog *log)
-{
-    incidents = log;
-}
-
-void
-FaultInjector::attachFlightRecorder(obs::FlightRecorder *recorder)
-{
-    flightRecorder = recorder;
 }
 
 void
@@ -258,18 +245,18 @@ void
 FaultInjector::record(FaultKind kind, std::size_t target, double magnitude)
 {
     injected.push_back(InjectedFault{sim.now(), kind, target, magnitude});
-    if (incidents || flightRecorder) {
+    if (observers.incidents || observers.recorder) {
         std::string label = faultKindName(kind);
         if (target != kAnyServer) {
             label += '#';
             label += std::to_string(target);
         }
-        if (incidents)
-            incidents->noteFault(sim.now(), label);
-        if (flightRecorder)
-            flightRecorder->noteFault(sim.now(), label);
+        if (observers.incidents)
+            observers.incidents->noteFault(sim.now(), label);
+        if (observers.recorder)
+            observers.recorder->noteFault(sim.now(), label);
     }
-    if (tracer) {
+    if (obs::EventTracer *tracer = observers.tracer) {
         const double target_arg =
             target == kAnyServer ? -1.0 : static_cast<double>(target);
         tracer->instantAt(faultKindName(kind), "fault", sim.now(),

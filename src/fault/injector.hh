@@ -16,10 +16,10 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "fault/plan.hh"
+#include "obs/observers.hh"
 #include "sim/simulation.hh"
 #include "util/random.hh"
 #include "util/units.hh"
@@ -32,10 +32,6 @@ class AutoScaler;
 
 namespace obs {
 class Counter;
-class EventTracer;
-class FlightRecorder;
-class IncidentLog;
-class MetricRegistry;
 } // namespace obs
 
 namespace power {
@@ -107,32 +103,18 @@ class FaultInjector
     void attachPowerBudget(power::PowerBudget &budget);
 
     /**
-     * Publish counters `<prefix>.server_crashes`,
-     * `<prefix>.server_repairs`, `<prefix>.cooling_faults`,
-     * `<prefix>.power_faults` and gauge `<prefix>.servers_down` into
-     * @p registry (must outlive the injector). Call before start().
+     * Attach observers; reads all four members. Call before start().
+     *  - metrics: counters `fault.server_crashes`,
+     *    `fault.server_repairs`, `fault.cooling_faults`,
+     *    `fault.power_faults` and gauge `fault.servers_down`,
+     *    registered here.
+     *  - tracer: an instant trace event per injected fault.
+     *  - incidents, recorder: every injected fault is noted on the
+     *    incident timeline and in the recorder's event ring as a
+     *    `<kind>#<target>` label, so watchdog incidents and post-mortem
+     *    dumps carry the faults that caused them.
      */
-    void attachMetrics(obs::MetricRegistry &registry,
-                       const std::string &prefix = "fault");
-
-    /** Emit an instant trace event per injected fault. May be null. */
-    void attachTracer(obs::EventTracer *tracer);
-
-    /**
-     * Note every injected fault on @p log's timeline (as
-     * `<kind>#<target>` labels), so watchdog incidents correlate with
-     * the faults that caused them. May be null to detach; must
-     * outlive the injector otherwise.
-     */
-    void attachIncidentLog(obs::IncidentLog *log);
-
-    /**
-     * Note every injected fault in @p recorder's event ring (same
-     * `<kind>#<target>` labels as the incident log), so post-mortem
-     * dumps carry the fault timeline. May be null to detach; must
-     * outlive the injector otherwise.
-     */
-    void attachFlightRecorder(obs::FlightRecorder *recorder);
+    void attach(const obs::Observers &bundle);
 
     /**
      * Arm @p plan: scripted faults are scheduled at their times and the
@@ -170,8 +152,6 @@ class FaultInjector
     std::function<Watts(GHz)> perServerPowerAt;
     power::PowerBudget *budget = nullptr;
     Watts nominalFeedCapacity = 0.0;
-    obs::IncidentLog *incidents = nullptr;
-    obs::FlightRecorder *flightRecorder = nullptr;
 
     bool started = false;
     bool stopped = false;
@@ -179,7 +159,7 @@ class FaultInjector
     std::vector<std::size_t> downIds; ///< Crash order (FIFO repairs).
     std::vector<InjectedFault> injected;
 
-    obs::EventTracer *tracer = nullptr;
+    obs::Observers observers;
     obs::Counter *crashMetric = nullptr;
     obs::Counter *repairMetric = nullptr;
     obs::Counter *coolingMetric = nullptr;

@@ -105,23 +105,13 @@ InvariantChecker::watchFleetAggregator(
 }
 
 void
-InvariantChecker::attachMetrics(obs::MetricRegistry &registry,
-                                const std::string &prefix)
+InvariantChecker::attach(const obs::Observers &bundle)
 {
-    checkMetric = &registry.counter(prefix + ".checks");
-    violationMetric = &registry.counter(prefix + ".violations");
-}
-
-void
-InvariantChecker::attachTracer(obs::EventTracer *tracer_in)
-{
-    tracer = tracer_in;
-}
-
-void
-InvariantChecker::attachFlightRecorder(obs::FlightRecorder *recorder)
-{
-    flightRecorder = recorder;
+    observers = bundle;
+    obs::MetricRegistry *metrics = observers.metrics;
+    checkMetric = metrics ? &metrics->counter("invariant.checks") : nullptr;
+    violationMetric =
+        metrics ? &metrics->counter("invariant.violations") : nullptr;
 }
 
 void
@@ -153,11 +143,11 @@ InvariantChecker::evaluate()
         if (check.holds())
             continue;
         failures.push_back(Violation{sim.now(), check.name});
-        if (flightRecorder)
-            flightRecorder->violation(sim.now(), check.name);
+        if (observers.recorder)
+            observers.recorder->violation(sim.now(), check.name);
         if (violationMetric)
             violationMetric->inc();
-        if (tracer) {
+        if (obs::EventTracer *tracer = observers.tracer) {
             tracer->instantAt("invariant_violation", "fault", sim.now(),
                               {{"check_index",
                                 static_cast<double>(failures.size())}});

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/observers.hh"
 #include "sim/simulation.hh"
 #include "util/units.hh"
 
@@ -28,10 +29,7 @@ namespace imsim {
 
 namespace obs {
 class Counter;
-class EventTracer;
 class FleetAggregator;
-class FlightRecorder;
-class MetricRegistry;
 } // namespace obs
 
 namespace power {
@@ -102,23 +100,16 @@ class InvariantChecker
                               Celsius tj_max);
 
     /**
-     * Publish counters `<prefix>.checks` (ticks x checks evaluated) and
-     * `<prefix>.violations` into @p registry (must outlive the
-     * checker). Call before start().
+     * Attach observers; reads `metrics`, `tracer` and `recorder`. Call
+     * before start().
+     *  - metrics: counters `invariant.checks` (ticks x checks
+     *    evaluated) and `invariant.violations`, registered here.
+     *  - tracer: an instant trace event per violation.
+     *  - recorder: every violation goes through its violation(): it
+     *    lands in the event ring and triggers a post-mortem dump when
+     *    the recorder is armed.
      */
-    void attachMetrics(obs::MetricRegistry &registry,
-                       const std::string &prefix = "invariant");
-
-    /** Emit an instant trace event per violation. May be null. */
-    void attachTracer(obs::EventTracer *tracer);
-
-    /**
-     * Route every violation through @p recorder->violation(): it lands
-     * in the event ring and triggers a post-mortem dump when the
-     * recorder is armed. May be null to detach; must outlive the
-     * checker otherwise.
-     */
-    void attachFlightRecorder(obs::FlightRecorder *recorder);
+    void attach(const obs::Observers &bundle);
 
     /** Evaluate all checks every @p period seconds, starting now. */
     void start(Seconds period);
@@ -149,8 +140,7 @@ class InvariantChecker
     sim::EventId tickEvent = 0;
     bool running = false;
 
-    obs::EventTracer *tracer = nullptr;
-    obs::FlightRecorder *flightRecorder = nullptr;
+    obs::Observers observers;
     obs::Counter *checkMetric = nullptr;
     obs::Counter *violationMetric = nullptr;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/fleet_agg.hh"
-#include "obs/metrics.hh"
 #include "power/socket_power.hh"
 #include "reliability/mechanisms.hh"
 #include "thermal/cooling.hh"
@@ -190,29 +189,6 @@ FleetState::cappedCount() const
     for (const std::uint8_t f : capped)
         n += f != 0 ? 1 : 0;
     return n;
-}
-
-void
-FleetState::attachMetrics(obs::MetricRegistry &registry,
-                          const std::string &prefix) const
-{
-    registry.registerGauge(prefix + ".servers", [this] {
-        return static_cast<double>(size());
-    });
-    registry.registerGauge(prefix + ".power_w",
-                           [this] { return fleetPower(); });
-    registry.registerGauge(prefix + ".mean_tj_c",
-                           [this] { return meanTj(); });
-    registry.registerGauge(prefix + ".max_tj_c",
-                           [this] { return maxTj(); });
-    registry.registerGauge(prefix + ".mean_wear",
-                           [this] { return meanWearConsumed(); });
-    registry.registerGauge(prefix + ".overclocked", [this] {
-        return static_cast<double>(overclockedCount());
-    });
-    registry.registerGauge(prefix + ".capped", [this] {
-        return static_cast<double>(cappedCount());
-    });
 }
 
 std::size_t

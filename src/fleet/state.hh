@@ -35,7 +35,6 @@
 namespace imsim {
 
 namespace obs {
-class MetricRegistry;
 struct FleetView;
 } // namespace obs
 
@@ -213,18 +212,6 @@ class FleetState
     std::size_t cappedCount() const;
 
     // ----- control-plane attachment points ---------------------------
-
-    /**
-     * Publish this fleet into @p registry under @p prefix (the
-     * ImmersionTank::attachMetrics idiom): polled gauges
-     * `<prefix>.servers`, `<prefix>.power_w`, `<prefix>.mean_tj_c`,
-     * `<prefix>.max_tj_c`, `<prefix>.mean_wear`,
-     * `<prefix>.overclocked`, `<prefix>.capped`. The registry must
-     * outlive this FleetState, and the state must not move afterwards
-     * (the gauges capture `this`).
-     */
-    void attachMetrics(obs::MetricRegistry &registry,
-                       const std::string &prefix = "fleet") const;
 
     /**
      * Clamp every server's operating point to frequencies at or below

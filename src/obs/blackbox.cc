@@ -591,7 +591,7 @@ FleetBlackbox::FleetBlackbox(FleetAggregator::Config agg_cfg,
     rule.fireThreshold = fire_power_w;
     rule.clearThreshold = clear_power_w;
     watchdog.addRule(rule);
-    watchdog.attachFlightRecorder(&recorder);
+    watchdog.attach({.recorder = &recorder});
 }
 
 } // namespace obs

@@ -22,9 +22,10 @@
  *
  * Post-mortem triggers: setPostMortemSink() installs a util error hook
  * so any fatal()/panic() dumps every armed recorder before the
- * exception propagates; Watchdog::attachFlightRecorder routes pages
- * through page() and fault::InvariantChecker violations through
- * violation(), both of which dump when this recorder is armed.
+ * exception propagates; a Watchdog or fault::InvariantChecker attached
+ * with this recorder (obs::Observers::recorder) routes pages through
+ * page() and violations through violation(), both of which dump when
+ * this recorder is armed.
  *
  * Thread-safety: tick() and the note/dump entry points serialize on an
  * internal mutex, so one thread may dump (or a crashing thread may

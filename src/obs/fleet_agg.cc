@@ -3,7 +3,6 @@
 #include <array>
 #include <limits>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace imsim {
@@ -353,31 +352,6 @@ FleetAggregator::cumulative(FleetChannel channel) const
     util::fatalIf(channel >= kFleetChannels,
             "FleetAggregator::cumulative: bad channel");
     return cumulativeSketches[channel];
-}
-
-void
-FleetAggregator::attachMetrics(MetricRegistry &registry,
-                               const std::string &prefix)
-{
-    // Polled on the sim thread (TelemetrySampler), so latest() reads
-    // are safe without the publish lock.
-    registry.registerGauge(prefix + ".units", [this] {
-        return static_cast<double>(latest().units);
-    });
-    registry.registerGauge(prefix + ".power_w",
-                           [this] { return latest().fleetPower; });
-    registry.registerGauge(prefix + ".max_tj_c", [this] {
-        return latest().overall[kChanTj].max;
-    });
-    registry.registerGauge(prefix + ".p99_tj_c", [this] {
-        return latest().overall[kChanTj].p99;
-    });
-    registry.registerGauge(prefix + ".mean_util", [this] {
-        return latest().overall[kChanUtilization].mean;
-    });
-    registry.registerGauge(prefix + ".p99_wear_rate", [this] {
-        return latest().overall[kChanWearRate].p99;
-    });
 }
 
 } // namespace obs

@@ -39,8 +39,6 @@
 namespace imsim {
 namespace obs {
 
-class MetricRegistry;
-
 /**
  * Raw column pointers over a fleet — the aggregator's input. All
  * non-null arrays have @p count entries. @p sku may be null (every
@@ -183,15 +181,6 @@ class FleetAggregator
      * ticks, all units). Zero-count when Config::cumulative is false.
      */
     const util::QuantileSketch &cumulative(FleetChannel channel) const;
-
-    /**
-     * Publish the latest sample's headline aggregates as polled gauges
-     * `<prefix>.units` / `.power_w` / `.max_tj_c` / `.p99_tj_c` /
-     * `.mean_util` / `.p99_wear_rate`. The registry must outlive this
-     * aggregator, which must not move afterwards.
-     */
-    void attachMetrics(MetricRegistry &registry,
-                       const std::string &prefix = "fleet_agg");
 
   private:
     /** Per-(SKU, channel) running accumulator for min/mean/max. */

@@ -87,9 +87,10 @@ class IncidentLog
     void closeAll(Seconds t);
 
     /**
-     * Note an external fault event (FaultInjector::attachIncidentLog
-     * routes injections here): appended to the fault timeline and
-     * attached to every currently-open incident.
+     * Note an external fault event (a FaultInjector attached with this
+     * log as obs::Observers::incidents routes injections here):
+     * appended to the fault timeline and attached to every
+     * currently-open incident.
      */
     void noteFault(Seconds t, const std::string &label);
 

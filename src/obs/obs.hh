@@ -3,9 +3,9 @@
  * Umbrella header for the observability library (imsim_obs): metric
  * registry, telemetry time-series + sampler, Chrome-trace event
  * tracer, run-provenance manifest, wall-clock profiler, and the
- * leveled structured Logger — plus the shared-flag glue (`--trace
- * FILE`, `--telemetry FILE`, `--profile FILE`) the bench and example
- * binaries use, mirroring exp::maybeWriteReport.
+ * observer bundle components attach to — plus the shared-flag glue
+ * (`--trace FILE`, `--telemetry FILE`, `--profile FILE`) the bench and
+ * example binaries use, mirroring exp::maybeWriteReport.
  */
 
 #ifndef IMSIM_OBS_OBS_HH
@@ -16,9 +16,9 @@
 #include "obs/blackbox.hh"
 #include "obs/fleet_agg.hh"
 #include "obs/incident.hh"
-#include "obs/log.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
+#include "obs/observers.hh"
 #include "obs/profiler.hh"
 #include "obs/sampler.hh"
 #include "obs/timeseries.hh"

@@ -1,11 +1,9 @@
 #include "obs/watchdog.hh"
 
 #include <cmath>
-#include <cstdio>
 
 #include "obs/blackbox.hh"
 #include "obs/incident.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 
@@ -14,18 +12,11 @@ namespace obs {
 
 namespace {
 
-const Logger watchdogLog("watchdog");
-
+/** @return the per-kind raise counter's name. */
 std::string
-describeTransition(const char *verb, const WatchdogRule &rule,
-                   double value)
+raisedCounter(AlertKind kind)
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s %s (%s): value %.6g %s %.6g",
-                  verb, rule.name.c_str(), alertKindName(rule.kind),
-                  value, rule.fireAbove ? ">=" : "<=",
-                  rule.fireThreshold);
-    return buf;
+    return std::string("watchdog.raised.") + alertKindName(kind);
 }
 
 } // namespace
@@ -98,8 +89,9 @@ Watchdog::evaluate(Seconds t)
                 state.breachSince = -1.0;
             }
         } else {
-            if (incidents && state.incident != IncidentLog::kNone)
-                incidents->observeValue(state.incident, v);
+            IncidentLog *log = observers.incidents;
+            if (log && state.incident != IncidentLog::kNone)
+                log->observeValue(state.incident, v);
             if (recovered)
                 clear(state, t, v);
         }
@@ -113,21 +105,16 @@ Watchdog::raise(RuleState &state, Seconds t, double value)
     transitions.push_back(Alert{t, state.rule.kind, state.rule.name,
                                 value, state.rule.fireThreshold, true});
     ++raised;
-    if (incidents) {
-        state.incident = incidents->open(t, state.rule.kind,
-                                         state.rule.name, value,
-                                         state.rule.fireThreshold);
+    if (IncidentLog *log = observers.incidents) {
+        state.incident = log->open(t, state.rule.kind, state.rule.name,
+                                   value, state.rule.fireThreshold);
     }
-    if (metrics) {
-        metrics->counter(metricPrefix + ".raised").inc();
-        metrics->counter(metricPrefix + ".raised." +
-                         alertKindName(state.rule.kind))
-            .inc();
+    if (MetricRegistry *metrics = observers.metrics) {
+        metrics->counter("watchdog.raised").inc();
+        metrics->counter(raisedCounter(state.rule.kind)).inc();
     }
-    if (flightRecorder)
-        flightRecorder->page(t, state.rule.name, value, true);
-    if (logAlerts)
-        watchdogLog.warn(describeTransition("ALERT", state.rule, value));
+    if (observers.recorder)
+        observers.recorder->page(t, state.rule.name, value, true);
 }
 
 void
@@ -138,16 +125,14 @@ Watchdog::clear(RuleState &state, Seconds t, double value)
     transitions.push_back(Alert{t, state.rule.kind, state.rule.name,
                                 value, state.rule.clearThreshold,
                                 false});
-    if (incidents && state.incident != IncidentLog::kNone) {
-        incidents->close(state.incident, t);
+    if (observers.incidents && state.incident != IncidentLog::kNone) {
+        observers.incidents->close(state.incident, t);
         state.incident = IncidentLog::kNone;
     }
-    if (metrics)
-        metrics->counter(metricPrefix + ".cleared").inc();
-    if (flightRecorder)
-        flightRecorder->page(t, state.rule.name, value, false);
-    if (logAlerts)
-        watchdogLog.info(describeTransition("clear", state.rule, value));
+    if (observers.metrics)
+        observers.metrics->counter("watchdog.cleared").inc();
+    if (observers.recorder)
+        observers.recorder->page(t, state.rule.name, value, false);
 }
 
 bool
@@ -187,12 +172,13 @@ Watchdog::firstRaiseAfter(Seconds after, AlertKind kind) const
 }
 
 void
-Watchdog::attachMetrics(MetricRegistry &registry,
-                        const std::string &prefix)
+Watchdog::attach(const Observers &bundle)
 {
-    metrics = &registry;
-    metricPrefix = prefix;
-    registry.registerGauge(prefix + ".firing", [this] {
+    observers = bundle;
+    if (!observers.metrics)
+        return;
+    MetricRegistry &metrics = *observers.metrics;
+    metrics.registerGauge("watchdog.firing", [this] {
         return static_cast<double>(firingCount());
     });
     // Create every counter a raise/clear can touch now, not lazily at
@@ -200,11 +186,10 @@ Watchdog::attachMetrics(MetricRegistry &registry,
     // column set when it starts, and a metric appearing mid-run is a
     // fatal schema change. (Rules added after this call create their
     // per-kind counter lazily — add rules first.)
-    registry.counter(prefix + ".raised");
-    registry.counter(prefix + ".cleared");
+    metrics.counter("watchdog.raised");
+    metrics.counter("watchdog.cleared");
     for (const RuleState &state : rules)
-        registry.counter(prefix + ".raised." +
-                         alertKindName(state.rule.kind));
+        metrics.counter(raisedCounter(state.rule.kind));
 }
 
 } // namespace obs

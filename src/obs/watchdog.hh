@@ -26,14 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/observers.hh"
 #include "util/units.hh"
 
 namespace imsim {
 namespace obs {
-
-class FlightRecorder;
-class IncidentLog;
-class MetricRegistry;
 
 /** The alert taxonomy the paper's operating envelope cares about. */
 enum class AlertKind : std::uint8_t
@@ -127,33 +124,18 @@ class Watchdog
     Seconds firstRaiseAfter(Seconds after, AlertKind kind) const;
 
     /**
-     * Mirror transitions into @p log: a raise opens an incident, the
-     * matching clear closes it, and the peak signal value while firing
-     * is tracked. The log must outlive this watchdog.
+     * Attach observers; reads `incidents`, `metrics` and `recorder`.
+     *  - incidents: a raise opens an incident, the matching clear
+     *    closes it, and the peak signal value while firing is tracked.
+     *  - metrics: counters `watchdog.raised`, `watchdog.cleared` and
+     *    `watchdog.raised.<kind>` per rule kind, plus gauge
+     *    `watchdog.firing`, all registered here (add rules first). The
+     *    watchdog must not move afterwards.
+     *  - recorder: every raise/clear is paged into its event ring, and
+     *    a raise triggers a post-mortem dump when it is armed with a
+     *    sink set.
      */
-    void attachIncidentLog(IncidentLog *log) { incidents = log; }
-
-    /**
-     * Publish counters `<prefix>.raised` / `<prefix>.cleared` plus a
-     * firing-count gauge `<prefix>.firing` into @p registry (which
-     * must outlive this watchdog; the watchdog must not move).
-     */
-    void attachMetrics(MetricRegistry &registry,
-                       const std::string &prefix = "watchdog");
-
-    /**
-     * Page @p recorder on every raise/clear: the transition lands in
-     * its event ring, and a raise triggers a post-mortem dump when the
-     * recorder is armed with a sink set. The recorder must outlive
-     * this watchdog.
-     */
-    void attachFlightRecorder(FlightRecorder *recorder)
-    {
-        flightRecorder = recorder;
-    }
-
-    /** Emit a warn/info log line per raise/clear (off by default). */
-    void setLogAlerts(bool on) { logAlerts = on; }
+    void attach(const Observers &bundle);
 
   private:
     struct RuleState
@@ -170,11 +152,7 @@ class Watchdog
     std::vector<RuleState> rules;
     std::vector<Alert> transitions;
     std::size_t raised = 0;
-    IncidentLog *incidents = nullptr;
-    FlightRecorder *flightRecorder = nullptr;
-    MetricRegistry *metrics = nullptr;
-    std::string metricPrefix;
-    bool logAlerts = false;
+    Observers observers;
 };
 
 } // namespace obs

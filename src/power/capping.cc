@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "obs/metrics.hh"
 #include "obs/profiler.hh"
 #include "util/logging.hh"
 
@@ -56,16 +55,6 @@ PowerBudget::breached(const std::vector<PowerConsumer> &consumers) const
     return total > cap;
 }
 
-void
-PowerBudget::attachMetrics(obs::MetricRegistry &registry,
-                           const std::string &prefix)
-{
-    allocationMetric = &registry.counter(prefix + ".allocations");
-    breachMetric = &registry.counter(prefix + ".breaches");
-    cappedMetric = &registry.counter(prefix + ".capped_consumers");
-    brownoutMetric = &registry.counter(prefix + ".brownouts");
-}
-
 std::vector<CapAllocation>
 PowerBudget::allocate(const std::vector<PowerConsumer> &consumers) const
 {
@@ -104,9 +93,6 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
         minimum_total += c.minimum;
     }
 
-    if (allocationMetric)
-        allocationMetric->inc();
-
     scratch.granted.resize(n);
     scratch.capped.resize(n);
 
@@ -118,9 +104,6 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
         return;
     }
 
-    if (breachMetric)
-        breachMetric->inc();
-
     if (minimum_total > cap) {
         // Even fully capped demand breaches the circuit. With nominal
         // capacity that is a sizing error and stays fatal; on a derated
@@ -131,16 +114,11 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
                       "PowerBudget::allocate: even fully capped demand "
                       "breaches circuit capacity (brownout)");
         ++brownoutCount;
-        if (brownoutMetric)
-            brownoutMetric->inc();
         const double frac = cap / minimum_total;
         for (std::size_t i = 0; i < n; ++i) {
             scratch.granted[i] = consumers[i].minimum * frac;
-            const bool was_capped =
-                scratch.granted[i] + 1e-9 < consumers[i].demand;
-            if (was_capped && cappedMetric)
-                cappedMetric->inc();
-            scratch.capped[i] = was_capped ? 1 : 0;
+            scratch.capped[i] =
+                scratch.granted[i] + 1e-9 < consumers[i].demand ? 1 : 0;
         }
         return;
     }
@@ -195,11 +173,8 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        const bool was_capped =
-            scratch.granted[i] + 1e-9 < consumers[i].demand;
-        if (was_capped && cappedMetric)
-            cappedMetric->inc();
-        scratch.capped[i] = was_capped ? 1 : 0;
+        scratch.capped[i] =
+            scratch.granted[i] + 1e-9 < consumers[i].demand ? 1 : 0;
     }
 }
 

@@ -23,11 +23,6 @@
 
 namespace imsim {
 
-namespace obs {
-class Counter;
-class MetricRegistry;
-} // namespace obs
-
 namespace power {
 
 /**
@@ -184,26 +179,11 @@ class PowerBudget
     /** @return true when @p consumers' total demand breaches capacity. */
     bool breached(const std::vector<PowerConsumer> &consumers) const;
 
-    /**
-     * Publish this budget into @p registry under @p prefix: counters
-     * `<prefix>.allocations` (allocate() calls),
-     * `<prefix>.breaches` (allocations where demand exceeded
-     * capacity), `<prefix>.capped_consumers` (consumers granted less
-     * than their demand), `<prefix>.brownouts` (recoverable-mode
-     * brownout allocations). The registry must outlive the budget.
-     */
-    void attachMetrics(obs::MetricRegistry &registry,
-                       const std::string &prefix = "feed");
-
   private:
     Watts cap;
     double oversub;
     bool recoverableBrownout = false;
     mutable std::uint64_t brownoutCount = 0;
-    obs::Counter *allocationMetric = nullptr;
-    obs::Counter *breachMetric = nullptr;
-    obs::Counter *cappedMetric = nullptr;
-    obs::Counter *brownoutMetric = nullptr;
 };
 
 } // namespace power

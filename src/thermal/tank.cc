@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace imsim {
@@ -68,26 +67,7 @@ ImmersionTank::recordServiceEvent()
     // traps the paper describes.
     const double grams = 50.0;
     vaporLoss += grams;
-    if (serviceEventMetric)
-        serviceEventMetric->inc();
     return grams;
-}
-
-void
-ImmersionTank::attachMetrics(obs::MetricRegistry &registry,
-                             const std::string &prefix)
-{
-    registry.registerGauge(prefix + ".total_heat_w",
-                           [this] { return totalHeat(); });
-    registry.registerGauge(prefix + ".headroom_w",
-                           [this] { return headroom(); });
-    registry.registerGauge(prefix + ".fluid_temp_c",
-                           [this] { return fluidTemperature(); });
-    registry.registerGauge(prefix + ".fluid_level",
-                           [this] { return fluidLevel(); });
-    registry.registerGauge(prefix + ".vapor_loss_g",
-                           [this] { return vaporLossGrams(); });
-    serviceEventMetric = &registry.counter(prefix + ".service_events");
 }
 
 ImmersionTank

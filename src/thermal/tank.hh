@@ -18,11 +18,6 @@
 
 namespace imsim {
 
-namespace obs {
-class Counter;
-class MetricRegistry;
-} // namespace obs
-
 namespace thermal {
 
 /**
@@ -115,18 +110,6 @@ class ImmersionTank
     /** @return cumulative vapor loss [g] across service events. */
     double vaporLossGrams() const { return vaporLoss; }
 
-    /**
-     * Publish this tank into @p registry under @p prefix: polled
-     * gauges `<prefix>.total_heat_w`, `<prefix>.headroom_w`,
-     * `<prefix>.fluid_temp_c`, `<prefix>.fluid_level`,
-     * `<prefix>.vapor_loss_g` and counter
-     * `<prefix>.service_events` (incremented by
-     * recordServiceEvent()). The registry must outlive the tank, and
-     * the tank must not move afterwards (the gauges capture `this`).
-     */
-    void attachMetrics(obs::MetricRegistry &registry,
-                       const std::string &prefix = "tank");
-
   private:
     std::string tankName;
     DielectricFluid fluid;
@@ -135,7 +118,6 @@ class ImmersionTank
     TwoPhaseImmersionCooling cooling;
     double fluidLevelFrac = 1.0;
     double vaporLoss = 0.0;
-    obs::Counter *serviceEventMetric = nullptr;
 };
 
 /** Build the paper's small tank #1 (Xeon W-3175X in HFE-7000). */

@@ -92,10 +92,24 @@ setVerbose(bool verbose)
 }
 
 void
+log(LogLevel level, const char *who, const std::string &msg)
+{
+    if (!logEnabled(level))
+        return;
+    std::FILE *stream = level >= LogLevel::Warn ? stderr : stdout;
+    const std::string name = logLevelName(level);
+    if (who && *who) {
+        std::fprintf(stream, "%s: [%s] %s\n", name.c_str(), who,
+                     msg.c_str());
+    } else {
+        std::fprintf(stream, "%s: %s\n", name.c_str(), msg.c_str());
+    }
+}
+
+void
 warn(const std::string &msg)
 {
-    if (logEnabled(LogLevel::Warn))
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    log(LogLevel::Warn, nullptr, msg);
 }
 
 void

@@ -10,14 +10,15 @@
  *  - panic()  -> the condition indicates a bug inside the library; throws
  *                imsim::PanicError carrying the broken invariant.
  *  - warn()   -> non-fatal notices on stderr.
+ *  - log()    -> leveled console records from a named component
+ *                (`debug: [autoscaler] ...`).
  *
- * Verbosity is a single process-wide LogLevel threshold shared with the
- * structured obs::Logger front-end (src/obs/log.hh): a message prints
- * when its level is at or above the threshold. warn() sits at Warn;
- * informational messages go through obs::Logger. The historical
- * setVerbose() switch maps onto the threshold (true -> Info,
- * false -> Warn) so existing callers keep working while
- * `--log-level`/`--verbose` (util::Cli) control the same state.
+ * Verbosity is a single process-wide LogLevel threshold: a record
+ * prints when its level is at or above it. warn() is log() at Warn
+ * with no component name. The historical setVerbose() switch maps onto
+ * the threshold (true -> Info, false -> Warn) so existing callers keep
+ * working while `--log-level`/`--verbose` (util::Cli) control the same
+ * state.
  */
 
 #ifndef IMSIM_UTIL_LOGGING_HH
@@ -91,6 +92,17 @@ bool logEnabled(LogLevel level);
  * true -> Info, false -> Warn (the default).
  */
 void setVerbose(bool verbose);
+
+/**
+ * Print one record as `<level>: [<who>] <msg>` (`<level>: <msg>` when
+ * @p who is null or empty): to stdout below Warn, to stderr at Warn and
+ * above, nothing when @p level is disabled. Each record is a single
+ * fprintf, which stdio serialises per stream, so concurrent sweep
+ * workers never interleave within a line. Message strings are built by
+ * the caller, so guard expensive formatting with logEnabled(); a
+ * disabled level then costs one relaxed load and a compare.
+ */
+void log(LogLevel level, const char *who, const std::string &msg);
 
 /** Print a warning to stderr (suppressed only by LogLevel::Off). */
 void warn(const std::string &msg);

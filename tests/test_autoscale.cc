@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "autoscale/autoscaler.hh"
 #include "autoscale/experiment.hh"
 #include "autoscale/model.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
+#include "sim/simulation.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
+#include "workload/queueing.hh"
 
 namespace imsim {
 namespace {
@@ -118,6 +125,49 @@ TEST(AutoScaler, ScalesOutUnderSustainedLoad)
     sim.runUntil(600.0);
     EXPECT_GE(scaler.scaleOuts(), 1u);
     EXPECT_GE(cluster.activeServers(), 2u);
+}
+
+TEST(AutoScaler, AttachPublishesCountersGaugesAndTraceEvents)
+{
+    sim::Simulation sim;
+    workload::QueueingCluster::Params cp;
+    cp.serviceMean = 2.6e-3;
+    cp.kappa = 0.9;
+    workload::QueueingCluster cluster(sim, util::Rng(2), cp);
+    cluster.addServer(3.4);
+    AutoScalerConfig config;
+    config.policy = Policy::OcE;
+    AutoScaler scaler(sim, cluster, config);
+    obs::MetricRegistry registry;
+    obs::EventTracer tracer;
+    tracer.enable([&sim] { return sim.now(); });
+    scaler.attach({.metrics = &registry, .tracer = &tracer});
+    scaler.start();
+    EXPECT_THROW(scaler.attach({}), FatalError);
+    cluster.setArrivalRate(1100.0); // ~72 % of one VM.
+    sim.runUntil(600.0);
+
+    // OC-E overclocks for every scale-out and drops back after it.
+    ASSERT_GE(scaler.scaleOuts(), 1u);
+    EXPECT_EQ(registry.counter("autoscaler.scale_outs").value(),
+              scaler.scaleOuts());
+    EXPECT_EQ(registry.counter("autoscaler.scale_ins").value(),
+              scaler.scaleIns());
+    EXPECT_GE(registry.counter("autoscaler.freq_changes").value(), 2u);
+    EXPECT_DOUBLE_EQ(registry.gauge("autoscaler.vms").value(),
+                     static_cast<double>(cluster.activeServers()));
+    EXPECT_DOUBLE_EQ(registry.gauge("autoscaler.frequency_ghz").value(),
+                     scaler.fleetFrequency());
+    std::size_t scale_out_events = 0;
+    std::size_t freq_events = 0;
+    for (const obs::TraceEvent &event : tracer.events()) {
+        EXPECT_EQ(event.cat, "autoscale");
+        scale_out_events += event.name == "scale_out" ? 1 : 0;
+        freq_events += event.name == "freq_change" ? 1 : 0;
+    }
+    EXPECT_EQ(scale_out_events, scaler.scaleOuts());
+    EXPECT_EQ(freq_events,
+              registry.counter("autoscaler.freq_changes").value());
 }
 
 TEST(AutoScaler, ScaleOutTakesSixtySeconds)

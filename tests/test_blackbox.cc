@@ -330,7 +330,7 @@ TEST(FlightRecorder, WatchdogPageTriggersPostMortemDump)
     rule.signal = [&signal] { return signal; };
     rule.fireThreshold = 1.0;
     watchdog.addRule(rule);
-    watchdog.attachFlightRecorder(&probe.recorder);
+    watchdog.attach({.recorder = &probe.recorder});
 
     const std::uint64_t dumps0 = obs::FlightRecorder::postMortemCount();
     watchdog.evaluate(1.0); // Quiet.
@@ -360,7 +360,7 @@ TEST(FlightRecorder, InvariantViolationTriggersPostMortemDump)
     fault::InvariantChecker checker(simulation);
     bool holds = true;
     checker.addCheck("power_cap", [&holds] { return holds; });
-    checker.attachFlightRecorder(&probe.recorder);
+    checker.attach({.recorder = &probe.recorder});
     checker.start(1.0);
     const std::uint64_t dumps0 = obs::FlightRecorder::postMortemCount();
     simulation.runUntil(1.5); // Invariant holds: no dump.

@@ -8,12 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "autoscale/autoscaler.hh"
 #include "fault/experiment.hh"
 #include "fault/injector.hh"
 #include "fault/invariants.hh"
 #include "fault/plan.hh"
-#include "obs/fleet_agg.hh"
+#include "obs/obs.hh"
 #include "power/capping.hh"
 #include "sim/simulation.hh"
 #include "thermal/cooling.hh"
@@ -416,6 +421,111 @@ TEST(InvariantChecker, WatchFleetAggregatorReadsThePublishedSample)
     checker.evaluate();
     ASSERT_EQ(checker.violations().size(), 1u);
     EXPECT_EQ(checker.violations()[0].check, "fleet.junction_below_max");
+}
+
+// --- One observer bundle -------------------------------------------------
+
+TEST(Observers, OneBundleReachesWatchdogInjectorAndChecker)
+{
+    sim::Simulation sim;
+    workload::QueueingCluster cluster(sim, util::Rng(7), {});
+    cluster.addServer(3.4);
+    cluster.addServer(3.4);
+
+    obs::MetricRegistry registry;
+    obs::EventTracer tracer;
+    tracer.enable([&sim] { return sim.now(); });
+    obs::IncidentLog incidents;
+    obs::FlightRecorder recorder;
+    const obs::Observers bundle{&registry, &tracer, &incidents, &recorder};
+
+    // Pages while any server is down.
+    obs::Watchdog watchdog;
+    obs::WatchdogRule rule;
+    rule.name = "servers_down";
+    rule.signal = [&cluster] {
+        return static_cast<double>(cluster.crashedServers());
+    };
+    rule.fireThreshold = 1.0;
+    rule.clearThreshold = 0.0;
+    watchdog.addRule(rule);
+    FaultInjector injector(sim, util::Rng(8));
+    injector.attachCluster(cluster);
+    InvariantChecker checker(sim);
+    checker.addCheck("no_crash",
+                     [&cluster] { return cluster.crashedServers() == 0; });
+
+    watchdog.attach(bundle);
+    injector.attach(bundle);
+    checker.attach(bundle);
+    injector.start(FaultPlan()
+                       .at(1.0, Fault{FaultKind::ServerCrash, 0})
+                       .at(2.0, Fault{FaultKind::ServerRepair, 0}));
+    sim.every(0.5, [&] { watchdog.evaluate(sim.now()); });
+    checker.start(1.5); // Ticks at 1.5 (one server down) and 3.0.
+    sim.runUntil(3.0);
+
+    // Metrics.
+    EXPECT_EQ(registry.counter("fault.server_crashes").value(), 1u);
+    EXPECT_EQ(registry.counter("fault.server_repairs").value(), 1u);
+    EXPECT_DOUBLE_EQ(registry.gauge("fault.servers_down").value(), 0.0);
+    EXPECT_EQ(registry.counter("invariant.checks").value(), 2u);
+    EXPECT_EQ(registry.counter("invariant.violations").value(), 1u);
+    EXPECT_EQ(registry.counter("watchdog.raised").value(), 1u);
+    EXPECT_EQ(registry.counter("watchdog.cleared").value(), 1u);
+
+    // The injector's instant trace event, at the crash instant.
+    const obs::TraceEvent *crash = nullptr;
+    for (const obs::TraceEvent &event : tracer.events()) {
+        if (event.name == "server_crash")
+            crash = &event;
+    }
+    ASSERT_NE(crash, nullptr);
+    EXPECT_EQ(crash->cat, "fault");
+    EXPECT_EQ(crash->phase, 'i');
+    EXPECT_DOUBLE_EQ(crash->tsUs, 1e6);
+
+    // The incident log's fault notes; the page adopted the crash.
+    ASSERT_EQ(incidents.faults().size(), 2u);
+    EXPECT_DOUBLE_EQ(incidents.faults()[0].t, 1.0);
+    EXPECT_EQ(incidents.faults()[0].label, "server_crash#0");
+    EXPECT_EQ(incidents.faults()[1].label, "server_repair#0");
+    ASSERT_EQ(incidents.incidents().size(), 1u);
+    ASSERT_FALSE(incidents.incidents()[0].faults.empty());
+    EXPECT_EQ(incidents.incidents()[0].faults[0].label, "server_crash#0");
+
+    // The recorder's fault, alert and violation events.
+    using Noted = std::pair<obs::BlackboxEventKind, std::string>;
+    std::vector<Noted> noted;
+    for (const obs::BlackboxEvent &event : recorder.events())
+        noted.emplace_back(event.kind, event.label);
+    const std::vector<Noted> want{
+        {obs::BlackboxEventKind::Fault, "server_crash#0"},
+        {obs::BlackboxEventKind::AlertRaise, "servers_down"},
+        {obs::BlackboxEventKind::Violation, "no_crash"},
+        {obs::BlackboxEventKind::Fault, "server_repair#0"},
+        {obs::BlackboxEventKind::AlertClear, "servers_down"}};
+    EXPECT_EQ(noted, want);
+
+    // attach({}) stops every further publication.
+    watchdog.attach({});
+    injector.attach({});
+    checker.attach({});
+    const std::size_t trace_events = tracer.size();
+    const std::uint64_t recorder_events = recorder.eventsNoted();
+    injector.inject(Fault{FaultKind::ServerCrash, 1});
+    watchdog.evaluate(4.0);
+    checker.evaluate();
+    EXPECT_EQ(watchdog.raisedCount(), 2u);
+    EXPECT_EQ(checker.violations().size(), 2u);
+    EXPECT_EQ(registry.counter("fault.server_crashes").value(), 1u);
+    EXPECT_EQ(registry.counter("invariant.checks").value(), 2u);
+    EXPECT_EQ(registry.counter("invariant.violations").value(), 1u);
+    EXPECT_EQ(registry.counter("watchdog.raised").value(), 1u);
+    EXPECT_EQ(tracer.size(), trace_events);
+    EXPECT_EQ(incidents.faults().size(), 2u);
+    EXPECT_EQ(incidents.incidents().size(), 1u);
+    EXPECT_EQ(recorder.eventsNoted(), recorder_events);
 }
 
 // --- The capacity-crisis experiment --------------------------------------

@@ -2,9 +2,9 @@
  * @file
  * Tests for the observability layer: metric registry semantics, the
  * telemetry sampler's clock alignment, Chrome-trace JSON emission
- * (validated by parse-back), the leveled Logger, the disabled-path
- * overhead contract, and serial-vs-parallel determinism of the merged
- * per-point telemetry (run under `ctest -L tsan` with
+ * (validated by parse-back), leveled util::log() console records, the
+ * disabled-path overhead contract, and serial-vs-parallel determinism
+ * of the merged per-point telemetry (run under `ctest -L tsan` with
  * IMSIM_SANITIZE=thread to check the capture/merge path for races).
  */
 
@@ -19,14 +19,17 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "autoscale/autoscaler.hh"
 #include "autoscale/experiment.hh"
 #include "exp/sweep.hh"
 #include "obs/obs.hh"
 #include "sim/simulation.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
+#include "workload/queueing.hh"
 
 namespace imsim {
 namespace {
@@ -533,7 +536,7 @@ TEST(ObsOverhead, ExperimentWithoutCaptureMatchesSeedBaseline)
 }
 
 // ---------------------------------------------------------------------
-// Logger.
+// Leveled console logging (util::log / util::warn).
 // ---------------------------------------------------------------------
 
 class LoggerTest : public testing::Test
@@ -542,72 +545,122 @@ class LoggerTest : public testing::Test
     void
     TearDown() override
     {
-        obs::Logger::setDedupLimit(0); // Flushes, then disables.
-        obs::Logger::clearSinks();
         util::setLogLevel(util::LogLevel::Warn); // Process default.
+    }
+};
+
+/** stdout and stderr written between construction and take(). */
+class ConsoleCapture
+{
+  public:
+    ConsoleCapture()
+    {
+        testing::internal::CaptureStdout();
+        testing::internal::CaptureStderr();
+    }
+
+    /** Stop capturing; @return {stdout, stderr}. */
+    std::pair<std::string, std::string>
+    take()
+    {
+        std::string out = testing::internal::GetCapturedStdout();
+        return {std::move(out), testing::internal::GetCapturedStderr()};
     }
 };
 
 TEST_F(LoggerTest, LevelThresholdGatesRecords)
 {
-    std::vector<std::string> seen;
-    obs::Logger::addSink([&seen](util::LogLevel, const std::string &,
-                                 const std::string &msg) {
-        seen.push_back(msg);
-    });
-    obs::Logger log("mod");
-
+    ConsoleCapture console;
     util::setLogLevel(util::LogLevel::Warn);
-    log.debug("hidden");
-    log.info("hidden too");
-    log.warn("shown");
+    util::log(util::LogLevel::Debug, "mod", "hidden");
+    util::log(util::LogLevel::Info, "mod", "hidden too");
+    util::log(util::LogLevel::Warn, "mod", "shown");
     util::setLogLevel(util::LogLevel::Debug);
-    log.debug("now visible");
-    log.trace("still hidden");
+    util::log(util::LogLevel::Debug, "mod", "now visible");
+    util::log(util::LogLevel::Trace, "mod", "still hidden");
     util::setLogLevel(util::LogLevel::Off);
-    log.warn("muted");
+    util::log(util::LogLevel::Warn, "mod", "muted");
+    util::warn("muted too");
+    const auto [out, err] = console.take();
 
-    EXPECT_EQ(seen, (std::vector<std::string>{"shown", "now visible"}));
-}
-
-TEST_F(LoggerTest, SinkReceivesLoggerNameAndLevel)
-{
-    util::LogLevel got_level = util::LogLevel::Off;
-    std::string got_logger;
-    obs::Logger::addSink([&](util::LogLevel level, const std::string &name,
-                             const std::string &) {
-        got_level = level;
-        got_logger = name;
-    });
-    obs::Logger("autoscaler").warn("msg");
-    EXPECT_EQ(got_level, util::LogLevel::Warn);
-    EXPECT_EQ(got_logger, "autoscaler");
+    EXPECT_EQ(out, "debug: [mod] now visible\n");
+    EXPECT_EQ(err, "warn: [mod] shown\n");
 }
 
 TEST_F(LoggerTest, SetVerboseRoutesThroughSharedThreshold)
 {
+    ConsoleCapture console;
     util::setVerbose(true);
     EXPECT_TRUE(util::logEnabled(util::LogLevel::Info));
     EXPECT_FALSE(util::logEnabled(util::LogLevel::Debug));
-    obs::Logger log;
-    EXPECT_TRUE(log.enabled(util::LogLevel::Info));
+    util::log(util::LogLevel::Info, "mod", "verbose");
 
     util::setVerbose(false);
     EXPECT_FALSE(util::logEnabled(util::LogLevel::Info));
     EXPECT_TRUE(util::logEnabled(util::LogLevel::Warn));
+    util::log(util::LogLevel::Info, "mod", "quiet");
+    const auto [out, err] = console.take();
+
+    EXPECT_EQ(out, "info: [mod] verbose\n");
+    EXPECT_EQ(err, "");
 }
 
 TEST_F(LoggerTest, CliFlagsSetTheSharedThreshold)
 {
+    ConsoleCapture console;
     const char *argv[] = {"bench", "--log-level", "debug"};
     const util::Cli cli(3, argv);
     EXPECT_TRUE(util::logEnabled(util::LogLevel::Debug));
     EXPECT_FALSE(util::logEnabled(util::LogLevel::Trace));
+    util::log(util::LogLevel::Debug, "cli", "debug on");
+    util::log(util::LogLevel::Trace, "cli", "trace off");
 
     const char *argv_verbose[] = {"bench", "--verbose"};
     util::setLogLevel(util::LogLevel::Warn);
     const util::Cli verbose(2, argv_verbose);
     EXPECT_TRUE(util::logEnabled(util::LogLevel::Info));
+    util::log(util::LogLevel::Info, "cli", "info on");
+    const auto [out, err] = console.take();
+
+    EXPECT_EQ(out, "debug: [cli] debug on\ninfo: [cli] info on\n");
+    EXPECT_EQ(err, "");
+}
+
+TEST_F(LoggerTest, AutoScalerDebugAndWarnLinesKeepTheirFormatAndStream)
+{
+    // OC-A under ~72 % load on one VM scales the fleet frequency up and
+    // out at its first decision (t = 3 s), and reports both at Debug.
+    sim::Simulation sim;
+    workload::QueueingCluster::Params cp;
+    cp.serviceMean = 2.6e-3;
+    cp.kappa = 0.9;
+    workload::QueueingCluster cluster(sim, util::Rng(2), cp);
+    cluster.addServer(3.4);
+    autoscale::AutoScalerConfig config;
+    config.policy = autoscale::Policy::OcA;
+    autoscale::AutoScaler scaler(sim, cluster, config);
+    scaler.start();
+    cluster.setArrivalRate(1100.0);
+
+    ConsoleCapture console;
+    util::setLogLevel(util::LogLevel::Debug);
+    sim.runUntil(3.5);
+    util::warn("tank over temperature");
+    util::setLogLevel(util::LogLevel::Warn);
+    const auto [out, err] = console.take();
+
+    EXPECT_EQ(out,
+              "debug: [autoscaler] t=3.000000 fleet frequency -> 4.100000 "
+              "GHz\n"
+              "debug: [autoscaler] t=3.000000 scale-out from 1 VMs\n");
+    EXPECT_EQ(err, "warn: tank over temperature\n");
+
+    // At the default threshold the same decisions print nothing.
+    ConsoleCapture quiet;
+    sim.runUntil(60.0);
+    const auto [quiet_out, quiet_err] = quiet.take();
+    EXPECT_EQ(quiet_out, "");
+    EXPECT_EQ(quiet_err, "");
 }
 
 TEST_F(LoggerTest, ParseLogLevelRejectsUnknownNames)
@@ -1022,60 +1075,6 @@ TEST(RunManifest, CaptureStampsProvenanceFields)
     std::ostringstream comments;
     manifest.writeCsvComments(comments);
     EXPECT_NE(comments.str().find("# seed: 1234\n"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Logger duplicate suppression (alert storms).
-// ---------------------------------------------------------------------
-
-TEST_F(LoggerTest, DedupSuppressesRepeatsAndReportsTheCount)
-{
-    std::vector<std::string> seen;
-    obs::Logger::addSink([&seen](util::LogLevel, const std::string &,
-                                 const std::string &msg) {
-        seen.push_back(msg);
-    });
-    obs::Logger::setDedupLimit(2);
-    obs::Logger log("storm");
-
-    for (int i = 0; i < 5; ++i)
-        log.warn("tank over temperature");
-    // First two pass; repeats 3..5 are swallowed until a different
-    // message flushes the summary ahead of itself.
-    log.warn("feed brownout");
-    EXPECT_EQ(seen,
-              (std::vector<std::string>{
-                  "tank over temperature", "tank over temperature",
-                  "suppressed 3 duplicates of: tank over temperature",
-                  "feed brownout"}));
-
-    // An explicit flush reports mid-storm and restarts the window.
-    seen.clear();
-    for (int i = 0; i < 4; ++i)
-        log.warn("tank over temperature");
-    obs::Logger::flushDedup();
-    ASSERT_EQ(seen.size(), 3u);
-    EXPECT_EQ(seen[2],
-              "suppressed 2 duplicates of: tank over temperature");
-    log.warn("tank over temperature"); // Fresh window: emitted again.
-    EXPECT_EQ(seen.size(), 4u);
-}
-
-TEST_F(LoggerTest, DedupDistinguishesLoggerAndLevel)
-{
-    std::vector<std::string> seen;
-    obs::Logger::addSink([&seen](util::LogLevel, const std::string &,
-                                 const std::string &msg) {
-        seen.push_back(msg);
-    });
-    obs::Logger::setDedupLimit(1);
-    obs::Logger a("tank");
-    obs::Logger b("feed");
-    a.warn("hot");
-    b.warn("hot"); // Different logger: a distinct record, not a repeat.
-    a.warn("hot");
-    EXPECT_EQ(seen,
-              (std::vector<std::string>{"hot", "hot", "hot"}));
 }
 
 // ---------------------------------------------------------------------

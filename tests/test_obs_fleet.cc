@@ -311,14 +311,12 @@ TEST(FleetAggregator, NullColumnsReadAsZeroAndSkuBoundsAreFatal)
     EXPECT_THROW(agg.observe(120.0, view, 60.0), FatalError);
 }
 
-TEST(FleetAggregator, SnapshotMatchesLatestAndAttachMetricsPolls)
+TEST(FleetAggregator, SnapshotMatchesLatest)
 {
     TestColumns cols;
     obs::FleetAggregator::Config cfg;
     cfg.skuCount = 2;
     obs::FleetAggregator agg(cfg);
-    obs::MetricRegistry registry;
-    agg.attachMetrics(registry, "fleet_agg");
     agg.observe(60.0, cols.view(), 60.0);
 
     const obs::FleetSample snap = agg.snapshot();
@@ -326,11 +324,6 @@ TEST(FleetAggregator, SnapshotMatchesLatestAndAttachMetricsPolls)
     EXPECT_DOUBLE_EQ(snap.fleetPower, agg.latest().fleetPower);
     EXPECT_DOUBLE_EQ(snap.overall[obs::kChanTj].p99,
                      agg.latest().overall[obs::kChanTj].p99);
-
-    EXPECT_DOUBLE_EQ(registry.gauge("fleet_agg.units").value(), 4.0);
-    EXPECT_DOUBLE_EQ(registry.gauge("fleet_agg.power_w").value(),
-                     1000.0);
-    EXPECT_DOUBLE_EQ(registry.gauge("fleet_agg.max_tj_c").value(), 80.0);
 }
 
 // ---------------------------------------------------------------------
@@ -350,30 +343,45 @@ bitIdentical(double a, double b)
            << a << " and " << b << " differ bitwise";
 }
 
+// Bitwise, except that two NaNs match whatever their sign and payload.
+// Which NaN a sum over NaN operands yields is up to the compiler, and
+// the reference below is compiled apart from the aggregator: the
+// ASan+UBSan build gets -nan from one and nan from the other.
+::testing::AssertionResult
+sameValue(double a, double b)
+{
+    if (std::isnan(a) && std::isnan(b))
+        return ::testing::AssertionSuccess();
+    return bitIdentical(a, b);
+}
+
+using ValueMatch = ::testing::AssertionResult (*)(double, double);
+
 void
-expectChannelStatsIdentical(const obs::ChannelStats &a,
-                            const obs::ChannelStats &b)
+expectChannelStatsMatch(const obs::ChannelStats &a,
+                        const obs::ChannelStats &b, ValueMatch match)
 {
     EXPECT_EQ(a.count, b.count);
-    EXPECT_TRUE(bitIdentical(a.min, b.min));
-    EXPECT_TRUE(bitIdentical(a.mean, b.mean));
-    EXPECT_TRUE(bitIdentical(a.max, b.max));
-    EXPECT_TRUE(bitIdentical(a.p50, b.p50));
-    EXPECT_TRUE(bitIdentical(a.p95, b.p95));
-    EXPECT_TRUE(bitIdentical(a.p99, b.p99));
+    EXPECT_TRUE(match(a.min, b.min));
+    EXPECT_TRUE(match(a.mean, b.mean));
+    EXPECT_TRUE(match(a.max, b.max));
+    EXPECT_TRUE(match(a.p50, b.p50));
+    EXPECT_TRUE(match(a.p95, b.p95));
+    EXPECT_TRUE(match(a.p99, b.p99));
 }
 
 void
-expectSampleIdentical(const obs::FleetSample &a, const obs::FleetSample &b)
+expectSampleMatch(const obs::FleetSample &a, const obs::FleetSample &b,
+                  ValueMatch match)
 {
     EXPECT_EQ(a.t, b.t);
     EXPECT_EQ(a.units, b.units);
-    EXPECT_TRUE(bitIdentical(a.fleetPower, b.fleetPower));
+    EXPECT_TRUE(match(a.fleetPower, b.fleetPower));
     ASSERT_EQ(a.perSku.size(), b.perSku.size());
     for (int c = 0; c < obs::kFleetChannels; ++c)
-        expectChannelStatsIdentical(a.overall[c], b.overall[c]);
+        expectChannelStatsMatch(a.overall[c], b.overall[c], match);
     for (std::size_t i = 0; i < a.perSku.size(); ++i)
-        expectChannelStatsIdentical(a.perSku[i], b.perSku[i]);
+        expectChannelStatsMatch(a.perSku[i], b.perSku[i], match);
 }
 
 /**
@@ -512,6 +520,46 @@ seriesRow(const obs::FleetSample &sample)
     return row;
 }
 
+/** Everything one reduction of a run published, tick by tick. */
+struct ReducedRun
+{
+    std::vector<obs::FleetSample> latest;      ///< Per tick.
+    std::vector<std::vector<double>> rows;     ///< Series row per tick.
+    obs::FleetSample snapshot;                 ///< After the last tick.
+    std::vector<std::size_t> cumulativeCount;  ///< Per channel.
+    std::vector<double> cumulativeQuantiles;   ///< p50/p95/p99 each.
+
+    void
+    addCumulative(const util::QuantileSketch &sketch)
+    {
+        cumulativeCount.push_back(sketch.count());
+        for (double p : {50.0, 95.0, 99.0})
+            cumulativeQuantiles.push_back(sketch.quantile(p));
+    }
+};
+
+void
+expectRunsMatch(const ReducedRun &want, const ReducedRun &got,
+                ValueMatch match)
+{
+    ASSERT_EQ(want.latest.size(), got.latest.size());
+    for (std::size_t t = 0; t < want.latest.size(); ++t) {
+        SCOPED_TRACE(::testing::Message() << "tick " << t);
+        expectSampleMatch(want.latest[t], got.latest[t], match);
+        ASSERT_EQ(want.rows[t].size(), got.rows[t].size());
+        for (std::size_t c = 0; c < want.rows[t].size(); ++c)
+            EXPECT_TRUE(match(want.rows[t][c], got.rows[t][c]))
+                << "col " << c;
+    }
+    expectSampleMatch(want.snapshot, got.snapshot, match);
+    EXPECT_EQ(want.cumulativeCount, got.cumulativeCount);
+    ASSERT_EQ(want.cumulativeQuantiles.size(),
+              got.cumulativeQuantiles.size());
+    for (std::size_t i = 0; i < want.cumulativeQuantiles.size(); ++i)
+        EXPECT_TRUE(match(want.cumulativeQuantiles[i],
+                          got.cumulativeQuantiles[i]));
+}
+
 TEST(FleetAggregator, ShardedObserveIsBitIdenticalToSerial)
 {
     // A 1000-unit, 4-SKU fleet with a wear column that advances
@@ -563,53 +611,61 @@ TEST(FleetAggregator, ShardedObserveIsBitIdenticalToSerial)
     constexpr int kTicks = 4;
 
     ReferenceReducer reference(cfg);
-    std::vector<obs::FleetSample> expected;
+    ReducedRun expected;
     for (int t = 0; t < kTicks; ++t) {
-        expected.push_back(reference.observe(60.0 * (t + 1), view, 60.0));
+        expected.latest.push_back(
+            reference.observe(60.0 * (t + 1), view, 60.0));
+        expected.rows.push_back(seriesRow(expected.latest.back()));
         advanceWear();
     }
-    const auto &tj3 = expected.back().perSku[3 * obs::kFleetChannels +
-                                             obs::kChanTj];
+    expected.snapshot = expected.latest.back();
+    for (const util::QuantileSketch &sketch : reference.cumulative)
+        expected.addCumulative(sketch);
+    const auto &tj3 =
+        expected.snapshot.perSku[3 * obs::kFleetChannels + obs::kChanTj];
     ASSERT_TRUE(bitIdentical(tj3.min, -0.0));
     ASSERT_TRUE(bitIdentical(tj3.max, -0.0));
 
     // shards == 0 stands for the three-argument observe().
-    for (const std::size_t shards : {0u, 1u, 3u, 8u}) {
+    auto reduce = [&](std::size_t shards, std::size_t threads) {
+        std::fill(wear.begin(), wear.end(), 0.0);
+        obs::FleetAggregator agg(cfg);
+        const util::ShardPlan plan = util::ShardPlan::even(kUnits, shards);
+        util::ShardRunner runner(threads);
+        ReducedRun run;
+        for (int t = 0; t < kTicks; ++t) {
+            if (shards == 0)
+                agg.observe(60.0 * (t + 1), view, 60.0);
+            else
+                agg.observe(60.0 * (t + 1), view, 60.0, plan, runner);
+            advanceWear();
+            run.latest.push_back(agg.latest());
+            run.rows.push_back(agg.series().row(t));
+        }
+        run.snapshot = agg.snapshot();
+        for (int c = 0; c < obs::kFleetChannels; ++c)
+            run.addCumulative(
+                agg.cumulative(static_cast<obs::FleetChannel>(c)));
+        return run;
+    };
+
+    // Two oracles. The three-argument run must equal the unit-order
+    // reference bitwise, except that any two NaNs match (the reference
+    // is compiled separately, so its NaN payloads are its own). Every
+    // (shards, threads) plan must then equal that run bitwise, NaN
+    // payloads included: the thread-invariance contract.
+    const ReducedRun serial = reduce(0, 1);
+    {
+        SCOPED_TRACE("three-argument observe vs reference");
+        expectRunsMatch(expected, serial, sameValue);
+    }
+    for (const std::size_t shards : {1u, 3u, 8u}) {
         for (const std::size_t threads : {1u, 2u, 7u}) {
-            if (shards == 0 && threads > 1)
-                continue;
-            std::fill(wear.begin(), wear.end(), 0.0);
-            obs::FleetAggregator agg(cfg);
-            const util::ShardPlan plan =
-                util::ShardPlan::even(kUnits, shards);
-            util::ShardRunner runner(threads);
-            for (int t = 0; t < kTicks; ++t) {
-                if (shards == 0)
-                    agg.observe(60.0 * (t + 1), view, 60.0);
-                else
-                    agg.observe(60.0 * (t + 1), view, 60.0, plan, runner);
-                advanceWear();
-                SCOPED_TRACE(::testing::Message()
-                             << "tick " << t << " shards " << shards
-                             << " threads " << threads);
-                expectSampleIdentical(expected[t], agg.latest());
-                const auto &row = agg.series().row(t);
-                const std::vector<double> want = seriesRow(expected[t]);
-                ASSERT_EQ(row.size(), want.size());
-                for (std::size_t c = 0; c < row.size(); ++c)
-                    EXPECT_TRUE(bitIdentical(want[c], row[c]))
-                        << "col " << c;
-            }
-            expectSampleIdentical(expected.back(), agg.snapshot());
-            for (int c = 0; c < obs::kFleetChannels; ++c) {
-                const auto chan = static_cast<obs::FleetChannel>(c);
-                EXPECT_EQ(reference.cumulative[c].count(),
-                          agg.cumulative(chan).count());
-                for (double p : {50.0, 95.0, 99.0})
-                    EXPECT_TRUE(
-                        bitIdentical(reference.cumulative[c].quantile(p),
-                                     agg.cumulative(chan).quantile(p)));
-            }
+            SCOPED_TRACE(::testing::Message()
+                         << "shards " << shards << " threads "
+                         << threads);
+            expectRunsMatch(serial, reduce(shards, threads),
+                            bitIdentical);
         }
     }
 }
@@ -833,7 +889,7 @@ TEST(Watchdog, MetricsPreRegisterEveryAlertCounter)
     watchdog.addRule(rule);
 
     obs::MetricRegistry registry;
-    watchdog.attachMetrics(registry);
+    watchdog.attach({.metrics = &registry});
     // All counters exist before any alert: a TelemetrySampler started
     // now must never see the registry grow mid-run.
     const std::size_t size_before = registry.size();
