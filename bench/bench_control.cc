@@ -126,7 +126,7 @@ controllerSweep(const util::Cli &cli, const obs::RunManifest &manifest,
     exp::RunReport report = runner.run(
         "control", grid,
         [&](const exp::Params &, std::size_t i, util::Rng &,
-            exp::MetricsRegistry &metrics) {
+            exp::MetricSet &metrics) {
             const std::size_t f = i / controllers.size();
             const std::string &name = controllers[i % controllers.size()];
 
@@ -144,19 +144,16 @@ controllerSweep(const util::Cli &cli, const obs::RunManifest &manifest,
                 makeController(name, env, /*bandit_seed=*/977 + f);
             const auto outcome = control::runEpisode(env, *controller);
 
-            metrics.scalar("p99_ms", outcome.p99LatencyS * 1000.0);
-            metrics.scalar("cost_per_mreq",
-                           outcome.costPerMRequestsUsd);
-            metrics.scalar("lifetime_years",
-                           std::min(outcome.impliedLifetimeYears, 99.0));
-            metrics.scalar("sla_violation_share",
-                           outcome.slaViolationShare);
-            metrics.scalar("mean_ceiling_ghz", outcome.meanCeilingGhz);
-            metrics.scalar("energy_mwh", outcome.energyMwh);
-            metrics.scalar("max_tj_c", outcome.maxTjC);
-            metrics.scalar(
-                "requests_m",
-                static_cast<double>(outcome.requests) / 1e6);
+            metrics.set("p99_ms", outcome.p99LatencyS * 1000.0);
+            metrics.set("cost_per_mreq", outcome.costPerMRequestsUsd);
+            metrics.set("lifetime_years",
+                        std::min(outcome.impliedLifetimeYears, 99.0));
+            metrics.set("sla_violation_share", outcome.slaViolationShare);
+            metrics.set("mean_ceiling_ghz", outcome.meanCeilingGhz);
+            metrics.set("energy_mwh", outcome.energyMwh);
+            metrics.set("max_tj_c", outcome.maxTjC);
+            metrics.set("requests_m",
+                        static_cast<double>(outcome.requests) / 1e6);
         });
     report.setMeta(manifest.entries());
 

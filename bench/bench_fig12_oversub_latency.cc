@@ -89,12 +89,12 @@ main(int argc, char **argv)
     exp::RunReport report = runner.run(
         "fig12_oversub_latency", grid,
         [](const exp::Params &point, std::size_t, util::Rng &,
-           exp::MetricsRegistry &metrics) {
+           exp::MetricSet &metrics) {
             const int pcores = std::stoi(point[0].second);
             const auto &config = hw::cpuConfig(point[1].second);
             const hw::DomainClocks clocks{config.core, config.llc,
                                           config.memory};
-            metrics.scalar("p95_ms", averageP95(pcores, clocks) * 1000.0);
+            metrics.set("p95_ms", averageP95(pcores, clocks) * 1000.0);
         });
     report.setMeta(manifest.entries());
 

@@ -120,18 +120,18 @@ main(int argc, char **argv)
     exp::RunReport report = runner.run(
         "fig9_workloads", grid,
         [&](const exp::Params &, std::size_t i, util::Rng &,
-            exp::MetricsRegistry &metrics) {
+            exp::MetricSet &metrics) {
             const auto &app = apps[i / configs.size()];
             const auto &config =
                 hw::cpuConfig(configs[i % configs.size()]);
             const bool latency =
                 app.metric == workload::Metric::P95Latency ||
                 app.metric == workload::Metric::P99Latency;
-            metrics.scalar("normalized",
-                           latency ? queueingMetric(app, config)
-                                   : workload::relativeMetric(
-                                         app, {config.core, config.llc,
-                                               config.memory}));
+            metrics.set("normalized",
+                        latency ? queueingMetric(app, config)
+                                : workload::relativeMetric(
+                                      app, {config.core, config.llc,
+                                            config.memory}));
         });
 
     for (std::size_t a = 0; a < apps.size(); ++a) {

@@ -88,7 +88,7 @@ powerOversubscription(const util::Cli &cli,
     exp::RunReport report = runner.run(
         "power_oversub", grid,
         [&](const exp::Params &, std::size_t i, util::Rng &,
-            exp::MetricsRegistry &metrics) {
+            exp::MetricSet &metrics) {
             util::Rng rng(2021);
             const auto outcome = [&] {
                 if (boxes.empty())
@@ -101,13 +101,12 @@ powerOversubscription(const util::Cli &cli,
                                           &boxes[i]->recorder);
                 return local.run(rows[i].policy, rng, 14.0);
             }();
-            metrics.scalar("feed_util", outcome.meanFeedUtilization);
-            metrics.scalar("capping_share", outcome.cappingMinutesShare);
-            metrics.scalar("oc_served_share", outcome.overclockShare);
-            metrics.scalar("oc_capped_share",
-                           outcome.cappedOverclockShare);
-            metrics.scalar("speedup", outcome.speedupDelivered);
-            metrics.scalar("energy_mwh", outcome.energyMwh);
+            metrics.set("feed_util", outcome.meanFeedUtilization);
+            metrics.set("capping_share", outcome.cappingMinutesShare);
+            metrics.set("oc_served_share", outcome.overclockShare);
+            metrics.set("oc_capped_share", outcome.cappedOverclockShare);
+            metrics.set("speedup", outcome.speedupDelivered);
+            metrics.set("energy_mwh", outcome.energyMwh);
         });
     report.setMeta(manifest.entries());
     for (const auto &record : report.records()) {

@@ -89,8 +89,7 @@ main(int argc, char **argv)
             util::Rng rng(99);
             if (boxes.empty()) {
                 return dc.run(policies[i].second, rng, 14.0,
-                              capture_obs ? &feed_series[i] : nullptr,
-                              nullptr);
+                              capture_obs ? &feed_series[i] : nullptr);
             }
             cluster::DatacenterPowerSim local({batch, batch, latency},
                                               40000.0, 1.3, 1.2);
@@ -99,8 +98,7 @@ main(int argc, char **argv)
                                       &boxes[i]->watchdog,
                                       &boxes[i]->recorder);
             return local.run(policies[i].second, rng, 14.0,
-                             capture_obs ? &feed_series[i] : nullptr,
-                             nullptr);
+                             capture_obs ? &feed_series[i] : nullptr);
         });
     for (std::size_t i = 0; i < policies.size(); ++i) {
         const auto &outcome = outcomes[i];
@@ -126,12 +124,12 @@ main(int argc, char **argv)
     exp::RunReport report = runner.run(
         "fleet_power_aware_mc", grid,
         [&](const exp::Params &, std::size_t, util::Rng &rng,
-            exp::MetricsRegistry &metrics) {
+            exp::MetricSet &metrics) {
             const auto outcome =
                 dc.run(cluster::OverclockPolicy::PowerAware, rng, 14.0);
-            metrics.scalar("speedup", outcome.speedupDelivered);
-            metrics.scalar("capping_share", outcome.cappingMinutesShare);
-            metrics.scalar("oc_served_share", outcome.overclockShare);
+            metrics.set("speedup", outcome.speedupDelivered);
+            metrics.set("capping_share", outcome.cappingMinutesShare);
+            metrics.set("oc_served_share", outcome.overclockShare);
         });
     util::OnlineStats speedup;
     util::OnlineStats capping;

@@ -7,7 +7,6 @@
 #include "fleet/kernels.hh"
 #include "obs/blackbox.hh"
 #include "obs/fleet_agg.hh"
-#include "obs/metrics.hh"
 #include "obs/watchdog.hh"
 #include "obs/profiler.hh"
 #include "obs/timeseries.hh"
@@ -137,11 +136,10 @@ DatacenterPowerSim::observeMinute(std::size_t minute,
 
 DatacenterOutcome
 DatacenterPowerSim::run(OverclockPolicy policy, util::Rng &rng, double days,
-                        obs::TimeSeries *telemetry,
-                        obs::MetricRegistry *metrics) const
+                        obs::TimeSeries *telemetry) const
 {
     obs::ProfScope prof("datacenter.run");
-    PerServerSession session(*this, policy, rng, days, telemetry, metrics);
+    PerServerSession session(*this, policy, rng, days, telemetry);
     session.stepMinutes(session.totalMinutes());
     return session.finish();
 }
@@ -149,15 +147,13 @@ DatacenterPowerSim::run(OverclockPolicy policy, util::Rng &rng, double days,
 std::unique_ptr<PerServerSession>
 DatacenterPowerSim::startPerServerSession(OverclockPolicy policy,
                                           util::Rng &rng, double days,
-                                          obs::TimeSeries *telemetry,
-                                          obs::MetricRegistry *metrics)
-    const
+                                          obs::TimeSeries *telemetry) const
 {
     util::fatalIf(physics.skus.empty(),
                   "startPerServerSession: call enablePerServerFidelity "
                   "first");
     return std::unique_ptr<PerServerSession>(new PerServerSession(
-        *this, policy, rng, days, telemetry, metrics));
+        *this, policy, rng, days, telemetry));
 }
 
 namespace {
@@ -205,8 +201,7 @@ shardCountFor(std::size_t units)
 PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
                                    OverclockPolicy policy_in,
                                    util::Rng &rng, double days,
-                                   obs::TimeSeries *telemetry_in,
-                                   obs::MetricRegistry *metrics)
+                                   obs::TimeSeries *telemetry_in)
     : owner(sim_in), policy(policy_in),
       perServer(!sim_in.physics.skus.empty()), telemetry(telemetry_in),
       budget(sim_in.feedCapacity, sim_in.oversub),
@@ -222,25 +217,6 @@ PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
     const auto &physics = owner.physics;
     const std::vector<fleet::SkuParams> &sku_table = physics.skus;
 
-    if (metrics) {
-        minuteMetric = &metrics->counter("datacenter.minutes");
-        cappingMetric = &metrics->counter("datacenter.capping_minutes");
-        cappedRackMetric =
-            &metrics->counter("datacenter.capped_rack_minutes");
-        feedUtilMetric =
-            &metrics->histogram("datacenter.feed_utilization");
-    }
-    if (metrics && perServer) {
-        // The fleet layer's own attachment points (per-server physics).
-        serverMinuteMetric = &metrics->counter("fleet.server_minutes");
-        cappedServerMetric =
-            &metrics->counter("fleet.capped_server_minutes");
-        ocServerMetric = &metrics->counter("fleet.oc_server_minutes");
-        meanTjGauge = &metrics->gauge("fleet.mean_tj_c");
-        maxTjGauge = &metrics->gauge("fleet.max_tj_c");
-        meanWearGauge = &metrics->gauge("fleet.mean_wear");
-        meanCreditGauge = &metrics->gauge("fleet.mean_credit");
-    }
     if (telemetry) {
         *telemetry = obs::TimeSeries();
         std::vector<std::string> columns = {"feed_draw_w",
@@ -581,8 +557,6 @@ PerServerSession::stepMinute()
     Watts drawn = 0.0;
     bool any_capped = false;
     double minute_oc = 0.0;
-    std::size_t capped_racks = 0;
-    std::size_t capped_servers = 0;
     // The running totals are summed in locals: the walk's byte stores
     // may alias the members, which would force every addition through
     // memory.
@@ -596,10 +570,6 @@ PerServerSession::stepMinute()
         const bool rack_capped = scratch.capped[r] != 0;
         const std::size_t units_end = rackBegin[r + 1];
         any_capped = any_capped || rack_capped;
-        if (rack_capped) {
-            ++capped_racks;
-            capped_servers += units_end - rackBegin[r];
-        }
         const double unit_servers =
             perServer ? 1.0 : static_cast<double>(racks[r].servers);
 
@@ -662,34 +632,17 @@ PerServerSession::stepMinute()
     if (perServer) {
         const Celsius mean_tj = state.meanTj();
         const Celsius max_tj = state.maxTj();
-        const double mean_wear = state.meanWearConsumed();
         meanTjSum += mean_tj;
         peakTj = std::max(peakTj, max_tj);
         fleetPowerSum += state.fleetPower();
         if (telemetry) {
             telemetry->append(now, {drawn, feed_util, any_capped ? 1.0 : 0.0,
-                                    minute_oc, mean_tj, max_tj, mean_wear});
-        }
-        if (serverMinuteMetric) {
-            serverMinuteMetric->inc(static_cast<std::uint64_t>(n));
-            cappedServerMetric->inc(
-                static_cast<std::uint64_t>(capped_servers));
-            ocServerMetric->inc(static_cast<std::uint64_t>(minute_oc));
-            meanTjGauge->set(mean_tj);
-            maxTjGauge->set(max_tj);
-            meanWearGauge->set(mean_wear);
-            meanCreditGauge->set(state.meanWearCredit(skus));
+                                    minute_oc, mean_tj, max_tj,
+                                    state.meanWearConsumed()});
         }
     } else if (telemetry) {
         telemetry->append(now, {drawn, feed_util, any_capped ? 1.0 : 0.0,
                                 minute_oc});
-    }
-    if (minuteMetric) {
-        minuteMetric->inc();
-        if (any_capped)
-            cappingMetric->inc();
-        cappedRackMetric->inc(static_cast<std::uint64_t>(capped_racks));
-        feedUtilMetric->observe(feed_util);
     }
     owner.observeMinute(minute, state, plan, runner);
     ++minuteIndex;

@@ -33,12 +33,8 @@
 namespace imsim {
 
 namespace obs {
-class Counter;
 class FleetAggregator;
 class FlightRecorder;
-class Gauge;
-class HistogramMetric;
-class MetricRegistry;
 class TimeSeries;
 class Watchdog;
 } // namespace obs
@@ -126,10 +122,10 @@ class DatacenterPowerSim;
  * per-server fidelity every fleet unit is a server; in rack-aggregate
  * fidelity every unit is a rack, whose power is the closed-form rack
  * model and whose Tj and wear columns are not stepped. Traces, the
- * capping allocation, the accounting walk, telemetry, metrics and the
- * observer hook are shared; only the demand pass, the PowerAware
- * backout, the post-capping physics and the per-server telemetry
- * columns, `fleet.*` metrics and FleetPhysicsStats differ per mode.
+ * capping allocation, the accounting walk, telemetry and the observer
+ * hook are shared; only the demand pass, the PowerAware backout, the
+ * post-capping physics, the per-server telemetry columns and
+ * FleetPhysicsStats differ per mode.
  *
  * An external control loop can step a per-server session itself
  * (DatacenterPowerSim::startPerServerSession); stepping in chunks is
@@ -230,25 +226,13 @@ class PerServerSession
      *  one minute. */
     PerServerSession(const DatacenterPowerSim &sim_in,
                      OverclockPolicy policy_in, util::Rng &rng,
-                     double days, obs::TimeSeries *telemetry_in,
-                     obs::MetricRegistry *metrics);
+                     double days, obs::TimeSeries *telemetry_in);
     void stepMinute();
 
     const DatacenterPowerSim &owner;
     OverclockPolicy policy;
     bool perServer; ///< Units are servers (else racks).
     obs::TimeSeries *telemetry = nullptr;
-    obs::Counter *minuteMetric = nullptr;
-    obs::Counter *cappingMetric = nullptr;
-    obs::Counter *cappedRackMetric = nullptr;
-    obs::HistogramMetric *feedUtilMetric = nullptr;
-    obs::Counter *serverMinuteMetric = nullptr;
-    obs::Counter *cappedServerMetric = nullptr;
-    obs::Counter *ocServerMetric = nullptr;
-    obs::Gauge *meanTjGauge = nullptr;
-    obs::Gauge *maxTjGauge = nullptr;
-    obs::Gauge *meanWearGauge = nullptr;
-    obs::Gauge *meanCreditGauge = nullptr;
 
     std::vector<std::vector<workload::TraceSample>> traces;
     fleet::FleetState state;
@@ -316,15 +300,10 @@ class DatacenterPowerSim
      *                  `feed_utilization`, `capped`,
      *                  `oc_server_minutes` (fresh series; any prior
      *                  contents are replaced).
-     * @param metrics   When non-null, gains counters
-     *                  `datacenter.minutes`,
-     *                  `datacenter.capping_minutes`,
-     *                  `datacenter.capped_rack_minutes` and histogram
-     *                  `datacenter.feed_utilization`.
      */
     DatacenterOutcome run(OverclockPolicy policy, util::Rng &rng,
-                          double days, obs::TimeSeries *telemetry = nullptr,
-                          obs::MetricRegistry *metrics = nullptr) const;
+                          double days,
+                          obs::TimeSeries *telemetry = nullptr) const;
 
     /**
      * Switch the per-minute loop to per-server fidelity: every server
@@ -332,8 +311,8 @@ class DatacenterPowerSim
      * wear columns (fleet::FleetState), stepped by the batched fleet
      * kernels, and rack demands fed into the capping allocator are the
      * sums of the per-server physics. run() then also fills
-     * DatacenterOutcome::fleet, appends `mean_tj_c`, `max_tj_c`,
-     * `mean_wear` telemetry columns, and publishes `fleet.*` metrics.
+     * DatacenterOutcome::fleet and appends `mean_tj_c`, `max_tj_c` and
+     * `mean_wear` telemetry columns.
      *
      * Without this call the sim runs in rack-aggregate fidelity:
      * closed-form rack power, one fleet unit per rack. Fidelity only
@@ -414,8 +393,7 @@ class DatacenterPowerSim
     std::unique_ptr<PerServerSession>
     startPerServerSession(OverclockPolicy policy, util::Rng &rng,
                           double days,
-                          obs::TimeSeries *telemetry = nullptr,
-                          obs::MetricRegistry *metrics = nullptr) const;
+                          obs::TimeSeries *telemetry = nullptr) const;
 
   private:
     friend class PerServerSession;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <ostream>
 
 #include "util/cli.hh"
@@ -41,38 +42,6 @@ MetricSet::get(const std::string &name) const
         if (entry.first == name)
             return entry.second;
     util::fatal("MetricSet: no metric named '" + name + "'");
-}
-
-void
-MetricsRegistry::scalar(const std::string &name, double value)
-{
-    scalars.set(name, value);
-}
-
-void
-MetricsRegistry::sample(const std::string &name, double value)
-{
-    for (auto &dist : dists) {
-        if (dist.first == name) {
-            dist.second.add(value);
-            return;
-        }
-    }
-    dists.emplace_back(name, util::PercentileEstimator());
-    dists.back().second.add(value);
-}
-
-MetricSet
-MetricsRegistry::snapshot() const
-{
-    MetricSet out = scalars;
-    for (const auto &dist : dists) {
-        out.set(dist.first + ".mean", dist.second.mean());
-        out.set(dist.first + ".p50", dist.second.p50());
-        out.set(dist.first + ".p95", dist.second.p95());
-        out.set(dist.first + ".p99", dist.second.p99());
-    }
-    return out;
 }
 
 void
@@ -253,11 +222,11 @@ RunReport::fromJson(const std::string &json)
         parsed.totalWallMs = timing->at("total_wall_ms").number();
         for (const auto &row : timing->at("points").array()) {
             PointTiming pt;
-            pt.index =
-                static_cast<std::size_t>(row.at("index").number());
+            pt.index = row.at("index").unsignedInteger();
             pt.queueMs = row.at("queue_ms").number();
             pt.wallMs = row.at("wall_ms").number();
-            pt.worker = static_cast<int>(row.at("worker").number());
+            pt.worker = static_cast<int>(row.at("worker").unsignedInteger(
+                std::numeric_limits<int>::max()));
             parsed.points.push_back(pt);
         }
         report.setTiming(std::move(parsed));
@@ -271,12 +240,6 @@ RunReport::fromJson(const std::string &json)
         report.add(std::move(record));
     }
     return report;
-}
-
-void
-RunReport::writeCsv(std::ostream &os) const
-{
-    toTable().printCsv(os);
 }
 
 void

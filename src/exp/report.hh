@@ -1,11 +1,11 @@
 /**
  * @file
- * Structured results for the experiment engine: named per-point metrics
- * (scalars and percentile summaries), aligned console tables, and
- * machine-readable JSON/CSV artifacts for the bench binaries'
- * "--report out.json" flag. Reports optionally carry a provenance
- * "meta" block (see obs::RunManifest) and a wall-clock "timing"
- * section — both outside the deterministic result payload.
+ * Structured results for the experiment engine: named per-point scalar
+ * metrics, aligned console tables, and the machine-readable JSON
+ * artifact behind the bench binaries' "--report out.json" flag.
+ * Reports optionally carry a provenance "meta" block (see
+ * obs::RunManifest) and a wall-clock "timing" section — both outside
+ * the deterministic result payload.
  */
 
 #ifndef IMSIM_EXP_REPORT_HH
@@ -16,8 +16,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/stats.hh"
 
 namespace imsim {
 namespace util {
@@ -57,31 +55,6 @@ class MetricSet
 
   private:
     std::vector<std::pair<std::string, double>> values;
-};
-
-/**
- * Per-sweep-point metric collector handed to experiment bodies.
- *
- * Scalars are recorded directly; sample distributions accumulate into a
- * named PercentileEstimator and flatten to <name>.mean/.p50/.p95/.p99
- * in snapshot(). One registry belongs to one sweep point (one worker),
- * so no synchronisation is needed.
- */
-class MetricsRegistry
-{
-  public:
-    /** Record scalar metric @p name. */
-    void scalar(const std::string &name, double value);
-
-    /** Add one sample to distribution @p name. */
-    void sample(const std::string &name, double value);
-
-    /** @return scalars plus flattened distribution summaries. */
-    MetricSet snapshot() const;
-
-  private:
-    MetricSet scalars;
-    std::vector<std::pair<std::string, util::PercentileEstimator>> dists;
 };
 
 /** One sweep point: identifying params plus its collected metrics. */
@@ -171,9 +144,6 @@ class RunReport
 
     /** Parse a report previously produced by toJson(). */
     static RunReport fromJson(const std::string &json);
-
-    /** Write the toTable() CSV rendering to @p os. */
-    void writeCsv(std::ostream &os) const;
 
     /** Write toJson() to file @p path; FatalError when unwritable. */
     void writeJsonFile(const std::string &path) const;

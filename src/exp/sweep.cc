@@ -12,14 +12,14 @@ SweepRunner::SweepRunner(SweepOptions opts)
 RunReport
 SweepRunner::run(const std::string &name, const std::vector<Params> &grid,
                  const std::function<void(const Params &, std::size_t,
-                                          util::Rng &, MetricsRegistry &)>
-                     &fn) const
+                                          util::Rng &, MetricSet &)> &fn)
+    const
 {
     std::vector<RunRecord> records = map<RunRecord>(
         grid.size(), [&grid, &fn](std::size_t i, util::Rng &rng) {
-            MetricsRegistry registry;
-            fn(grid[i], i, rng, registry);
-            return RunRecord{grid[i], registry.snapshot()};
+            RunRecord record{grid[i], {}};
+            fn(grid[i], i, rng, record.metrics);
+            return record;
         });
     RunReport report(name);
     for (auto &record : records)

@@ -143,15 +143,15 @@ class SweepRunner
     /**
      * Sweep a parameter grid and collect a structured report.
      *
-     * @p fn fills one MetricsRegistry per point; the report holds one
-     * record per grid point, in grid order. When a progress monitor is
-     * attached, its wall-clock timing snapshot is stored as the
-     * report's "timing" section (outside the result payload).
+     * @p fn fills one MetricSet per point, which the report stores
+     * as-is: one record per grid point, in grid order. When a progress
+     * monitor is attached, its wall-clock timing snapshot is stored as
+     * the report's "timing" section (outside the result payload).
      */
     RunReport
     run(const std::string &name, const std::vector<Params> &grid,
         const std::function<void(const Params &, std::size_t, util::Rng &,
-                                 MetricsRegistry &)> &fn) const;
+                                 MetricSet &)> &fn) const;
 
     /** @return the deterministic substream for point @p index. */
     util::Rng

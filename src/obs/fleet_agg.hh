@@ -17,9 +17,9 @@
  * vectors.
  *
  * Thread-safety: observe() and latest() belong to the sim thread.
- * Every observe() also publishes a copy of the sample under a mutex,
- * so any other thread may call snapshot() concurrently — the same
- * safe-point contract as metrics RegistryMirror.
+ * Every observe() also publishes a copy of the sample under a mutex
+ * at a safe point (no reduction in flight), so any other thread may
+ * call snapshot() concurrently.
  */
 
 #ifndef IMSIM_OBS_FLEET_AGG_HH

@@ -41,50 +41,10 @@ MetricRegistry::registerGauge(const std::string &name,
     return g;
 }
 
-HistogramMetric &
-MetricRegistry::histogram(const std::string &name)
-{
-    return findOrCreate(histogramList, name);
-}
-
 std::size_t
 MetricRegistry::size() const
 {
-    return counterList.size() + gaugeList.size() + histogramList.size();
-}
-
-std::vector<std::pair<std::string, double>>
-MetricRegistry::snapshot() const
-{
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(counterList.size() + gaugeList.size() +
-                histogramList.size() * 5);
-    for (const auto &entry : counterList)
-        out.emplace_back(entry.first,
-                         static_cast<double>(entry.second->value()));
-    for (const auto &entry : gaugeList)
-        out.emplace_back(entry.first, entry.second->value());
-    for (const auto &entry : histogramList) {
-        const HistogramMetric &h = *entry.second;
-        out.emplace_back(entry.first + ".count",
-                         static_cast<double>(h.count()));
-        out.emplace_back(entry.first + ".mean", h.mean());
-        out.emplace_back(entry.first + ".p50", h.percentile(50.0));
-        out.emplace_back(entry.first + ".p95", h.percentile(95.0));
-        out.emplace_back(entry.first + ".p99", h.percentile(99.0));
-    }
-    return out;
-}
-
-void
-MetricRegistry::merge(const MetricRegistry &other)
-{
-    for (const auto &entry : other.counterList)
-        counter(entry.first).merge(*entry.second);
-    for (const auto &entry : other.gaugeList)
-        gauge(entry.first).set(entry.second->value());
-    for (const auto &entry : other.histogramList)
-        histogram(entry.first).merge(*entry.second);
+    return counterList.size() + gaugeList.size();
 }
 
 } // namespace obs

@@ -40,18 +40,6 @@ maybeEnableProfiler(const util::Cli &cli)
 
 void
 maybeWriteTrace(const util::Cli &cli, const EventTracer &tracer,
-                std::ostream &os)
-{
-    const std::string path = cli.traceFile();
-    if (path.empty())
-        return;
-    tracer.writeJsonFile(path);
-    os << "[trace] wrote " << tracer.size() << " events to " << path
-       << " (load in chrome://tracing or ui.perfetto.dev)\n";
-}
-
-void
-maybeWriteTrace(const util::Cli &cli, const EventTracer &tracer,
                 const RunManifest &manifest, std::ostream &os)
 {
     const std::string path = cli.traceFile();
@@ -60,24 +48,6 @@ maybeWriteTrace(const util::Cli &cli, const EventTracer &tracer,
     tracer.writeJsonFile(path, manifest.toJsonObject());
     os << "[trace] wrote " << tracer.size() << " events to " << path
        << " (load in chrome://tracing or ui.perfetto.dev)\n";
-}
-
-void
-maybeWriteTelemetry(const util::Cli &cli, const TelemetryMerger &telemetry,
-                    std::ostream &os)
-{
-    const std::string path = cli.telemetryFile();
-    if (path.empty())
-        return;
-    std::ofstream out(path);
-    util::fatalIf(!out, "maybeWriteTelemetry: cannot open '" + path +
-                            "' for writing");
-    out << "# schema: " << kTelemetrySchema << "\n";
-    telemetry.writeCsv(out);
-    util::fatalIf(!out,
-                  "maybeWriteTelemetry: failed writing '" + path + "'");
-    os << "[telemetry] wrote " << telemetry.filledCount()
-       << " point series to " << path << "\n";
 }
 
 void

@@ -58,24 +58,19 @@ void maybeEnableProfiler(const util::Cli &cli);
 
 /**
  * Honor `--trace FILE`: when present, write @p tracer's Chrome-trace
- * JSON there and print a one-line confirmation to @p os. When a
- * @p manifest is given its JSON is embedded as the trace's top-level
- * "metadata" member.
+ * JSON there, with @p manifest's JSON embedded as the trace's
+ * top-level "metadata" member, and print a one-line confirmation to
+ * @p os.
  */
-void maybeWriteTrace(const util::Cli &cli, const EventTracer &tracer,
-                     std::ostream &os);
 void maybeWriteTrace(const util::Cli &cli, const EventTracer &tracer,
                      const RunManifest &manifest, std::ostream &os);
 
 /**
  * Honor `--telemetry FILE`: when present, write the merged per-point
  * telemetry CSV there and print a one-line confirmation to @p os.
- * When a @p manifest is given it is prepended as `# key: value`
- * comment lines (skipped by the parse-back helpers).
+ * The `# schema:` stamp and then @p manifest lead the file as
+ * `# key: value` comment lines (skipped by parseTelemetryCsv).
  */
-void maybeWriteTelemetry(const util::Cli &cli,
-                         const TelemetryMerger &telemetry,
-                         std::ostream &os);
 void maybeWriteTelemetry(const util::Cli &cli,
                          const TelemetryMerger &telemetry,
                          const RunManifest &manifest, std::ostream &os);

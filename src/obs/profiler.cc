@@ -256,8 +256,7 @@ ProfileReport::fromJson(const std::string &json)
     for (const auto &scope : doc.at("scopes").array()) {
         ProfileEntry entry;
         entry.path = scope.at("path").str();
-        entry.count =
-            static_cast<std::uint64_t>(scope.at("count").number());
+        entry.count = scope.at("count").unsignedInteger();
         entry.totalMs = scope.at("total_ms").number();
         entry.selfMs = scope.at("self_ms").number();
         out.add(std::move(entry));

@@ -1,14 +1,10 @@
 #include "obs/timeseries.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
-#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace imsim {
@@ -17,9 +13,9 @@ namespace obs {
 namespace {
 
 /**
- * Deterministic, near-lossless numeric rendering shared by the CSV and
- * JSON writers (12 significant digits cover the simulator's physical
- * ranges without the noise of full round-trip precision).
+ * Deterministic, near-lossless numeric rendering of CSV cells (12
+ * significant digits cover the simulator's physical ranges without the
+ * noise of full round-trip precision).
  */
 std::string
 formatNumber(double value)
@@ -45,45 +41,6 @@ TimeSeries::append(Seconds t, std::vector<double> values)
     util::fatalIf(values.size() != cols.size(),
                   "TimeSeries: row width does not match columns");
     data.emplace_back(t, std::move(values));
-}
-
-void
-TimeSeries::writeCsv(std::ostream &os, const std::string &label_column,
-                     const std::string &label) const
-{
-    if (!label_column.empty())
-        os << label_column << ',';
-    os << 't';
-    for (const auto &col : cols)
-        os << ',' << col;
-    os << '\n';
-    for (const auto &sample : data) {
-        if (!label_column.empty())
-            os << label << ',';
-        os << formatNumber(sample.first);
-        for (double v : sample.second)
-            os << ',' << formatNumber(v);
-        os << '\n';
-    }
-}
-
-void
-TimeSeries::writeJson(std::ostream &os) const
-{
-    const auto cell = [](double v) {
-        return std::isfinite(v) ? formatNumber(v) : std::string("null");
-    };
-    os << "{\"schema\": \"imsim.timeseries/1\", \"columns\": [\"t\"";
-    for (const auto &col : cols)
-        os << ", \"" << col << '"';
-    os << "], \"rows\": [";
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        os << (i ? ", [" : "[") << cell(data[i].first);
-        for (double v : data[i].second)
-            os << ", " << cell(v);
-        os << ']';
-    }
-    os << "]}";
 }
 
 namespace {
@@ -130,55 +87,6 @@ nextDataLine(std::istream &is, std::string &line)
 }
 
 } // namespace
-
-TimeSeries
-TimeSeries::parseCsv(std::istream &is)
-{
-    std::string line;
-    util::fatalIf(!nextDataLine(is, line),
-                  "TimeSeries: CSV is missing its header line");
-    std::vector<std::string> header = splitCsvLine(line);
-    util::fatalIf(header.empty() || header[0] != "t",
-                  "TimeSeries: CSV header must start with 't'");
-    TimeSeries series(
-        std::vector<std::string>(header.begin() + 1, header.end()));
-    while (nextDataLine(is, line)) {
-        const std::vector<std::string> cells = splitCsvLine(line);
-        util::fatalIf(cells.size() != header.size(),
-                      "TimeSeries: ragged CSV row");
-        std::vector<double> values;
-        values.reserve(cells.size() - 1);
-        for (std::size_t i = 1; i < cells.size(); ++i)
-            values.push_back(parseCell(cells[i]));
-        series.append(parseCell(cells[0]), std::move(values));
-    }
-    return series;
-}
-
-TimeSeries
-TimeSeries::parseJson(const std::string &json)
-{
-    const util::Json doc = util::Json::parse(json);
-    util::fatalIf(!doc.isObject(), "TimeSeries: JSON is not an object");
-    const auto &columns = doc.at("columns").array();
-    util::fatalIf(columns.empty() || columns[0].str() != "t",
-                  "TimeSeries: JSON columns must start with 't'");
-    std::vector<std::string> names;
-    for (std::size_t i = 1; i < columns.size(); ++i)
-        names.push_back(columns[i].str());
-    TimeSeries series(std::move(names));
-    for (const auto &row : doc.at("rows").array()) {
-        const auto &cells = row.array();
-        util::fatalIf(cells.size() != columns.size(),
-                      "TimeSeries: ragged JSON row");
-        std::vector<double> values;
-        values.reserve(cells.size() - 1);
-        for (std::size_t i = 1; i < cells.size(); ++i)
-            values.push_back(cells[i].number());
-        series.append(cells[0].number(), std::move(values));
-    }
-    return series;
-}
 
 TelemetryMerger::TelemetryMerger(std::size_t points)
     : slots(points), filled(points, false)
@@ -235,16 +143,6 @@ TelemetryMerger::writeCsv(std::ostream &os) const
             os << '\n';
         }
     }
-}
-
-void
-TelemetryMerger::writeCsvFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    util::fatalIf(!out, "TelemetryMerger: cannot open '" + path +
-                            "' for writing");
-    writeCsv(out);
-    util::fatalIf(!out, "TelemetryMerger: failed writing '" + path + "'");
 }
 
 std::vector<LabelledSeries>

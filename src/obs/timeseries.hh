@@ -1,13 +1,15 @@
 /**
  * @file
- * In-memory time-series storage for sampled telemetry, with CSV/JSON
- * export, plus the TelemetryMerger that collects one series per sweep
- * point under the experiment engine.
+ * In-memory time-series storage for sampled telemetry, plus the
+ * TelemetryMerger that collects one series per sweep point under the
+ * experiment engine and writes them as telemetry's one on-disk format:
+ * the merged `point,t,<columns...>` CSV that parseTelemetryCsv (and
+ * tools/imsim_report) read back.
  *
- * Determinism contract: a TimeSeries' CSV rendering depends only on
- * the samples appended to it; TelemetryMerger stores series by point
- * index and writes them in index order, so the merged CSV is
- * byte-identical whether the sweep ran with --jobs 1 or --jobs N.
+ * Determinism contract: a series' CSV rows depend only on the samples
+ * appended to it; TelemetryMerger stores series by point index and
+ * writes them in index order, so the merged CSV is byte-identical
+ * whether the sweep ran with --jobs 1 or --jobs N.
  */
 
 #ifndef IMSIM_OBS_TIMESERIES_HH
@@ -63,36 +65,6 @@ class TimeSeries
         return data[i].second;
     }
 
-    /**
-     * Write as CSV: header `t,<columns...>`, one row per sample.
-     * When @p label_column is non-empty a leading column with the
-     * constant @p label is prepended (how merged per-point series
-     * stay distinguishable in one file).
-     */
-    void writeCsv(std::ostream &os, const std::string &label_column = "",
-                  const std::string &label = "") const;
-
-    /**
-     * Write as a JSON object {"columns": [...], "rows": [[t, ...]]}.
-     * Non-finite values are emitted as null (parseJson maps them back
-     * to NaN), keeping the document valid JSON.
-     */
-    void writeJson(std::ostream &os) const;
-
-    /**
-     * Parse a plain `t,<columns...>` CSV as written by writeCsv()
-     * with no label column. Leading `# key: value` comment lines are
-     * skipped; "nan"/"inf" cells parse back to their doubles.
-     * FatalError on ragged rows or a missing header.
-     */
-    static TimeSeries parseCsv(std::istream &is);
-
-    /** Parse a writeJson() document (null values become NaN). */
-    static TimeSeries parseJson(const std::string &json);
-
-    /** Drop all rows (columns stay). */
-    void clear() { data.clear(); }
-
   private:
     std::vector<std::string> cols;
     std::vector<std::pair<Seconds, std::vector<double>>> data;
@@ -128,9 +100,6 @@ class TelemetryMerger
      * label column, in point order. Unfilled slots are skipped.
      */
     void writeCsv(std::ostream &os) const;
-
-    /** writeCsv() to file @p path; FatalError when unwritable. */
-    void writeCsvFile(const std::string &path) const;
 
   private:
     mutable std::mutex mutex;

@@ -1,8 +1,10 @@
 #include "util/json.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "util/logging.hh"
 
@@ -222,6 +224,18 @@ Json::number() const
         return std::nan("");
     fatalIf(kind != Type::Number, "Json: value is not a number");
     return numberValue;
+}
+
+std::uint64_t
+Json::unsignedInteger(std::uint64_t max) const
+{
+    const std::uint64_t limit = std::min(max, kMaxExactInteger);
+    const double value = number();
+    fatalIf(!(value >= 0.0 && value <= static_cast<double>(limit) &&
+              std::floor(value) == value),
+            "Json: value is not an integer in [0, " +
+                std::to_string(limit) + "]");
+    return static_cast<std::uint64_t>(value);
 }
 
 const std::string &

@@ -1,11 +1,11 @@
 /**
  * @file
  * Minimal JSON document parser for the repo's own machine-readable
- * artifacts: RunReport JSON, profiler dumps, BENCH_hotpaths.json, and
- * TimeSeries JSON. Objects preserve key order (the writers emit in a
- * deterministic order and the readers round-trip it), numbers are
- * doubles, and `null` is a first-class value because the writers emit
- * it for non-finite metrics.
+ * artifacts: RunReport JSON, profiler dumps, BENCH_hotpaths.json,
+ * incident logs and flight-recorder dumps. Objects preserve key order
+ * (the writers emit in a deterministic order and the readers
+ * round-trip it), numbers are doubles, and `null` is a first-class
+ * value because the writers emit it for non-finite metrics.
  *
  * This is a reader for JSON *we* wrote — it accepts standard JSON but
  * raises FatalError on anything malformed instead of recovering.
@@ -15,6 +15,7 @@
 #define IMSIM_UTIL_JSON_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +58,18 @@ class Json
 
     /** @return the number (NaN for null); FatalError otherwise. */
     double number() const;
+
+    /** 2^53: doubles hold every integer up to here, exactly. */
+    static constexpr std::uint64_t kMaxExactInteger = 1ULL << 53;
+
+    /**
+     * @return the number as a count or index; FatalError unless it is a
+     *         finite, non-negative integer no greater than @p max (nor
+     *         kMaxExactInteger) — the check that keeps outside input
+     *         away from an undefined float-to-integer cast.
+     */
+    std::uint64_t unsignedInteger(
+        std::uint64_t max = kMaxExactInteger) const;
 
     /** @return the string; FatalError when not a string. */
     const std::string &str() const;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Online statistics used throughout the simulator: running moments,
- * percentile estimation over stored samples, time-weighted sliding-window
- * averages (the auto-scaler's 30 s and 3 min utilization windows), a
- * simple fixed-bin histogram, and a mergeable fixed-bin quantile sketch
- * for streaming percentiles at fleet scale.
+ * exact percentiles over stored samples (PercentileEstimator),
+ * time-weighted sliding-window averages (the auto-scaler's 30 s and
+ * 3 min utilization windows), and a mergeable fixed-bin quantile
+ * sketch (QuantileSketch) for streaming percentiles at fleet scale.
  */
 
 #ifndef IMSIM_UTIL_STATS_HH
@@ -257,11 +257,12 @@ class QuantileSketch
         // Clamp in transform space: log10 of a non-positive sample is
         // not finite, so pin those to the first edge before the cast.
         const double u = (logScale && x <= 0.0) ? tLo : transform(x);
-        const double frac = (u - tLo) * invWidth;
-        auto idx = static_cast<long>(frac);
-        idx = std::clamp<long>(idx, 0,
-                               static_cast<long>(counts.size()) - 1);
-        ++counts[static_cast<std::size_t>(idx)];
+        // Clamp to the end bins while still a double: a huge finite
+        // sample's bin offset does not fit any integer type.
+        const double frac =
+            std::clamp((u - tLo) * invWidth, 0.0,
+                       static_cast<double>(counts.size() - 1));
+        ++counts[static_cast<std::size_t>(frac)];
         ++total;
     }
 

@@ -107,10 +107,12 @@ TEST(SweepRunner, RunReportIsDeterministicAcrossJobCounts)
     const std::vector<exp::Params> grid{
         {{"load", "low"}}, {{"load", "mid"}}, {{"load", "high"}}};
     const auto body = [](const exp::Params &, std::size_t i,
-                         util::Rng &rng, exp::MetricsRegistry &metrics) {
+                         util::Rng &rng, exp::MetricSet &metrics) {
+        double lat_sum = 0.0;
         for (int k = 0; k < 200; ++k)
-            metrics.sample("lat", rng.lognormalMeanCv(1.0 + i, 1.5));
-        metrics.scalar("index", static_cast<double>(i));
+            lat_sum += rng.lognormalMeanCv(1.0 + i, 1.5);
+        metrics.set("lat_sum", lat_sum);
+        metrics.set("index", static_cast<double>(i));
     };
     const auto serial =
         exp::SweepRunner({1, 7}).run("toy", grid, body);
@@ -186,18 +188,18 @@ TEST(SweepRunner, ParamGridIsSecondKeyMajor)
     EXPECT_EQ(grid[3], (exp::Params{{"a", "2"}, {"b", "y"}}));
 }
 
-TEST(MetricsRegistry, SnapshotFlattensDistributions)
+TEST(MetricSet, SetOverwritesInPlaceAndMissingGetIsFatal)
 {
-    exp::MetricsRegistry registry;
-    registry.scalar("power_w", 130.0);
-    for (int i = 1; i <= 100; ++i)
-        registry.sample("lat", static_cast<double>(i));
-    const exp::MetricSet snap = registry.snapshot();
-    EXPECT_DOUBLE_EQ(snap.get("power_w"), 130.0);
-    EXPECT_DOUBLE_EQ(snap.get("lat.mean"), 50.5);
-    EXPECT_NEAR(snap.get("lat.p95"), 95.0, 1.0);
-    EXPECT_NEAR(snap.get("lat.p99"), 99.0, 1.0);
-    EXPECT_THROW(snap.get("missing"), FatalError);
+    exp::MetricSet metrics;
+    metrics.set("power_w", 130.0);
+    metrics.set("lat_ms", 2.5);
+    metrics.set("power_w", 140.0); // Overwrites, keeps its slot.
+    ASSERT_EQ(metrics.entries().size(), 2u);
+    EXPECT_EQ(metrics.entries()[0].first, "power_w");
+    EXPECT_DOUBLE_EQ(metrics.get("power_w"), 140.0);
+    EXPECT_TRUE(metrics.has("lat_ms"));
+    EXPECT_FALSE(metrics.has("missing"));
+    EXPECT_THROW(metrics.get("missing"), FatalError);
 }
 
 TEST(RunReport, JsonRoundTrip)
@@ -317,9 +319,8 @@ TEST(SweepRunner, ResultPayloadIdenticalWithProgressAttached)
             "progress_payload",
             exp::paramGrid("a", {"1", "2"}, "b", {"x", "y"}),
             [](const exp::Params &, std::size_t i, util::Rng &rng,
-               exp::MetricsRegistry &metrics) {
-                metrics.scalar("value",
-                               rng.uniform() + static_cast<double>(i));
+               exp::MetricSet &metrics) {
+                metrics.set("value", rng.uniform() + static_cast<double>(i));
             });
         EXPECT_TRUE(report.hasTiming());
         EXPECT_EQ(report.timing().points.size(), 4u);
@@ -403,6 +404,31 @@ TEST(RunReport, MetaAndTimingRoundTrip)
     EXPECT_EQ(parsed.timing().points[0].worker, 2);
     // Emit -> parse -> emit stays a fixed point with the new sections.
     EXPECT_EQ(parsed.toJson(), json);
+}
+
+TEST(RunReport, FromJsonRejectsNonIntegralTimingFields)
+{
+    // Timing rows come from outside input: an index or worker that is
+    // not a non-negative integer in range is refused, never cast.
+    const auto doc = [](const std::string &index,
+                        const std::string &worker) {
+        return "{\"name\": \"t\", \"timing\": {\"total_wall_ms\": 1, "
+               "\"points\": [{\"index\": " +
+               index + ", \"queue_ms\": 0, \"wall_ms\": 1, \"worker\": " +
+               worker + "}]}, \"points\": []}";
+    };
+    const exp::RunReport ok = exp::RunReport::fromJson(doc("4", "2"));
+    ASSERT_EQ(ok.timing().points.size(), 1u);
+    EXPECT_EQ(ok.timing().points[0].index, 4u);
+    EXPECT_EQ(ok.timing().points[0].worker, 2);
+    for (const char *bad : {"-1e300", "null", "-1", "0.5", "1e300"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(exp::RunReport::fromJson(doc(bad, "0")), FatalError);
+        EXPECT_THROW(exp::RunReport::fromJson(doc("0", bad)), FatalError);
+    }
+    // A worker slot must also fit the int it is stored in.
+    EXPECT_THROW(exp::RunReport::fromJson(doc("0", "2147483648")),
+                 FatalError);
 }
 
 TEST(RunReport, MetaAndTimingAreAbsentUntilSet)

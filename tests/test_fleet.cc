@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +26,6 @@
 #include "fleet/kernels.hh"
 #include "fleet/state.hh"
 #include "obs/fleet_agg.hh"
-#include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 #include "power/server_power.hh"
 #include "power/socket_power.hh"
@@ -359,10 +359,8 @@ TEST(DatacenterRunOverloads, RackAggregateIdenticalWithTelemetry)
     const auto plain =
         sim.run(cluster::OverclockPolicy::PowerAware, rng_plain, 2.0);
     obs::TimeSeries telemetry;
-    obs::MetricRegistry metrics;
-    const auto instrumented =
-        sim.run(cluster::OverclockPolicy::PowerAware, rng_inst, 2.0,
-                &telemetry, &metrics);
+    const auto instrumented = sim.run(cluster::OverclockPolicy::PowerAware,
+                                      rng_inst, 2.0, &telemetry);
 
     expectOutcomesIdentical(plain, instrumented);
     EXPECT_EQ(telemetry.rows(), static_cast<std::size_t>(2.0 * 24 * 60));
@@ -382,10 +380,8 @@ TEST(DatacenterRunOverloads, PerServerIdenticalWithTelemetry)
     const auto plain =
         sim.run(cluster::OverclockPolicy::PowerAware, rng_plain, 1.0);
     obs::TimeSeries telemetry;
-    obs::MetricRegistry metrics;
-    const auto instrumented =
-        sim.run(cluster::OverclockPolicy::PowerAware, rng_inst, 1.0,
-                &telemetry, &metrics);
+    const auto instrumented = sim.run(cluster::OverclockPolicy::PowerAware,
+                                      rng_inst, 1.0, &telemetry);
 
     expectOutcomesIdentical(plain, instrumented);
     ASSERT_EQ(telemetry.columns().size(), 7u);
@@ -395,61 +391,60 @@ TEST(DatacenterRunOverloads, PerServerIdenticalWithTelemetry)
 }
 
 // ---------------------------------------------------------------------
-// Pinned outcomes: every DatacenterOutcome field, the telemetry schema,
-// the registered metric names and the counter totals of run() for each
-// policy in both fidelity modes. A refactor of the minute loop must
-// reproduce them bit for bit (EXPECT_EQ, not closeness); a model
-// change that moves them must update them deliberately.
+// Pinned outcomes: every DatacenterOutcome field, the telemetry schema
+// and the telemetry's minute totals of run() for each policy in both
+// fidelity modes. A refactor of the minute loop must reproduce them
+// bit for bit (EXPECT_EQ, not closeness); a model change that moves
+// them must update them deliberately.
 // ---------------------------------------------------------------------
+
+/** Minute totals summed from a run's telemetry. */
+struct TelemetryTotals
+{
+    std::uint64_t minutes = 0;         ///< Rows.
+    std::uint64_t cappingMinutes = 0;  ///< Sum of `capped`.
+    double ocServerMinutes = 0.0;      ///< Sum of `oc_server_minutes`.
+
+    bool operator==(const TelemetryTotals &) const = default;
+};
+
+void
+PrintTo(const TelemetryTotals &t, std::ostream *os)
+{
+    *os << "{" << t.minutes << ", " << t.cappingMinutes << ", "
+        << t.ocServerMinutes << "}";
+}
 
 struct PinnedRun
 {
     cluster::OverclockPolicy policy;
     cluster::DatacenterOutcome outcome;
-    std::vector<std::uint64_t> counters; ///< In registration order.
+    TelemetryTotals totals;
 };
 
 void
 expectPinnedRuns(const cluster::DatacenterPowerSim &sim,
                  std::uint64_t seed, double days,
                  const std::vector<PinnedRun> &pins,
-                 const std::vector<std::string> &columns,
-                 const std::vector<std::string> &metric_names)
+                 const std::vector<std::string> &columns)
 {
     for (const PinnedRun &pin : pins) {
         SCOPED_TRACE(static_cast<int>(pin.policy));
         util::Rng rng(seed);
         obs::TimeSeries telemetry;
-        obs::MetricRegistry metrics;
-        const auto outcome =
-            sim.run(pin.policy, rng, days, &telemetry, &metrics);
+        const auto outcome = sim.run(pin.policy, rng, days, &telemetry);
         expectOutcomesIdentical(pin.outcome, outcome);
-        EXPECT_EQ(telemetry.columns(), columns);
-        EXPECT_EQ(telemetry.rows(),
-                  static_cast<std::size_t>(days * 24 * 60));
-        std::vector<std::string> names;
-        for (const auto &entry : metrics.snapshot())
-            names.push_back(entry.first);
-        EXPECT_EQ(names, metric_names);
-        std::vector<std::uint64_t> counters;
-        for (const auto &entry : metrics.counters())
-            counters.push_back(entry.second->value());
-        EXPECT_EQ(counters, pin.counters);
+        ASSERT_EQ(telemetry.columns(), columns);
+        TelemetryTotals totals;
+        totals.minutes = telemetry.rows();
+        for (std::size_t i = 0; i < telemetry.rows(); ++i) {
+            totals.cappingMinutes +=
+                static_cast<std::uint64_t>(telemetry.row(i)[2]);
+            totals.ocServerMinutes += telemetry.row(i)[3];
+        }
+        EXPECT_EQ(totals, pin.totals);
+        EXPECT_EQ(totals.minutes, static_cast<std::size_t>(days * 24 * 60));
     }
-}
-
-const std::vector<std::string> kFeedHistogramNames = {
-    "datacenter.feed_utilization.count",
-    "datacenter.feed_utilization.mean",
-    "datacenter.feed_utilization.p50",
-    "datacenter.feed_utilization.p95",
-    "datacenter.feed_utilization.p99"};
-
-std::vector<std::string>
-concat(std::vector<std::string> head, const std::vector<std::string> &tail)
-{
-    head.insert(head.end(), tail.begin(), tail.end());
-    return head;
 }
 
 TEST(DatacenterRunOverloads, RackAggregatePinnedOutcomes)
@@ -462,24 +457,21 @@ TEST(DatacenterRunOverloads, RackAggregatePinnedOutcomes)
         {OverclockPolicy::Never,
          {OverclockPolicy::Never, 1.4732607239254818, 0.76732329371119112,
           0.003472222222222222, 0, 0, 1, {}},
-         {2880, 10, 20}},
+         {2880, 10, 0}},
         {OverclockPolicy::Always,
          {OverclockPolicy::Always, 1.6060641343150646, 0.83649173662243914,
           0.25833333333333336, 1, 0.24324487097243486, 1.1513510258055155,
           {}},
-         {2880, 744, 1488}},
+         {2880, 744, 46937.385605291478}},
         {OverclockPolicy::PowerAware,
          {OverclockPolicy::PowerAware, 1.5728314129780037,
           0.81918302759270756, 0.003472222222222222, 0.6364054224696033, 0,
           1.1272810844939194, {}},
-         {2880, 10, 20}},
+         {2880, 10, 29871.206715754091}},
     };
     expectPinnedRuns(
         sim, 7, 2.0, pins,
-        {"feed_draw_w", "feed_utilization", "capped", "oc_server_minutes"},
-        concat({"datacenter.minutes", "datacenter.capping_minutes",
-                "datacenter.capped_rack_minutes"},
-               kFeedHistogramNames));
+        {"feed_draw_w", "feed_utilization", "capped", "oc_server_minutes"});
 }
 
 TEST(DatacenterRunOverloads, PerServerPinnedOutcomes)
@@ -501,14 +493,14 @@ TEST(DatacenterRunOverloads, PerServerPinnedOutcomes)
           {24, 58.284031466868072, 64.532698212478323,
            0.00011551979000005893, 0.0004320503674263649,
            455.12460845228605}},
-         {1440, 550, 550, 34560, 6600, 0}},
+         {1440, 550, 0}},
         {OverclockPolicy::Always,
          {OverclockPolicy::Always, 0.26014708762454014, 0.94256191168309889,
           0.48541666666666666, 1, 0.34095902804704664, 1.1318081943905725,
           {24, 58.743105368287019, 66.819285615064288,
            0.00013411533418176397, 0.00041345482324465989,
            466.60287963057976}},
-         {1440, 699, 699, 34560, 8388, 7737}},
+         {1440, 699, 7737}},
         {OverclockPolicy::PowerAware,
          {OverclockPolicy::PowerAware, 0.25967103613947562,
           0.94083708746185379, 0.38194444444444442, 0.33488432208866487, 0,
@@ -516,18 +508,12 @@ TEST(DatacenterRunOverloads, PerServerPinnedOutcomes)
           {24, 58.460105716569728, 64.532698212478323,
            0.0001227556284986138, 0.00042481452892781011,
            459.52788833764617}},
-         {1440, 550, 550, 34560, 6600, 2591}},
+         {1440, 550, 2591}},
     };
     expectPinnedRuns(
         sim, 21, 1.0, pins,
         {"feed_draw_w", "feed_utilization", "capped", "oc_server_minutes",
-         "mean_tj_c", "max_tj_c", "mean_wear"},
-        concat({"datacenter.minutes", "datacenter.capping_minutes",
-                "datacenter.capped_rack_minutes", "fleet.server_minutes",
-                "fleet.capped_server_minutes", "fleet.oc_server_minutes",
-                "fleet.mean_tj_c", "fleet.max_tj_c", "fleet.mean_wear",
-                "fleet.mean_credit"},
-               kFeedHistogramNames));
+         "mean_tj_c", "max_tj_c", "mean_wear"});
 }
 
 TEST(DatacenterRunOverloads, HorizonShorterThanOneMinuteIsFatal)
@@ -678,7 +664,7 @@ runShardedDatacenter(std::size_t threads, bool per_server, bool mixed_sku)
     ShardedRun run;
     util::Rng rng(31);
     run.outcome = sim.run(cluster::OverclockPolicy::PowerAware, rng, 0.1,
-                          &run.telemetry, nullptr);
+                          &run.telemetry);
     run.aggSeries = agg.takeSeries();
     return run;
 }

@@ -238,11 +238,10 @@ TEST(MetricRegistry, FindOrCreateReturnsStableReferences)
     // Interleave creations: references must stay valid.
     registry.counter("other");
     registry.gauge("g");
-    registry.histogram("h");
     obs::Counter &b = registry.counter("events");
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(b.value(), 3u);
-    EXPECT_EQ(registry.size(), 4u);
+    EXPECT_EQ(registry.size(), 3u);
 }
 
 TEST(MetricRegistry, GaugeProviderPollsLiveState)
@@ -259,58 +258,35 @@ TEST(MetricRegistry, GaugeProviderPollsLiveState)
     EXPECT_DOUBLE_EQ(registry.gauge("freq").value(), 2.0);
 }
 
-TEST(MetricRegistry, SnapshotFlattensInRegistrationOrder)
-{
-    obs::MetricRegistry registry;
-    registry.counter("c1").inc(2);
-    registry.gauge("g1").set(5.0);
-    registry.histogram("h1").observe(1.0);
-    registry.histogram("h1").observe(3.0);
-    const auto snap = registry.snapshot();
-    ASSERT_EQ(snap.size(), 2u + 5u); // c1, g1, h1.{count,mean,p50,p95,p99}
-    EXPECT_EQ(snap[0].first, "c1");
-    EXPECT_DOUBLE_EQ(snap[0].second, 2.0);
-    EXPECT_EQ(snap[1].first, "g1");
-    EXPECT_DOUBLE_EQ(snap[1].second, 5.0);
-    EXPECT_EQ(snap[2].first, "h1.count");
-    EXPECT_DOUBLE_EQ(snap[2].second, 2.0);
-    EXPECT_EQ(snap[3].first, "h1.mean");
-    EXPECT_DOUBLE_EQ(snap[3].second, 2.0);
-}
-
-TEST(MetricRegistry, MergeSumsCountersAndUnionsHistograms)
-{
-    obs::MetricRegistry a;
-    a.counter("n").inc(2);
-    a.histogram("lat").observe(1.0);
-    a.gauge("last").set(1.0);
-
-    obs::MetricRegistry b;
-    b.counter("n").inc(5);
-    b.counter("only_b").inc(1);
-    b.histogram("lat").observe(3.0);
-    b.gauge("last").set(2.0);
-
-    a.merge(b);
-    EXPECT_EQ(a.counter("n").value(), 7u);
-    EXPECT_EQ(a.counter("only_b").value(), 1u);
-    EXPECT_EQ(a.histogram("lat").count(), 2u);
-    EXPECT_DOUBLE_EQ(a.histogram("lat").mean(), 2.0);
-    EXPECT_DOUBLE_EQ(a.gauge("last").value(), 2.0); // Last merged wins.
-}
-
 // ---------------------------------------------------------------------
 // TimeSeries / TelemetryMerger.
 // ---------------------------------------------------------------------
+
+/** @return @p series written as the one point @p label of a merged CSV. */
+std::string
+mergedCsv(const obs::TimeSeries &series, const std::string &label = "p")
+{
+    obs::TelemetryMerger merger(1);
+    merger.add(0, label, series);
+    std::ostringstream csv;
+    merger.writeCsv(csv);
+    return csv.str();
+}
+
+/** @return the per-point series parseTelemetryCsv reads from @p csv. */
+std::vector<obs::LabelledSeries>
+parseCsv(const std::string &csv)
+{
+    std::istringstream in(csv);
+    return obs::parseTelemetryCsv(in);
+}
 
 TEST(TimeSeries, CsvHasHeaderAndRows)
 {
     obs::TimeSeries series({"a", "b"});
     series.append(0.0, {1.0, 2.0});
     series.append(60.0, {3.0, 4.0});
-    std::ostringstream csv;
-    series.writeCsv(csv);
-    EXPECT_EQ(csv.str(), "t,a,b\n0,1,2\n60,3,4\n");
+    EXPECT_EQ(mergedCsv(series), "point,t,a,b\np,0,1,2\np,60,3,4\n");
 }
 
 TEST(TimeSeries, AppendWithWrongWidthIsFatal)
@@ -679,7 +655,6 @@ struct MergedObs
 {
     std::string telemetryCsv;
     std::string traceJson;
-    std::vector<std::pair<std::string, double>> metrics;
 };
 
 MergedObs
@@ -708,7 +683,6 @@ runSweepWithCapture(std::size_t jobs)
 
     obs::EventTracer merged_trace;
     obs::TelemetryMerger telemetry(captures.size());
-    obs::MetricRegistry merged_metrics;
     for (std::size_t i = 0; i < captures.size(); ++i) {
         const std::string label =
             autoscale::policyName(points[i]) + "#" + std::to_string(i);
@@ -716,7 +690,6 @@ runSweepWithCapture(std::size_t jobs)
         merged_trace.append(captures[i].tracer,
                             static_cast<std::uint32_t>(i));
         telemetry.add(i, label, captures[i].telemetry);
-        merged_metrics.merge(captures[i].registry);
     }
 
     MergedObs out;
@@ -724,7 +697,6 @@ runSweepWithCapture(std::size_t jobs)
     telemetry.writeCsv(csv);
     out.telemetryCsv = csv.str();
     out.traceJson = merged_trace.toJson();
-    out.metrics = merged_metrics.snapshot();
     return out;
 }
 
@@ -736,12 +708,6 @@ TEST(ObsDeterminism, MergedTelemetryIsByteIdenticalSerialVsParallel)
     EXPECT_FALSE(serial.telemetryCsv.empty());
     EXPECT_EQ(serial.telemetryCsv, parallel.telemetryCsv);
     EXPECT_EQ(serial.traceJson, parallel.traceJson);
-    ASSERT_EQ(serial.metrics.size(), parallel.metrics.size());
-    for (std::size_t i = 0; i < serial.metrics.size(); ++i) {
-        EXPECT_EQ(serial.metrics[i].first, parallel.metrics[i].first);
-        EXPECT_DOUBLE_EQ(serial.metrics[i].second,
-                         parallel.metrics[i].second) << serial.metrics[i].first;
-    }
 
     // The capture actually observed the run.
     JsonChecker checker(serial.traceJson);
@@ -768,7 +734,7 @@ TEST(ObsCli, MaybeWriteTraceHonorsFlag)
     tracer.instant("e", "cat");
 
     std::ostringstream note;
-    obs::maybeWriteTrace(cli, tracer, note);
+    obs::maybeWriteTrace(cli, tracer, obs::RunManifest{}, note);
     EXPECT_NE(note.str().find(path), std::string::npos);
 
     std::ifstream in(path);
@@ -789,55 +755,49 @@ TEST(ObsCli, NoFlagsWriteNothing)
     EXPECT_FALSE(obs::telemetryRequested(cli));
     obs::EventTracer tracer;
     obs::TelemetryMerger merger(0);
+    const obs::RunManifest manifest;
     std::ostringstream os;
-    obs::maybeWriteTrace(cli, tracer, os);
-    obs::maybeWriteTelemetry(cli, merger, os);
+    obs::maybeWriteTrace(cli, tracer, manifest, os);
+    obs::maybeWriteTelemetry(cli, merger, manifest, os);
     EXPECT_TRUE(os.str().empty());
 }
 
 // ---------------------------------------------------------------------
-// TimeSeries export edge cases: empty, single sample, non-finite
-// values, counter-track mirroring — each round-tripped through the CSV
-// and JSON writers and their parsers.
+// Telemetry export edge cases: empty, single sample, non-finite values,
+// counter-track mirroring — each round-tripped through the merged CSV
+// (TelemetryMerger::writeCsv) and its reader (parseTelemetryCsv), the
+// path tools/imsim_report reads.
 // ---------------------------------------------------------------------
 
 TEST(TimeSeriesRoundTrip, EmptySeriesKeepsColumns)
 {
     obs::TimeSeries series({"a", "b"});
-    std::ostringstream csv;
-    series.writeCsv(csv);
-    EXPECT_EQ(csv.str(), "t,a,b\n");
-    std::istringstream csv_in(csv.str());
-    const obs::TimeSeries from_csv = obs::TimeSeries::parseCsv(csv_in);
-    EXPECT_EQ(from_csv.columns(), series.columns());
-    EXPECT_EQ(from_csv.rows(), 0u);
-
-    std::ostringstream json;
-    series.writeJson(json);
-    const obs::TimeSeries from_json =
-        obs::TimeSeries::parseJson(json.str());
-    EXPECT_EQ(from_json.columns(), series.columns());
-    EXPECT_EQ(from_json.rows(), 0u);
+    const std::string csv = mergedCsv(series);
+    // The header still names every column; with no rows there is no
+    // point to parse back.
+    EXPECT_EQ(csv, "point,t,a,b\n");
+    EXPECT_TRUE(parseCsv(csv).empty());
 }
 
 TEST(TimeSeriesRoundTrip, SingleSampleSurvivesBothFormats)
 {
     obs::TimeSeries series({"v"});
     series.append(1.5, {42.125});
-    std::ostringstream csv;
-    series.writeCsv(csv);
-    std::istringstream csv_in(csv.str());
-    const obs::TimeSeries from_csv = obs::TimeSeries::parseCsv(csv_in);
-    ASSERT_EQ(from_csv.rows(), 1u);
-    EXPECT_DOUBLE_EQ(from_csv.time(0), 1.5);
-    EXPECT_DOUBLE_EQ(from_csv.row(0)[0], 42.125);
-
-    std::ostringstream json;
-    series.writeJson(json);
-    const obs::TimeSeries from_json =
-        obs::TimeSeries::parseJson(json.str());
-    ASSERT_EQ(from_json.rows(), 1u);
-    EXPECT_DOUBLE_EQ(from_json.row(0)[0], 42.125);
+    // The bare merged CSV, and the --telemetry file that leads it with
+    // `# schema:` and manifest comment lines.
+    const std::string bare = mergedCsv(series, "only");
+    const std::string stamped = std::string("# schema: ") +
+                                obs::kTelemetrySchema +
+                                "\n# seed: 1\n" + bare;
+    for (const std::string &csv : {bare, stamped}) {
+        const auto parsed = parseCsv(csv);
+        ASSERT_EQ(parsed.size(), 1u);
+        EXPECT_EQ(parsed[0].label, "only");
+        EXPECT_EQ(parsed[0].series.columns(), series.columns());
+        ASSERT_EQ(parsed[0].series.rows(), 1u);
+        EXPECT_DOUBLE_EQ(parsed[0].series.time(0), 1.5);
+        EXPECT_DOUBLE_EQ(parsed[0].series.row(0)[0], 42.125);
+    }
 }
 
 TEST(TimeSeriesRoundTrip, NonFiniteGaugeValues)
@@ -848,38 +808,24 @@ TEST(TimeSeriesRoundTrip, NonFiniteGaugeValues)
     series.append(2.0, {-std::numeric_limits<double>::infinity()});
     series.append(3.0, {7.0});
 
-    // CSV spells non-finite values out ("nan"/"inf") and parses them
-    // back exactly.
-    std::ostringstream csv;
-    series.writeCsv(csv);
-    std::istringstream csv_in(csv.str());
-    const obs::TimeSeries from_csv = obs::TimeSeries::parseCsv(csv_in);
-    ASSERT_EQ(from_csv.rows(), 4u);
-    EXPECT_TRUE(std::isnan(from_csv.row(0)[0]));
-    EXPECT_TRUE(std::isinf(from_csv.row(1)[0]));
-    EXPECT_GT(from_csv.row(1)[0], 0.0);
-    EXPECT_TRUE(std::isinf(from_csv.row(2)[0]));
-    EXPECT_LT(from_csv.row(2)[0], 0.0);
-    EXPECT_DOUBLE_EQ(from_csv.row(3)[0], 7.0);
-
-    // JSON has no non-finite literals: every such cell becomes null
-    // (keeping the document valid) and parses back as NaN.
-    std::ostringstream json;
-    series.writeJson(json);
-    EXPECT_NE(json.str().find("null"), std::string::npos);
-    const obs::TimeSeries from_json =
-        obs::TimeSeries::parseJson(json.str());
-    ASSERT_EQ(from_json.rows(), 4u);
-    EXPECT_TRUE(std::isnan(from_json.row(0)[0]));
-    EXPECT_TRUE(std::isnan(from_json.row(1)[0]));
-    EXPECT_TRUE(std::isnan(from_json.row(2)[0]));
-    EXPECT_DOUBLE_EQ(from_json.row(3)[0], 7.0);
+    // The CSV spells non-finite values out ("nan"/"inf") and parses
+    // them back exactly.
+    const auto parsed = parseCsv(mergedCsv(series));
+    ASSERT_EQ(parsed.size(), 1u);
+    const obs::TimeSeries &back = parsed[0].series;
+    ASSERT_EQ(back.rows(), 4u);
+    EXPECT_TRUE(std::isnan(back.row(0)[0]));
+    EXPECT_TRUE(std::isinf(back.row(1)[0]));
+    EXPECT_GT(back.row(1)[0], 0.0);
+    EXPECT_TRUE(std::isinf(back.row(2)[0]));
+    EXPECT_LT(back.row(2)[0], 0.0);
+    EXPECT_DOUBLE_EQ(back.row(3)[0], 7.0);
 }
 
 TEST(TimeSeriesRoundTrip, CounterTrackMirroring)
 {
     // A sampler series mirrors counters into value columns after the
-    // gauges; the cumulative track must survive both export formats.
+    // gauges; the cumulative track must survive the export.
     sim::Simulation sim;
     obs::MetricRegistry registry;
     obs::Counter &events = registry.counter("events");
@@ -892,29 +838,21 @@ TEST(TimeSeriesRoundTrip, CounterTrackMirroring)
     const obs::TimeSeries &series = sampler.series();
     ASSERT_EQ(series.rows(), 3u); // t = 0, 5, 10.
 
-    std::ostringstream csv;
-    series.writeCsv(csv);
-    std::istringstream csv_in(csv.str());
-    const obs::TimeSeries from_csv = obs::TimeSeries::parseCsv(csv_in);
-    std::ostringstream json;
-    series.writeJson(json);
-    const obs::TimeSeries from_json =
-        obs::TimeSeries::parseJson(json.str());
-    for (const obs::TimeSeries *parsed : {&from_csv, &from_json}) {
-        ASSERT_EQ(parsed->columns(), series.columns());
-        ASSERT_EQ(parsed->rows(), 3u);
-        EXPECT_DOUBLE_EQ(parsed->row(0)[1], 0.0); // Counter at start.
-        EXPECT_DOUBLE_EQ(parsed->row(1)[1], 5.0); // 2 + 3 by t=5.
-        EXPECT_DOUBLE_EQ(parsed->row(2)[1], 5.0); // Still cumulative.
-    }
+    const auto parsed = parseCsv(mergedCsv(series));
+    ASSERT_EQ(parsed.size(), 1u);
+    const obs::TimeSeries &back = parsed[0].series;
+    ASSERT_EQ(back.columns(), series.columns());
+    ASSERT_EQ(back.rows(), 3u);
+    EXPECT_DOUBLE_EQ(back.row(0)[1], 0.0); // Counter at start.
+    EXPECT_DOUBLE_EQ(back.row(1)[1], 5.0); // 2 + 3 by t=5.
+    EXPECT_DOUBLE_EQ(back.row(2)[1], 5.0); // Still cumulative.
 }
 
 TEST(TimeSeriesRoundTrip, ParseCsvRejectsRaggedAndHeaderless)
 {
-    std::istringstream ragged("t,a\n0,1\n1\n");
-    EXPECT_THROW(obs::TimeSeries::parseCsv(ragged), FatalError);
-    std::istringstream headerless("x,a\n0,1\n");
-    EXPECT_THROW(obs::TimeSeries::parseCsv(headerless), FatalError);
+    EXPECT_THROW(parseCsv("point,t,a\np,0,1\np,1\n"), FatalError);
+    EXPECT_THROW(parseCsv("point,x,a\np,0,1\n"), FatalError);
+    EXPECT_THROW(parseCsv("t,a\n0,1\n"), FatalError);
 }
 
 TEST(TelemetryCsv, MergedFileParsesBackPerPoint)
@@ -1024,6 +962,24 @@ TEST(Profiler, ReportJsonRoundTripsAndMerges)
     EXPECT_EQ(merged.entries()[2].path, "z");
 }
 
+TEST(Profiler, FromJsonRejectsNonIntegralCounts)
+{
+    // A scope count must be a non-negative integer a double holds
+    // exactly; anything else is refused instead of being cast.
+    const auto doc = [](const std::string &count) {
+        return "{\"schema\": \"imsim.profile/1\", \"scopes\": [{\"path\": "
+               "\"x\", \"count\": " +
+               count + ", \"total_ms\": 1, \"self_ms\": 1}]}";
+    };
+    EXPECT_EQ(obs::ProfileReport::fromJson(doc("3")).entries()[0].count,
+              3u);
+    for (const char *bad :
+         {"-5", "2.5", "null", "1e300", "9007199254740994", "\"3\""}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(obs::ProfileReport::fromJson(doc(bad)), FatalError);
+    }
+}
+
 TEST(Profiler, SweepWorkersProfileWithoutRacing)
 {
     // Concurrent scopes on sweep threads touch only their own trees;
@@ -1078,52 +1034,10 @@ TEST(RunManifest, CaptureStampsProvenanceFields)
 }
 
 // ---------------------------------------------------------------------
-// HistogramMetric non-finite guard (regression: a single NaN used to
-// be able to poison every percentile of a metric).
-// ---------------------------------------------------------------------
-
-TEST(HistogramMetric, NonFiniteSamplesAreDivertedNotRecorded)
-{
-    obs::HistogramMetric histogram;
-    for (int i = 1; i <= 100; ++i)
-        histogram.observe(static_cast<double>(i));
-    histogram.observe(std::numeric_limits<double>::quiet_NaN());
-    histogram.observe(std::numeric_limits<double>::infinity());
-    histogram.observe(-std::numeric_limits<double>::infinity());
-
-    EXPECT_EQ(histogram.count(), 100u);
-    EXPECT_EQ(histogram.dropped(), 3u);
-    EXPECT_DOUBLE_EQ(histogram.mean(), 50.5);
-    EXPECT_TRUE(std::isfinite(histogram.percentile(50.0)));
-    EXPECT_TRUE(std::isfinite(histogram.percentile(99.0)));
-
-    // merge() carries the dropped count along with the samples.
-    obs::HistogramMetric other;
-    other.observe(std::numeric_limits<double>::quiet_NaN());
-    other.observe(7.0);
-    histogram.merge(other);
-    EXPECT_EQ(histogram.count(), 101u);
-    EXPECT_EQ(histogram.dropped(), 4u);
-}
-
-// ---------------------------------------------------------------------
 // Schema stamps: every machine-readable export names its format so
 // consumers (tools/imsim_report) can refuse unknown versions with a
 // message instead of a crash.
 // ---------------------------------------------------------------------
-
-TEST(SchemaStamps, TimeSeriesJsonNamesItsSchema)
-{
-    obs::TimeSeries series({"a"});
-    series.append(0.0, {1.0});
-    std::ostringstream json;
-    series.writeJson(json);
-    EXPECT_NE(json.str().find("\"schema\": \"imsim.timeseries/1\""),
-              std::string::npos);
-    // And the stamp survives the round trip.
-    const obs::TimeSeries back = obs::TimeSeries::parseJson(json.str());
-    EXPECT_EQ(back.rows(), 1u);
-}
 
 TEST(SchemaStamps, TraceJsonNamesItsSchema)
 {
@@ -1146,7 +1060,7 @@ TEST(SchemaStamps, TelemetryCsvLeadsWithItsSchemaComment)
     series.append(0.0, {1.0});
     merger.add(0, "p0", series);
     std::ostringstream note;
-    obs::maybeWriteTelemetry(cli, merger, note);
+    obs::maybeWriteTelemetry(cli, merger, obs::RunManifest{}, note);
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());

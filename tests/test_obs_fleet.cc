@@ -5,8 +5,8 @@
  * reductions), obs::Watchdog (threshold + hysteresis + debounce rule
  * engine), obs::IncidentLog (alert/fault-correlated timelines), the
  * DatacenterPowerSim / QueueingCluster wiring, and the cross-thread
- * reader protocol (FleetAggregator::snapshot, RegistryMirror) the
- * tsan suite exercises.
+ * reader protocol (FleetAggregator::snapshot) the tsan suite
+ * exercises.
  */
 
 #include <gtest/gtest.h>
@@ -62,14 +62,17 @@ TEST(QuantileSketch, FiniteOutOfRangeClampsNonFiniteDrops)
     sketch.add(-5.0);  // Clamps to the first bin.
     sketch.add(50.0);  // Clamps to the last bin.
     sketch.add(5.0);   // In range: bin 5.
+    // Bin offsets beyond any integer's range clamp the same way.
+    sketch.add(-1e300);
+    sketch.add(1e300);
     sketch.add(kNan);
     sketch.add(std::numeric_limits<double>::infinity());
     sketch.add(-std::numeric_limits<double>::infinity());
-    EXPECT_EQ(sketch.count(), 3u);
+    EXPECT_EQ(sketch.count(), 5u);
     EXPECT_EQ(sketch.dropped(), 3u);
-    EXPECT_EQ(sketch.binCount(0), 1u);
+    EXPECT_EQ(sketch.binCount(0), 2u);
     EXPECT_EQ(sketch.binCount(5), 1u);
-    EXPECT_EQ(sketch.binCount(sketch.bins() - 1), 1u);
+    EXPECT_EQ(sketch.binCount(sketch.bins() - 1), 2u);
 }
 
 TEST(QuantileSketch, LogarithmicCoversDecades)
@@ -1152,53 +1155,40 @@ TEST(CrisisDetection, WatchdogPagesAndCorrelatesTheCrash)
 // Cross-thread readers (the tsan half of this suite).
 // ---------------------------------------------------------------------
 
-TEST(ConcurrentReaders, SnapshotAndMirrorRaceTheObservingThread)
+TEST(ConcurrentReaders, SnapshotRacesTheObservingThread)
 {
     obs::FleetAggregator::Config cfg;
     cfg.skuCount = 2;
     cfg.record = false;
     obs::FleetAggregator agg(cfg);
-    obs::MetricRegistry registry;
-    obs::Counter &ticks = registry.counter("sim.ticks");
-    obs::RegistryMirror mirror;
 
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> reads{0};
 
     std::thread snapshot_reader([&] {
-        while (!stop.load(std::memory_order_acquire)) {
+        // At least one read, however quickly the observing loop ends.
+        do {
             const obs::FleetSample sample = agg.snapshot();
             if (sample.units != 0) {
                 EXPECT_EQ(sample.units, 4u);
             }
             reads.fetch_add(1, std::memory_order_relaxed);
-        }
-    });
-    std::thread mirror_reader([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-            const double v = mirror.value("sim.ticks", -1.0);
-            EXPECT_GE(v, -1.0);
-            reads.fetch_add(1, std::memory_order_relaxed);
-        }
+        } while (!stop.load(std::memory_order_acquire));
     });
 
-    // The "sim thread": observe + publish at safe points.
+    // The "sim thread": observe, which publishes at a safe point.
     TestColumns cols;
     for (int tick = 0; tick < 2000; ++tick) {
         cols.tj[tick % 4] = 50.0 + static_cast<double>(tick % 40);
         agg.observe(static_cast<double>(tick) * 60.0, cols.view(),
                     60.0);
-        ticks.inc();
-        mirror.update(registry);
     }
     stop.store(true, std::memory_order_release);
     snapshot_reader.join();
-    mirror_reader.join();
 
     EXPECT_GT(reads.load(), 0u);
     EXPECT_EQ(agg.ticks(), 2000u);
-    EXPECT_EQ(mirror.value("sim.ticks"), 2000.0);
-    EXPECT_EQ(mirror.updates(), 2000u);
+    EXPECT_EQ(agg.snapshot().units, 4u);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the util module: logging/error split, RNG determinism
  * and distribution moments, online statistics, percentile estimation,
- * sliding windows, histograms, table formatting, and the ShardPlan /
+ * sliding windows, table formatting, and the ShardPlan /
  * ShardRunner fork-join.
  */
 
