@@ -24,8 +24,8 @@
 
 #include "control/controllers.hh"
 #include "control/env.hh"
+#include "exp/artifacts.hh"
 #include "exp/sweep.hh"
-#include "obs/obs.hh"
 #include "util/cli.hh"
 #include "util/random.hh"
 #include "util/table.hh"
@@ -95,8 +95,7 @@ makeController(const std::string &name, const control::ControlEnv &env,
 }
 
 exp::RunReport
-controllerSweep(const util::Cli &cli, const obs::RunManifest &manifest,
-                double days)
+controllerSweep(const util::Cli &cli, double days)
 {
     util::printHeading(
         std::cout,
@@ -155,7 +154,6 @@ controllerSweep(const util::Cli &cli, const obs::RunManifest &manifest,
             metrics.set("requests_m",
                         static_cast<double>(outcome.requests) / 1e6);
         });
-    report.setMeta(manifest.entries());
 
     // Pareto front over (P99 latency, cost per Mreq), both minimized:
     // a row is dominated when another row is no worse on both axes and
@@ -209,16 +207,14 @@ int
 main(int argc, char **argv)
 {
     // Flags: --jobs N, --sim-threads N (bit-identical for any values),
-    // --days D (horizon), --report FILE, --smoke (tiny horizon for
-    // ctest), --progress [FILE], --profile [FILE].
+    // --days D (horizon), --smoke (tiny horizon for ctest),
+    // --progress [FILE], and the exp::RunArtifacts flags --report FILE,
+    // --profile [FILE].
     const util::Cli cli(argc, argv);
-    obs::maybeEnableProfiler(cli);
-    const obs::RunManifest manifest =
-        obs::RunManifest::capture(cli, kSeedBase, cli.jobs());
+    exp::RunArtifacts artifacts(cli, kSeedBase, cli.jobs());
     const double days =
         cli.has("--smoke") ? 0.05 : cli.getDouble("--days", 1.0);
-    const exp::RunReport report = controllerSweep(cli, manifest, days);
-    exp::maybeWriteReport(cli, report, std::cout);
-    obs::maybeWriteProfile(cli, manifest, std::cerr);
+    const exp::RunReport report = controllerSweep(cli, days);
+    artifacts.write(report, std::cout);
     return 0;
 }

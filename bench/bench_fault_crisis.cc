@@ -12,9 +12,9 @@
 #include <iostream>
 #include <memory>
 
+#include "exp/artifacts.hh"
 #include "exp/sweep.hh"
 #include "fault/experiment.hh"
-#include "obs/obs.hh"
 #include "util/cli.hh"
 #include "util/table.hh"
 
@@ -24,16 +24,17 @@ int
 main(int argc, char **argv)
 {
     // Flags: --seed N (default 42), --sla SECONDS (crisis P99 bound),
-    // --smoke (small fleet, short horizon; CI), --jobs N, --report FILE,
+    // --smoke (small fleet, short horizon; CI), --jobs N,
+    // --progress [FILE], and the exp::RunArtifacts flags --report FILE,
     // --trace FILE, --telemetry FILE, --watchdog FILE (incident
     // timelines), --blackbox FILE (flight-recorder dump; also armed as
-    // the post-mortem sink), --progress [FILE], --profile [FILE].
+    // the post-mortem sink), --profile [FILE].
     const util::Cli cli(argc, argv);
-    obs::maybeEnableProfiler(cli);
-    const auto progress = exp::progressFromCli(cli, "fault_crisis");
-
     fault::CrisisParams params;
     params.seed = static_cast<std::uint64_t>(cli.getInt("--seed", 42));
+    exp::RunArtifacts artifacts(cli, params.seed, cli.jobs());
+    const auto progress = exp::progressFromCli(cli, "fault_crisis");
+
     if (cli.has("--smoke")) {
         // Same operating points (healthy ~88% utilization, crash ->
         // base-clock overload) on a smaller fleet with 4x longer
@@ -64,8 +65,6 @@ main(int argc, char **argv)
 
     const exp::SweepRunner runner({cli.jobs(), params.seed,
                                    progress.get()});
-    const obs::RunManifest manifest =
-        obs::RunManifest::capture(cli, params.seed, runner.jobs());
 
     struct Point
     {
@@ -77,46 +76,52 @@ main(int argc, char **argv)
         autoscale::Policy::OcA};
     const std::vector<GHz> headrooms{3.55, 3.8, 4.1};
     std::vector<Point> points;
+    std::vector<std::string> labels;
     for (const auto policy : policies)
-        for (const auto freq : headrooms)
+        for (const auto freq : headrooms) {
             points.push_back(Point{policy, freq});
+            labels.push_back(autoscale::policyName(policy) + "@" +
+                             util::fmt(freq, 2));
+        }
+    artifacts.setPoints(std::move(labels));
 
-    const bool capture_obs =
-        obs::traceRequested(cli) || obs::telemetryRequested(cli);
     std::vector<autoscale::ObsCapture> captures(
-        capture_obs ? points.size() : 0);
+        artifacts.wantsCapture() ? points.size() : 0);
+    for (std::size_t i = 0; i < captures.size(); ++i) {
+        artifacts.addTrace(i, captures[i].tracer);
+        artifacts.addTelemetry(i, captures[i].telemetry);
+    }
 
     // One flight recorder per sweep point, ticked at the watchdog
     // cadence (last 3600 polls at full resolution, then 10x and 60x
     // bins). All are armed, and the --blackbox file doubles as the
     // post-mortem sink: a watchdog page, invariant violation, or any
     // fatal during the sweep dumps what every recorder saw so far; the
-    // explicit write below then persists the complete run.
+    // final write then persists the complete run.
     std::vector<std::unique_ptr<obs::FlightRecorder>> recorders;
-    if (obs::blackboxRequested(cli)) {
+    if (artifacts.wantsBlackbox()) {
         for (std::size_t i = 0; i < points.size(); ++i) {
             recorders.push_back(std::make_unique<obs::FlightRecorder>(
                 obs::FlightRecorder::Config::forCadence(
                     params.watchdogPeriod)));
-            recorders.back()->armPostMortem(
-                autoscale::policyName(points[i].policy) + "@" +
-                util::fmt(points[i].maxFreq, 2));
+            artifacts.addRecorder(i, *recorders.back());
         }
-        obs::FlightRecorder::setPostMortemSink(cli.blackboxFile(),
-                                               manifest.toJsonObject());
+        artifacts.armPostMortem();
     }
 
     const auto outcomes = runner.map<fault::CrisisOutcome>(
         points.size(), [&](std::size_t i, util::Rng &) {
             fault::CrisisParams point_params = params;
             point_params.maxFrequency = points[i].maxFreq;
-            if (capture_obs)
+            if (!captures.empty())
                 point_params.obs = &captures[i];
             if (!recorders.empty())
                 point_params.blackbox = recorders[i].get();
             return fault::runCrisisExperiment(points[i].policy,
                                               point_params);
         });
+    for (std::size_t i = 0; i < points.size(); ++i)
+        artifacts.addIncidents(i, outcomes[i].incidents);
     exp::RunTiming sweep_timing;
     if (progress)
         sweep_timing = progress->runTiming();
@@ -154,7 +159,6 @@ main(int argc, char **argv)
                  "headroom standing in for spare capacity.\n";
 
     exp::RunReport report("fault_crisis");
-    report.setMeta(manifest.entries());
     if (progress)
         report.setTiming(sweep_timing);
     for (std::size_t i = 0; i < points.size(); ++i) {
@@ -187,48 +191,6 @@ main(int argc, char **argv)
             static_cast<double>(out.incidents.incidents().size()));
         report.add(std::move(record));
     }
-    exp::maybeWriteReport(cli, report, std::cout);
-
-    if (capture_obs) {
-        obs::EventTracer merged_trace;
-        obs::TelemetryMerger telemetry(captures.size());
-        for (std::size_t i = 0; i < captures.size(); ++i) {
-            const std::string label =
-                autoscale::policyName(points[i].policy) + "@" +
-                util::fmt(points[i].maxFreq, 2);
-            merged_trace.nameTrack(static_cast<std::uint32_t>(i), label);
-            merged_trace.append(captures[i].tracer,
-                                static_cast<std::uint32_t>(i));
-            telemetry.add(i, label, captures[i].telemetry);
-        }
-        obs::maybeWriteTrace(cli, merged_trace, manifest, std::cout);
-        obs::maybeWriteTelemetry(cli, telemetry, manifest, std::cout);
-    }
-    if (obs::incidentsRequested(cli)) {
-        std::vector<std::pair<std::string, const obs::IncidentLog *>>
-            incident_points;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            incident_points.emplace_back(
-                autoscale::policyName(points[i].policy) + "@" +
-                    util::fmt(points[i].maxFreq, 2),
-                &outcomes[i].incidents);
-        }
-        obs::maybeWriteIncidents(cli, incident_points, manifest,
-                                 std::cout);
-    }
-    if (!recorders.empty()) {
-        std::vector<std::pair<std::string, const obs::FlightRecorder *>>
-            blackbox_points;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            blackbox_points.emplace_back(
-                autoscale::policyName(points[i].policy) + "@" +
-                    util::fmt(points[i].maxFreq, 2),
-                recorders[i].get());
-        }
-        obs::maybeWriteBlackbox(cli, blackbox_points, manifest,
-                                std::cout);
-        obs::FlightRecorder::clearPostMortemSink();
-    }
-    obs::maybeWriteProfile(cli, manifest, std::cerr);
+    artifacts.write(report, std::cout);
     return 0;
 }

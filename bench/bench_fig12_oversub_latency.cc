@@ -12,8 +12,8 @@
 
 #include <iostream>
 
+#include "exp/artifacts.hh"
 #include "exp/sweep.hh"
-#include "obs/obs.hh"
 #include "hw/configs.hh"
 #include "hw/cpu.hh"
 #include "thermal/cooling.hh"
@@ -63,12 +63,12 @@ serverPower(int active_pcores, const hw::CpuConfig &config, bool p99)
 int
 main(int argc, char **argv)
 {
-    // Flags: --jobs N (default hardware concurrency), --report FILE,
-    // --progress [FILE], --profile [FILE].
+    // Flags: --jobs N (default hardware concurrency), --progress [FILE],
+    // and the exp::RunArtifacts flags --report FILE, --profile [FILE].
     const util::Cli cli(argc, argv);
+    exp::RunArtifacts artifacts(cli, 12, cli.jobs());
     const std::vector<int> pcore_steps{8, 10, 12, 14, 16};
     const std::vector<std::string> configs{"B2", "OC3"};
-    obs::maybeEnableProfiler(cli);
     const auto progress =
         exp::progressFromCli(cli, "fig12_oversub_latency");
 
@@ -78,8 +78,6 @@ main(int argc, char **argv)
         "assigned pcores");
 
     exp::SweepRunner runner({cli.jobs(), 12, progress.get()});
-    const obs::RunManifest manifest =
-        obs::RunManifest::capture(cli, runner.seed(), runner.jobs());
     std::vector<exp::Params> grid;
     for (int pcores : pcore_steps)
         for (const auto &name : configs)
@@ -96,7 +94,6 @@ main(int argc, char **argv)
                                           config.memory};
             metrics.set("p95_ms", averageP95(pcores, clocks) * 1000.0);
         });
-    report.setMeta(manifest.entries());
 
     const auto p95_ms = [&](int pcores, const std::string &config) {
         for (const auto &record : report.records())
@@ -159,7 +156,6 @@ main(int argc, char **argv)
                  " OC3 160/173 W avg\n(169/180 P99) — a 29-33% increase"
                  " from the +20% core and uncore clocks.\n";
 
-    exp::maybeWriteReport(cli, report, std::cout);
-    obs::maybeWriteProfile(cli, manifest, std::cerr);
+    artifacts.write(report, std::cout);
     return 0;
 }

@@ -17,8 +17,8 @@
 
 #include <iostream>
 
+#include "exp/artifacts.hh"
 #include "exp/sweep.hh"
-#include "obs/obs.hh"
 #include "hw/configs.hh"
 #include "hw/cpu.hh"
 #include "sim/simulation.hh"
@@ -89,10 +89,10 @@ queueingMetric(const workload::AppProfile &app, const hw::CpuConfig &config)
 int
 main(int argc, char **argv)
 {
-    // Flags: --jobs N (default hardware concurrency), --report FILE,
-    // --progress [FILE], --profile [FILE].
+    // Flags: --jobs N (default hardware concurrency), --progress [FILE],
+    // and the exp::RunArtifacts flags --report FILE, --profile [FILE].
     const util::Cli cli(argc, argv);
-    obs::maybeEnableProfiler(cli);
+    exp::RunArtifacts artifacts(cli, 9, cli.jobs());
     const auto progress = exp::progressFromCli(cli, "fig9_workloads");
     util::printHeading(
         std::cout,
@@ -108,8 +108,6 @@ main(int argc, char **argv)
 
     const auto &apps = workload::appCatalog();
     exp::SweepRunner runner({cli.jobs(), 9, progress.get()});
-    const obs::RunManifest manifest =
-        obs::RunManifest::capture(cli, runner.seed(), runner.jobs());
     std::vector<exp::Params> grid;
     for (const auto &app : apps)
         for (const auto &name : configs)
@@ -180,8 +178,6 @@ main(int argc, char **argv)
                  " only marginal power;\nOC3 (memory) raises power"
                  " substantially for every app.\n";
 
-    report.setMeta(manifest.entries());
-    exp::maybeWriteReport(cli, report, std::cout);
-    obs::maybeWriteProfile(cli, manifest, std::cerr);
+    artifacts.write(report, std::cout);
     return 0;
 }

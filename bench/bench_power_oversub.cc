@@ -12,8 +12,8 @@
 
 #include "cluster/datacenter.hh"
 #include "core/credit.hh"
+#include "exp/artifacts.hh"
 #include "exp/sweep.hh"
-#include "obs/obs.hh"
 #include "reliability/lifetime.hh"
 #include "util/cli.hh"
 #include "util/random.hh"
@@ -23,9 +23,10 @@ using namespace imsim;
 
 namespace {
 
+/** The policy sweep; --blackbox fills @p boxes, read at the write. */
 exp::RunReport
-powerOversubscription(const util::Cli &cli,
-                      const obs::RunManifest &manifest)
+powerOversubscription(const util::Cli &cli, exp::RunArtifacts &artifacts,
+                      std::vector<std::unique_ptr<obs::FleetBlackbox>> &boxes)
 {
     util::printHeading(
         std::cout,
@@ -39,11 +40,6 @@ powerOversubscription(const util::Cli &cli,
     cluster::RackConfig latency;
     latency.priority = 2;
     latency.overclockDemand = 0.7;
-    cluster::DatacenterPowerSim sim({batch, batch, latency}, 40000.0,
-                                    1.3, 1.2);
-    // Intra-run sharding: bit-identical for any value (see
-    // DatacenterPowerSim::setSimThreads), so the table never moves.
-    sim.setSimThreads(cli.simThreads());
 
     util::TableWriter table({"Policy", "Feed util", "Capping time",
                              "OC demand served", "OC wasted (capped)",
@@ -64,16 +60,16 @@ powerOversubscription(const util::Cli &cli,
     const auto progress = exp::progressFromCli(cli, "power_oversub");
     exp::SweepRunner runner({cli.jobs(), 2021, progress.get()});
     std::vector<exp::Params> grid;
-    for (const auto &row : rows)
+    std::vector<std::string> labels;
+    for (const auto &row : rows) {
         grid.push_back(exp::Params{{"policy", row.name}});
+        labels.push_back(row.name);
+    }
+    artifacts.setPoints(std::move(labels));
 
     // `--blackbox FILE`: per-point flight-recorder bundles ticked by
-    // the minute loop. Each point then runs a private sim instance
-    // (identically configured) so parallel jobs never share observer
-    // state; observers are pure reads, so the table and report are
-    // byte-identical to the unobserved shared-sim path.
-    std::vector<std::unique_ptr<obs::FleetBlackbox>> boxes;
-    if (obs::blackboxRequested(cli)) {
+    // the minute loop.
+    if (artifacts.wantsBlackbox()) {
         obs::FleetAggregator::Config agg_cfg;
         agg_cfg.record = false;
         agg_cfg.cumulative = false;
@@ -82,25 +78,29 @@ powerOversubscription(const util::Cli &cli,
                 agg_cfg, obs::FlightRecorder::Config{},
                 /*fire_power_w=*/0.98 * 40000.0,
                 /*clear_power_w=*/0.95 * 40000.0));
+            artifacts.addRecorder(i, boxes.back()->recorder);
         }
     }
 
+    // Each point runs its own identically configured sim, so parallel
+    // jobs never share observer state; observers are pure reads, so
+    // the table and report do not depend on them.
     exp::RunReport report = runner.run(
         "power_oversub", grid,
         [&](const exp::Params &, std::size_t i, util::Rng &,
             exp::MetricSet &metrics) {
+            cluster::DatacenterPowerSim sim({batch, batch, latency},
+                                            40000.0, 1.3, 1.2);
+            // Intra-run sharding: bit-identical for any value (see
+            // DatacenterPowerSim::setSimThreads).
+            sim.setSimThreads(cli.simThreads());
+            if (!boxes.empty()) {
+                sim.attachObservability(&boxes[i]->aggregator,
+                                        &boxes[i]->watchdog,
+                                        &boxes[i]->recorder);
+            }
             util::Rng rng(2021);
-            const auto outcome = [&] {
-                if (boxes.empty())
-                    return sim.run(rows[i].policy, rng, 14.0);
-                cluster::DatacenterPowerSim local(
-                    {batch, batch, latency}, 40000.0, 1.3, 1.2);
-                local.setSimThreads(cli.simThreads());
-                local.attachObservability(&boxes[i]->aggregator,
-                                          &boxes[i]->watchdog,
-                                          &boxes[i]->recorder);
-                return local.run(rows[i].policy, rng, 14.0);
-            }();
+            const auto outcome = sim.run(rows[i].policy, rng, 14.0);
             metrics.set("feed_util", outcome.meanFeedUtilization);
             metrics.set("capping_share", outcome.cappingMinutesShare);
             metrics.set("oc_served_share", outcome.overclockShare);
@@ -108,7 +108,6 @@ powerOversubscription(const util::Cli &cli,
             metrics.set("speedup", outcome.speedupDelivered);
             metrics.set("energy_mwh", outcome.energyMwh);
         });
-    report.setMeta(manifest.entries());
     for (const auto &record : report.records()) {
         const auto &m = record.metrics;
         table.addRow(
@@ -127,15 +126,6 @@ powerOversubscription(const util::Cli &cli,
                  " — the always-overclock row pays capping minutes for"
                  " speedup it then\nloses; the power-aware row overclocks"
                  " in the diurnal valleys instead.\n";
-    if (!boxes.empty()) {
-        std::vector<std::pair<std::string, const obs::FlightRecorder *>>
-            blackbox_points;
-        for (std::size_t i = 0; i < rows.size(); ++i)
-            blackbox_points.emplace_back(rows[i].name,
-                                         &boxes[i]->recorder);
-        obs::maybeWriteBlackbox(cli, blackbox_points, manifest,
-                                std::cout);
-    }
     return report;
 }
 
@@ -193,15 +183,15 @@ main(int argc, char **argv)
 {
     // Flags: --jobs N (default hardware concurrency), --sim-threads N
     // (threads inside each run; results are bit-identical for any
-    // value), --report FILE, --blackbox FILE (per-policy flight
-    // recorders), --progress [FILE], --profile [FILE].
+    // value), --progress [FILE], and the exp::RunArtifacts flags
+    // --report FILE, --blackbox FILE (per-policy flight recorders),
+    // --profile [FILE].
     const util::Cli cli(argc, argv);
-    obs::maybeEnableProfiler(cli);
-    const obs::RunManifest manifest =
-        obs::RunManifest::capture(cli, 2021, cli.jobs());
-    const exp::RunReport report = powerOversubscription(cli, manifest);
+    exp::RunArtifacts artifacts(cli, 2021, cli.jobs());
+    std::vector<std::unique_ptr<obs::FleetBlackbox>> boxes;
+    const exp::RunReport report =
+        powerOversubscription(cli, artifacts, boxes);
     creditLedger();
-    exp::maybeWriteReport(cli, report, std::cout);
-    obs::maybeWriteProfile(cli, manifest, std::cerr);
+    artifacts.write(report, std::cout);
     return 0;
 }

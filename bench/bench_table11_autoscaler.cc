@@ -13,8 +13,8 @@
 #include <iostream>
 
 #include "autoscale/experiment.hh"
+#include "exp/artifacts.hh"
 #include "exp/sweep.hh"
-#include "obs/obs.hh"
 #include "util/cli.hh"
 #include "util/table.hh"
 
@@ -25,16 +25,16 @@ main(int argc, char **argv)
 {
     // Flags: --seed N (default 42), --step SECONDS (default 300),
     // --skip-downramp (omit the down-ramp extension section),
-    // --jobs N (default hardware concurrency), --report FILE,
-    // --trace FILE (Chrome trace JSON), --telemetry FILE (merged CSV),
-    // --progress [FILE] (stderr status line + optional JSONL
-    // heartbeat), --profile [FILE] (wall-clock scope table + optional
-    // mergeable JSON dump).
+    // --jobs N (default hardware concurrency), --progress [FILE]
+    // (stderr status line + optional JSONL heartbeat), and the
+    // exp::RunArtifacts flags --report FILE, --trace FILE (Chrome trace
+    // JSON), --telemetry FILE (merged CSV), --profile [FILE]
+    // (wall-clock scope table + optional mergeable JSON dump).
     const util::Cli cli(argc, argv);
     autoscale::ExperimentParams params;
     params.seed = static_cast<std::uint64_t>(cli.getInt("--seed", 42));
     params.stepDuration = cli.getDouble("--step", 300.0);
-    obs::maybeEnableProfiler(cli);
+    exp::RunArtifacts artifacts(cli, params.seed, cli.jobs());
     const auto progress = exp::progressFromCli(cli, "table11_autoscaler");
 
     util::printHeading(std::cout,
@@ -49,23 +49,28 @@ main(int argc, char **argv)
     // each seeds its own simulation from params.seed.
     const exp::SweepRunner runner({cli.jobs(), params.seed,
                                    progress.get()});
-    const obs::RunManifest manifest =
-        obs::RunManifest::capture(cli, params.seed, runner.jobs());
     const std::vector<autoscale::Policy> runs{
         autoscale::Policy::Baseline, autoscale::Policy::OcE,
         autoscale::Policy::OcA, autoscale::Policy::OcE};
+    std::vector<std::string> labels;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        labels.push_back(autoscale::policyName(runs[i]) + "#" +
+                         std::to_string(i));
+    artifacts.setPoints(std::move(labels));
     // With --trace/--telemetry each run fills its own ObsCapture slot
-    // (thread-compatible: one capture per point); the captures are
-    // merged in point order below, so the output is identical for any
-    // --jobs value.
-    const bool capture_obs =
-        obs::traceRequested(cli) || obs::telemetryRequested(cli);
+    // (thread-compatible: one capture per point); the writer merges
+    // them in point order, so the output is identical for any --jobs
+    // value.
     std::vector<autoscale::ObsCapture> captures(
-        capture_obs ? runs.size() : 0);
+        artifacts.wantsCapture() ? runs.size() : 0);
+    for (std::size_t i = 0; i < captures.size(); ++i) {
+        artifacts.addTrace(i, captures[i].tracer);
+        artifacts.addTelemetry(i, captures[i].telemetry);
+    }
     const auto outcomes = runner.map<autoscale::AutoScaleOutcome>(
         runs.size(), [&](std::size_t i, util::Rng &) {
             autoscale::ExperimentParams point_params = params;
-            if (capture_obs)
+            if (!captures.empty())
                 point_params.obs = &captures[i];
             return autoscale::runFullExperiment(runs[i], point_params);
         });
@@ -198,7 +203,6 @@ main(int argc, char **argv)
     }
 
     exp::RunReport report("table11_autoscaler");
-    report.setMeta(manifest.entries());
     if (progress)
         report.setTiming(sweep_timing);
     for (std::size_t i = 0; i < 3; ++i) {
@@ -216,22 +220,6 @@ main(int argc, char **argv)
         record.metrics.set("avg_freq_ghz", outcome.avgFrequency);
         report.add(std::move(record));
     }
-    exp::maybeWriteReport(cli, report, std::cout);
-
-    if (capture_obs) {
-        obs::EventTracer merged_trace;
-        obs::TelemetryMerger telemetry(captures.size());
-        for (std::size_t i = 0; i < captures.size(); ++i) {
-            const std::string label = autoscale::policyName(runs[i]) +
-                                      "#" + std::to_string(i);
-            merged_trace.nameTrack(static_cast<std::uint32_t>(i), label);
-            merged_trace.append(captures[i].tracer,
-                                static_cast<std::uint32_t>(i));
-            telemetry.add(i, label, captures[i].telemetry);
-        }
-        obs::maybeWriteTrace(cli, merged_trace, manifest, std::cout);
-        obs::maybeWriteTelemetry(cli, telemetry, manifest, std::cout);
-    }
-    obs::maybeWriteProfile(cli, manifest, std::cerr);
+    artifacts.write(report, std::cout);
     return 0;
 }

@@ -11,8 +11,10 @@
  * Replications draw their seeds via Rng::split, so the numbers are
  * identical for any --jobs value.
  *
- * Run: ./build/examples/fleet_simulation [--jobs N] [--report out.json]
- *      [--telemetry out.csv] [--blackbox out.json]
+ * Run: ./build/examples/fleet_simulation [--jobs N] [--sim-threads N]
+ *      [--progress [FILE]] and the exp::RunArtifacts flags
+ *      [--report out.json] [--telemetry out.csv] [--blackbox out.json]
+ *      [--profile [FILE]]
  */
 
 #include <iostream>
@@ -20,8 +22,8 @@
 
 #include "cluster/datacenter.hh"
 #include "core/credit.hh"
+#include "exp/artifacts.hh"
 #include "exp/sweep.hh"
-#include "obs/obs.hh"
 #include "reliability/lifetime.hh"
 #include "thermal/network.hh"
 #include "util/cli.hh"
@@ -34,7 +36,7 @@ int
 main(int argc, char **argv)
 {
     const util::Cli cli(argc, argv);
-    obs::maybeEnableProfiler(cli);
+    exp::RunArtifacts artifacts(cli, 99, cli.jobs());
     const auto progress = exp::progressFromCli(cli, "fleet_simulation");
 
     // 1. Policy bake-off on a 40 kW feed, one policy per worker.
@@ -45,11 +47,16 @@ main(int argc, char **argv)
     cluster::RackConfig latency;
     latency.priority = 2;
     latency.overclockDemand = 0.7;
-    cluster::DatacenterPowerSim dc({batch, batch, latency}, 40000.0, 1.3,
-                                   1.2);
-    // --sim-threads N shards each run's minute loop; the tables and
-    // telemetry are bit-identical for any value (see setSimThreads).
-    dc.setSimThreads(cli.simThreads());
+    // Every run builds its own identically configured sim, so parallel
+    // jobs never share observer state. --sim-threads N shards each
+    // run's minute loop; the tables and telemetry are bit-identical for
+    // any value (see setSimThreads).
+    const auto make_sim = [&] {
+        cluster::DatacenterPowerSim sim({batch, batch, latency}, 40000.0,
+                                        1.3, 1.2);
+        sim.setSimThreads(cli.simThreads());
+        return sim;
+    };
 
     util::TableWriter table({"Policy", "Speedup delivered",
                              "OC wasted", "Capping time"});
@@ -60,20 +67,22 @@ main(int argc, char **argv)
             {"Power-aware", cluster::OverclockPolicy::PowerAware},
         };
     exp::SweepRunner runner({cli.jobs(), 99, progress.get()});
-    const obs::RunManifest manifest =
-        obs::RunManifest::capture(cli, runner.seed(), runner.jobs());
+    std::vector<std::string> labels;
+    for (const auto &policy : policies)
+        labels.push_back(policy.first);
+    artifacts.setPoints(std::move(labels));
     // With --telemetry each policy run records its per-minute feed
-    // series into its own slot; merged in point order below, so the
-    // CSV is identical for any --jobs value.
-    const bool capture_obs = obs::telemetryRequested(cli);
+    // series into its own slot; the writer merges them in point order,
+    // so the CSV is identical for any --jobs value.
     std::vector<obs::TimeSeries> feed_series(
-        capture_obs ? policies.size() : 0);
+        artifacts.wantsTelemetry() ? policies.size() : 0);
+    for (std::size_t i = 0; i < feed_series.size(); ++i)
+        artifacts.addTelemetry(i, feed_series[i]);
     // --blackbox FILE: a flight-recorder bundle per policy, ticked by
-    // the minute loop. Each point then runs its own identically
-    // configured sim so parallel jobs never share observer state;
-    // observers are pure reads, so the tables stay byte-identical.
+    // the minute loop; observers are pure reads, so the tables stay
+    // byte-identical.
     std::vector<std::unique_ptr<obs::FleetBlackbox>> boxes;
-    if (obs::blackboxRequested(cli)) {
+    if (artifacts.wantsBlackbox()) {
         obs::FleetAggregator::Config agg_cfg;
         agg_cfg.record = false;
         agg_cfg.cumulative = false;
@@ -82,23 +91,21 @@ main(int argc, char **argv)
                 agg_cfg, obs::FlightRecorder::Config{},
                 /*fire_power_w=*/0.98 * 40000.0,
                 /*clear_power_w=*/0.95 * 40000.0));
+            artifacts.addRecorder(i, boxes.back()->recorder);
         }
     }
     const auto outcomes = runner.map<cluster::DatacenterOutcome>(
         policies.size(), [&](std::size_t i, util::Rng &) {
-            util::Rng rng(99);
-            if (boxes.empty()) {
-                return dc.run(policies[i].second, rng, 14.0,
-                              capture_obs ? &feed_series[i] : nullptr);
+            auto sim = make_sim();
+            if (!boxes.empty()) {
+                sim.attachObservability(&boxes[i]->aggregator,
+                                        &boxes[i]->watchdog,
+                                        &boxes[i]->recorder);
             }
-            cluster::DatacenterPowerSim local({batch, batch, latency},
-                                              40000.0, 1.3, 1.2);
-            local.setSimThreads(cli.simThreads());
-            local.attachObservability(&boxes[i]->aggregator,
-                                      &boxes[i]->watchdog,
-                                      &boxes[i]->recorder);
-            return local.run(policies[i].second, rng, 14.0,
-                             capture_obs ? &feed_series[i] : nullptr);
+            util::Rng rng(99);
+            return sim.run(policies[i].second, rng, 14.0,
+                           feed_series.empty() ? nullptr
+                                               : &feed_series[i]);
         });
     for (std::size_t i = 0; i < policies.size(); ++i) {
         const auto &outcome = outcomes[i];
@@ -125,8 +132,8 @@ main(int argc, char **argv)
         "fleet_power_aware_mc", grid,
         [&](const exp::Params &, std::size_t, util::Rng &rng,
             exp::MetricSet &metrics) {
-            const auto outcome =
-                dc.run(cluster::OverclockPolicy::PowerAware, rng, 14.0);
+            const auto outcome = make_sim().run(
+                cluster::OverclockPolicy::PowerAware, rng, 14.0);
             metrics.set("speedup", outcome.speedupDelivered);
             metrics.set("capping_share", outcome.cappingMinutesShare);
             metrics.set("oc_served_share", outcome.overclockShare);
@@ -180,24 +187,6 @@ main(int argc, char **argv)
               << util::fmt(rig.network.temperature(rig.die), 1)
               << " C (Table V's overclocked HFE point is ~60 C).\n";
 
-    report.setMeta(manifest.entries());
-    exp::maybeWriteReport(cli, report, std::cout);
-
-    if (capture_obs) {
-        obs::TelemetryMerger telemetry(feed_series.size());
-        for (std::size_t i = 0; i < feed_series.size(); ++i)
-            telemetry.add(i, policies[i].first, feed_series[i]);
-        obs::maybeWriteTelemetry(cli, telemetry, manifest, std::cout);
-    }
-    if (!boxes.empty()) {
-        std::vector<std::pair<std::string, const obs::FlightRecorder *>>
-            blackbox_points;
-        for (std::size_t i = 0; i < policies.size(); ++i)
-            blackbox_points.emplace_back(policies[i].first,
-                                         &boxes[i]->recorder);
-        obs::maybeWriteBlackbox(cli, blackbox_points, manifest,
-                                std::cout);
-    }
-    obs::maybeWriteProfile(cli, manifest, std::cerr);
+    artifacts.write(report, std::cout);
     return 0;
 }

@@ -1,10 +1,6 @@
 #include "autoscale/experiment.hh"
 
-#include <memory>
-#include <optional>
-
 #include "hw/cpu.hh"
-#include "obs/sampler.hh"
 #include "thermal/cooling.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -12,6 +8,33 @@
 
 namespace imsim {
 namespace autoscale {
+
+void
+ObsCapture::arm(sim::Simulation &sim)
+{
+    if (!tracer.enabled())
+        tracer.enable([&sim] { return sim.now(); });
+    if (traceKernel)
+        kernelTracer = std::make_unique<obs::KernelTracer>(tracer, sim);
+    sampler = std::make_unique<obs::TelemetrySampler>(sim, registry,
+                                                      telemetryPeriod);
+    sampler->mirrorToTracer(&tracer);
+    sampler->start();
+}
+
+void
+ObsCapture::finish()
+{
+    sampler->stop();
+    telemetry = sampler->takeSeries();
+    sampler.reset();
+    kernelTracer.reset();
+    tracer.disable();
+    for (const auto &entry : registry.gauges()) {
+        if (entry.second->provided())
+            entry.second->set(entry.second->value());
+    }
+}
 
 namespace {
 
@@ -71,24 +94,13 @@ runSchedule(Policy policy, const ExperimentParams &params,
 
     AutoScaler scaler(sim, cluster, cfg);
 
-    // Optional observability capture: enable the tracer on the
-    // virtual clock, attach the scaler's metrics, and arm the
-    // telemetry sampler before the run starts.
+    // Optional observability capture: attach the scaler's metrics
+    // and tracer, and arm the capture before the run starts.
     ObsCapture *capture = params.obs;
-    std::unique_ptr<obs::KernelTracer> kernel_tracer;
-    std::optional<obs::TelemetrySampler> sampler;
     if (capture) {
-        if (!capture->tracer.enabled())
-            capture->tracer.enable([&sim] { return sim.now(); });
         scaler.attach({.metrics = &capture->registry,
                        .tracer = &capture->tracer});
-        if (capture->traceKernel) {
-            kernel_tracer = std::make_unique<obs::KernelTracer>(
-                capture->tracer, sim);
-        }
-        sampler.emplace(sim, capture->registry, capture->telemetryPeriod);
-        sampler->mirrorToTracer(&capture->tracer);
-        sampler->start();
+        capture->arm(sim);
     }
 
     scaler.start();
@@ -115,19 +127,8 @@ runSchedule(Policy policy, const ExperimentParams &params,
     sim.runUntil(horizon);
     cluster.setArrivalRate(0.0);
 
-    if (capture) {
-        sampler->stop();
-        capture->telemetry = sampler->takeSeries();
-        kernel_tracer.reset();
-        capture->tracer.disable();
-        // The provider gauges capture the scaler and cluster, which die
-        // with this frame; freeze them to their final values so the
-        // capture stays safe to read (and merge) after the run.
-        for (const auto &entry : capture->registry.gauges()) {
-            if (entry.second->provided())
-                entry.second->set(entry.second->value());
-        }
-    }
+    if (capture)
+        capture->finish();
 
     AutoScaleOutcome out;
     out.policy = policy;

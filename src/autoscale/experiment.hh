@@ -12,10 +12,12 @@
 #define IMSIM_AUTOSCALE_EXPERIMENT_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "autoscale/autoscaler.hh"
 #include "obs/metrics.hh"
+#include "obs/sampler.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
 #include "util/units.hh"
@@ -33,9 +35,8 @@ namespace autoscale {
  *  - @ref tracer holds scale/frequency instants on the virtual
  *    timeline, plus kernel events when @ref traceKernel is set.
  *
- * When the run returns, provider-backed gauges are frozen to their
- * final values (the scaler they poll is gone), so the capture is safe
- * to snapshot and merge afterwards.
+ * A run attaches its observers to @ref registry and @ref tracer, then
+ * brackets the simulation with arm() and finish().
  *
  * The capture adds sampling events to the simulation, so runs with a
  * capture attached execute more kernel events than runs without —
@@ -49,6 +50,24 @@ struct ObsCapture
     obs::EventTracer tracer;
     Seconds telemetryPeriod = 60.0; ///< Telemetry sampling period [s].
     bool traceKernel = false;       ///< Also trace raw kernel events.
+
+    /**
+     * Enable @ref tracer on @p sim's clock, then start sampling
+     * @ref registry into the tracer too, first sample now. Call after
+     * the observers attach (the sampler freezes its columns here).
+     */
+    void arm(sim::Simulation &sim);
+
+    /**
+     * Stop sampling into @ref telemetry, disable @ref tracer, and
+     * freeze provider-backed gauges with one last poll: what they read
+     * dies with the run, so the capture stays safe to merge after it.
+     */
+    void finish();
+
+  private:
+    std::unique_ptr<obs::KernelTracer> kernelTracer;
+    std::unique_ptr<obs::TelemetrySampler> sampler;
 };
 
 /** Outcome of one full auto-scaling run (a Table XI row). */

@@ -4,9 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <ostream>
 
-#include "util/cli.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -84,9 +82,12 @@ collectNames(std::vector<std::string> &out, const Entries &entries,
     }
 }
 
+/** %.17g, or null for a non-finite value (the readers take it as NaN). */
 std::string
 formatNumber(double value)
 {
+    if (!std::isfinite(value))
+        return "null";
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     return buf;
@@ -185,9 +186,7 @@ RunReport::toJson() const
                 out += ", ";
             appendEscaped(out, metrics[j].first);
             out += ": ";
-            out += std::isfinite(metrics[j].second)
-                       ? formatNumber(metrics[j].second)
-                       : "null";
+            out += formatNumber(metrics[j].second);
         }
         out += "}}";
     }
@@ -250,18 +249,6 @@ RunReport::writeJsonFile(const std::string &path) const
                             "' for writing");
     out << toJson();
     util::fatalIf(!out, "RunReport: failed writing '" + path + "'");
-}
-
-void
-maybeWriteReport(const util::Cli &cli, const RunReport &report,
-                 std::ostream &os)
-{
-    const std::string path = cli.get("--report");
-    if (path.empty())
-        return;
-    report.writeJsonFile(path);
-    os << "[report] wrote " << report.records().size()
-       << " sweep points to " << path << "\n";
 }
 
 } // namespace exp

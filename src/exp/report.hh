@@ -12,14 +12,12 @@
 #define IMSIM_EXP_REPORT_HH
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace imsim {
 namespace util {
-class Cli;
 class TableWriter;
 } // namespace util
 
@@ -155,13 +153,6 @@ class RunReport
     RunTiming runTiming;
     bool timingSet = false;
 };
-
-/**
- * Honor the shared "--report out.json" flag: when present, write the
- * report there and print a one-line confirmation to @p os.
- */
-void maybeWriteReport(const util::Cli &cli, const RunReport &report,
-                      std::ostream &os);
 
 } // namespace exp
 } // namespace imsim

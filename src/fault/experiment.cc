@@ -1,13 +1,10 @@
 #include "fault/experiment.hh"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
 
 #include "fault/invariants.hh"
 #include "hw/cpu.hh"
 #include "obs/blackbox.hh"
-#include "obs/sampler.hh"
 #include "obs/watchdog.hh"
 #include "power/capping.hh"
 #include "thermal/cooling.hh"
@@ -177,8 +174,6 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
     observers.incidents = &incident_log;
     observers.recorder = params.blackbox;
     if (capture) {
-        if (!capture->tracer.enabled())
-            capture->tracer.enable([&sim] { return sim.now(); });
         observers.metrics = &capture->registry;
         observers.tracer = &capture->tracer;
     }
@@ -186,12 +181,8 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
     watchdog.attach(observers);
     injector.attach(observers);
     checker.attach(observers);
-    std::optional<obs::TelemetrySampler> sampler;
-    if (capture) {
-        sampler.emplace(sim, capture->registry, capture->telemetryPeriod);
-        sampler->mirrorToTracer(&capture->tracer);
-        sampler->start();
-    }
+    if (capture)
+        capture->arm(sim);
 
     scaler.start();
     checker.start(5.0);
@@ -294,16 +285,8 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
     incident_log.closeAll(params.horizon);
 
     if (capture) {
-        sampler->stop();
-        capture->telemetry = sampler->takeSeries();
         incident_log.exportTrace(capture->tracer, params.horizon);
-        capture->tracer.disable();
-        // Freeze provider gauges: they capture objects dying with this
-        // frame (see autoscale::runSchedule).
-        for (const auto &entry : capture->registry.gauges()) {
-            if (entry.second->provided())
-                entry.second->set(entry.second->value());
-        }
+        capture->finish();
     }
 
     CrisisOutcome out;

@@ -1,6 +1,7 @@
 #include "obs/profiler.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,9 +37,12 @@ registry()
     return instance;
 }
 
+/** %.6g, or null for a non-finite value (fromJson takes it as NaN). */
 std::string
 formatMs(double ms)
 {
+    if (!std::isfinite(ms))
+        return "null";
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.6g", ms);
     return buf;

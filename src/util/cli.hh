@@ -7,9 +7,9 @@
  * Shared observability flags: every binary that constructs a Cli gains
  * `--verbose` and `--log-level trace|debug|info|warn|off` for free —
  * the constructor applies them to the process-wide util::LogLevel
- * threshold — plus the `--trace FILE` / `--telemetry FILE` /
- * `--profile FILE` / `--progress [FILE]` accessors the obs-aware
- * benches honour.
+ * threshold — plus the `--progress [FILE]` accessors. The artifact
+ * flags (`--report`, `--trace`, `--telemetry`, `--watchdog`,
+ * `--blackbox`, `--profile`) are read by exp::RunArtifacts.
  */
 
 #ifndef IMSIM_UTIL_CLI_HH
@@ -75,21 +75,6 @@ class Cli
      *         --jobs (sweep points vs threads *inside* one run).
      */
     std::size_t simThreads() const;
-
-    /** @return "--trace FILE" (Chrome-trace JSON output), "" if unset. */
-    std::string traceFile() const { return get("--trace"); }
-
-    /** @return "--telemetry FILE" (time-series CSV output), "" if unset. */
-    std::string telemetryFile() const { return get("--telemetry"); }
-
-    /** @return "--profile FILE" (profiler JSON output), "" if unset. */
-    std::string profileFile() const { return get("--profile"); }
-
-    /** @return "--watchdog FILE" (incident-timeline JSON), "" if unset. */
-    std::string watchdogFile() const { return get("--watchdog"); }
-
-    /** @return "--blackbox FILE" (flight-recorder JSON), "" if unset. */
-    std::string blackboxFile() const { return get("--blackbox"); }
 
     /** @return whether "--progress [FILE]" appeared at all. */
     bool progressRequested() const { return has("--progress"); }

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -24,10 +25,13 @@
 
 #include "autoscale/autoscaler.hh"
 #include "autoscale/experiment.hh"
+#include "exp/artifacts.hh"
+#include "exp/report.hh"
 #include "exp/sweep.hh"
 #include "obs/obs.hh"
 #include "sim/simulation.hh"
 #include "util/cli.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "workload/queueing.hh"
 
@@ -648,7 +652,8 @@ TEST_F(LoggerTest, ParseLogLevelRejectsUnknownNames)
 
 // ---------------------------------------------------------------------
 // End-to-end: per-point capture under the experiment engine, merged in
-// point order — byte-identical serial vs parallel (the bench path).
+// point order by exp::RunArtifacts — byte-identical serial vs parallel
+// (the bench path).
 // ---------------------------------------------------------------------
 
 struct MergedObs
@@ -668,9 +673,20 @@ runSweepWithCapture(std::size_t jobs)
         autoscale::Policy::OcA,      autoscale::Policy::OcE,
         autoscale::Policy::OcA,      autoscale::Policy::Baseline};
 
+    const char *argv[] = {"bench"};
+    exp::RunArtifacts artifacts(util::Cli(1, argv), 42, jobs);
+    std::vector<std::string> labels;
+    for (std::size_t i = 0; i < points.size(); ++i)
+        labels.push_back(autoscale::policyName(points[i]) + "#" +
+                         std::to_string(i));
+    artifacts.setPoints(std::move(labels));
+
     std::vector<autoscale::ObsCapture> captures(points.size());
-    for (auto &capture : captures)
-        capture.telemetryPeriod = 10.0;
+    for (std::size_t i = 0; i < captures.size(); ++i) {
+        captures[i].telemetryPeriod = 10.0;
+        artifacts.addTrace(i, captures[i].tracer);
+        artifacts.addTelemetry(i, captures[i].telemetry);
+    }
 
     const exp::SweepRunner runner({jobs, 42});
     runner.map<int>(points.size(), [&](std::size_t i, util::Rng &) {
@@ -681,22 +697,11 @@ runSweepWithCapture(std::size_t jobs)
         return 0;
     });
 
-    obs::EventTracer merged_trace;
-    obs::TelemetryMerger telemetry(captures.size());
-    for (std::size_t i = 0; i < captures.size(); ++i) {
-        const std::string label =
-            autoscale::policyName(points[i]) + "#" + std::to_string(i);
-        merged_trace.nameTrack(static_cast<std::uint32_t>(i), label);
-        merged_trace.append(captures[i].tracer,
-                            static_cast<std::uint32_t>(i));
-        telemetry.add(i, label, captures[i].telemetry);
-    }
-
     MergedObs out;
     std::ostringstream csv;
-    telemetry.writeCsv(csv);
+    artifacts.writeMergedTelemetry(csv);
     out.telemetryCsv = csv.str();
-    out.traceJson = merged_trace.toJson();
+    out.traceJson = artifacts.mergedTrace().toJson();
     return out;
 }
 
@@ -718,30 +723,50 @@ TEST(ObsDeterminism, MergedTelemetryIsByteIdenticalSerialVsParallel)
 }
 
 // ---------------------------------------------------------------------
-// CLI glue (--trace / --telemetry).
+// Artifact flags: exp::RunArtifacts writes what the command line asks
+// for, once each, stamped with the run manifest.
 // ---------------------------------------------------------------------
 
-TEST(ObsCli, MaybeWriteTraceHonorsFlag)
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
+}
+
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (auto at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++count;
+    return count;
+}
+
+TEST(ObsCli, TraceFlagWritesTheMergedTrace)
 {
     const std::string path = testing::TempDir() + "imsim_test_trace.json";
     const char *argv[] = {"bench", "--trace", path.c_str()};
     const util::Cli cli(3, argv);
-    EXPECT_TRUE(obs::traceRequested(cli));
+    exp::RunArtifacts artifacts(cli, 1, 1);
+    EXPECT_TRUE(artifacts.wantsCapture());
+    EXPECT_FALSE(artifacts.wantsTelemetry());
 
     obs::EventTracer tracer;
     Seconds t = 0.0;
     tracer.enable([&t] { return t; });
     tracer.instant("e", "cat");
+    artifacts.setPoints({"p0"});
+    artifacts.addTrace(0, tracer);
 
     std::ostringstream note;
-    obs::maybeWriteTrace(cli, tracer, obs::RunManifest{}, note);
+    artifacts.write(exp::RunReport("r"), note);
     EXPECT_NE(note.str().find(path), std::string::npos);
 
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    JsonChecker checker(buffer.str());
+    JsonChecker checker(slurp(path));
     EXPECT_TRUE(checker.parseDocument());
     EXPECT_EQ(checker.arrayItems("traceEvents"), 1u);
     std::remove(path.c_str());
@@ -751,15 +776,108 @@ TEST(ObsCli, NoFlagsWriteNothing)
 {
     const char *argv[] = {"bench"};
     const util::Cli cli(1, argv);
-    EXPECT_FALSE(obs::traceRequested(cli));
-    EXPECT_FALSE(obs::telemetryRequested(cli));
+    exp::RunArtifacts artifacts(cli, 1, 1);
+    EXPECT_FALSE(artifacts.wantsCapture());
+    EXPECT_FALSE(artifacts.wantsTelemetry());
+    EXPECT_FALSE(artifacts.wantsBlackbox());
     obs::EventTracer tracer;
-    obs::TelemetryMerger merger(0);
-    const obs::RunManifest manifest;
+    obs::TimeSeries series({"x"});
+    series.append(0.0, {1.0});
+    artifacts.setPoints({"p0"});
+    artifacts.addTrace(0, tracer);
+    artifacts.addTelemetry(0, series);
     std::ostringstream os;
-    obs::maybeWriteTrace(cli, tracer, manifest, os);
-    obs::maybeWriteTelemetry(cli, merger, manifest, os);
+    testing::internal::CaptureStderr();
+    artifacts.write(exp::RunReport("r"), os);
+    EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
     EXPECT_TRUE(os.str().empty());
+}
+
+TEST(ObsCli, EveryFlagWritesEachArtifactOnceWithTheManifest)
+{
+    const std::string dir = testing::TempDir() + "imsim_test_artifacts_";
+    const std::vector<std::pair<std::string, std::string>> flags{
+        {"--report", dir + "report.json"},
+        {"--trace", dir + "trace.json"},
+        {"--telemetry", dir + "telemetry.csv"},
+        {"--watchdog", dir + "incidents.json"},
+        {"--blackbox", dir + "blackbox.json"},
+        {"--profile", dir + "profile.json"}};
+    std::vector<const char *> argv{"bench"};
+    for (const auto &flag : flags) {
+        std::remove(flag.second.c_str());
+        argv.push_back(flag.first.c_str());
+        argv.push_back(flag.second.c_str());
+    }
+    const util::Cli cli(static_cast<int>(argv.size()), argv.data());
+    exp::RunArtifacts artifacts(cli, 7, 2);
+    EXPECT_TRUE(artifacts.wantsCapture());
+    EXPECT_TRUE(artifacts.wantsTelemetry());
+    EXPECT_TRUE(artifacts.wantsBlackbox());
+
+    const std::size_t points = 2;
+    artifacts.setPoints({"a", "b"});
+    std::vector<obs::EventTracer> tracers(points);
+    std::vector<obs::TimeSeries> series(points, obs::TimeSeries({"x"}));
+    std::vector<obs::IncidentLog> logs(points);
+    std::vector<std::unique_ptr<obs::FlightRecorder>> recorders;
+    Seconds t = 0.0;
+    for (std::size_t i = 0; i < points; ++i) {
+        tracers[i].enable([&t] { return t; });
+        tracers[i].instant("e", "cat");
+        series[i].append(0.0, {static_cast<double>(i)});
+        logs[i].open(0.0, obs::AlertKind::Custom, "rule", 1.0, 0.5);
+        recorders.push_back(std::make_unique<obs::FlightRecorder>());
+        recorders.back()->addChannel("x", [] { return 1.0; });
+        recorders.back()->tick(0.0);
+        artifacts.addTrace(i, tracers[i]);
+        artifacts.addTelemetry(i, series[i]);
+        artifacts.addIncidents(i, logs[i]);
+        artifacts.addRecorder(i, *recorders.back());
+    }
+    artifacts.armPostMortem();
+    EXPECT_TRUE(recorders[0]->armed());
+    const std::uint64_t dumps = obs::FlightRecorder::postMortemCount();
+
+    exp::RunReport report("r");
+    report.add(exp::RunRecord{{{"p", "a"}}, {}});
+    std::ostringstream os;
+    testing::internal::CaptureStderr();
+    artifacts.write(report, os);
+    const std::string profile = testing::internal::GetCapturedStderr();
+
+    // Each file once, each named by exactly one confirmation line, in
+    // the writer's fixed order, the profile on its own stream.
+    const std::string lines = os.str();
+    std::size_t last = 0;
+    for (const auto &flag : flags) {
+        std::ostringstream tag;
+        tag << "[" << (flag.first == "--report" ? "report"
+                                                : flag.first.substr(2))
+            << "] wrote ";
+        const std::string &text =
+            flag.first == "--profile" ? profile : lines;
+        EXPECT_EQ(occurrences(text, " to " + flag.second), 1u)
+            << flag.first;
+        EXPECT_EQ(occurrences(text, tag.str()), 1u) << flag.first;
+        if (flag.first != "--profile") {
+            const auto at = text.find(tag.str());
+            EXPECT_GE(at, last) << flag.first;
+            last = at;
+        }
+        // Every artifact carries the manifest.
+        const std::string body = slurp(flag.second);
+        for (const char *key : {"git_sha", "argv", "started_at"})
+            EXPECT_NE(body.find(key), std::string::npos)
+                << flag.first << " lacks " << key;
+    }
+    EXPECT_EQ(occurrences(lines, "\n"), flags.size() - 1);
+
+    // write() cleared the post-mortem sink: a dump now writes nothing.
+    EXPECT_EQ(obs::FlightRecorder::postMortem("after write"), "");
+    EXPECT_EQ(obs::FlightRecorder::postMortemCount(), dumps);
+    for (const auto &flag : flags)
+        std::remove(flag.second.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -980,6 +1098,33 @@ TEST(Profiler, FromJsonRejectsNonIntegralCounts)
     }
 }
 
+TEST(TimingJson, NullRoundTripsThroughReportAndProfileWriters)
+{
+    // Both readers accept null for a timing (read back as NaN); both
+    // writers must then emit null again, never a bare nan that JSON
+    // parsers reject.
+    const exp::RunReport report = exp::RunReport::fromJson(
+        "{\"name\": \"t\", \"timing\": {\"total_wall_ms\": null, "
+        "\"points\": [{\"index\": 0, \"queue_ms\": null, "
+        "\"wall_ms\": null, \"worker\": 0}]}, \"points\": []}");
+    const obs::ProfileReport profile = obs::ProfileReport::fromJson(
+        "{\"schema\": \"imsim.profile/1\", \"scopes\": [{\"path\": "
+        "\"x\", \"count\": 1, \"total_ms\": null, \"self_ms\": "
+        "null}]}");
+    for (const std::string &json : {report.toJson(), profile.toJson()}) {
+        SCOPED_TRACE(json);
+        EXPECT_EQ(json.find("nan"), std::string::npos);
+        EXPECT_NO_THROW(util::Json::parse(json));
+    }
+    const std::string report_json = report.toJson();
+    EXPECT_EQ(occurrences(report_json, "null"), 3u);
+    EXPECT_EQ(occurrences(profile.toJson(), "null"), 2u);
+    // And the parsed-back documents are fixed points.
+    EXPECT_EQ(exp::RunReport::fromJson(report_json).toJson(), report_json);
+    EXPECT_EQ(obs::ProfileReport::fromJson(profile.toJson()).toJson(),
+              profile.toJson());
+}
+
 TEST(Profiler, SweepWorkersProfileWithoutRacing)
 {
     // Concurrent scopes on sweep threads touch only their own trees;
@@ -1055,12 +1200,13 @@ TEST(SchemaStamps, TelemetryCsvLeadsWithItsSchemaComment)
         testing::TempDir() + "imsim_test_schema_telemetry.csv";
     const char *argv[] = {"bench", "--telemetry", path.c_str()};
     const util::Cli cli(3, argv);
-    obs::TelemetryMerger merger(1);
+    exp::RunArtifacts artifacts(cli, 1, 1);
     obs::TimeSeries series({"x"});
     series.append(0.0, {1.0});
-    merger.add(0, "p0", series);
+    artifacts.setPoints({"p0"});
+    artifacts.addTelemetry(0, series);
     std::ostringstream note;
-    obs::maybeWriteTelemetry(cli, merger, obs::RunManifest{}, note);
+    artifacts.write(exp::RunReport("r"), note);
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
