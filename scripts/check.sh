@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # The pre-commit gate, in the order a failure is cheapest to find:
 #   1. configure + build the default (RelWithDebInfo) tree;
-#   2. the full tier-1 ctest suite: unit, integration and property
-#      tests, including every labelled suite (fault, fleet, fleet-par,
-#      obs, blackbox, control, perf). No test is excluded from the
-#      default run; the labels only select subsets for local runs;
+#   2. the full tier-1 ctest suite: the gtest cases and every row of
+#      the check table (tests/checks.json, ctest check.<row>: stdout
+#      and artifact goldens, HTML expectations, paper anchors). The
+#      labels select subsets for local runs: fault, fleet, fleet-par,
+#      obs, blackbox, control, perf, tsan, anchors (the rows that
+#      check EXPERIMENTS.md's paper values) and slow (the full
+#      fault-crisis sweep, ~50-90 s). No test is excluded from the
+#      default run;
 #   3. the hot-path regression check against the committed
 #      BENCH_hotpaths.json (scripts/bench.sh --check, which also runs
 #      the bench_obs_overhead --check 0-allocs contract).
