@@ -126,8 +126,6 @@ EventTracer::counterAt(const std::string &name, Seconds t, double value)
 void
 EventTracer::nameTrack(std::uint32_t tid, const std::string &label)
 {
-    if (!on)
-        return;
     TraceEvent ev;
     ev.name = "thread_name";
     ev.phase = 'M';

@@ -60,7 +60,10 @@ class EventTracer
     /** Virtual-time source [s]. */
     using Clock = std::function<Seconds()>;
 
-    /** Disabled tracer: every emit method is a single-branch no-op. */
+    /**
+     * Disabled tracer: every timeline emit method is a single-branch
+     * no-op (nameTrack() is metadata and always emits).
+     */
     EventTracer() = default;
 
     /** Start collecting, with timestamps drawn from @p clock. */
@@ -99,7 +102,10 @@ class EventTracer
     /** Emit a counter ('C') sample at @p t. */
     void counterAt(const std::string &name, Seconds t, double value);
 
-    /** Name the track @p tid (an 'M' thread_name metadata event). */
+    /**
+     * Name the track @p tid (an 'M' thread_name metadata event), enabled
+     * or not: a merged trace names its tracks without ever having a clock.
+     */
     void nameTrack(std::uint32_t tid, const std::string &label);
 
     /** @return events collected so far. */

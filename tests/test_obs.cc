@@ -766,9 +766,40 @@ TEST(ObsCli, TraceFlagWritesTheMergedTrace)
     artifacts.write(exp::RunReport("r"), note);
     EXPECT_NE(note.str().find(path), std::string::npos);
 
+    // The event plus the thread_name naming its track.
     JsonChecker checker(slurp(path));
     EXPECT_TRUE(checker.parseDocument());
-    EXPECT_EQ(checker.arrayItems("traceEvents"), 1u);
+    EXPECT_EQ(checker.arrayItems("traceEvents"), 2u);
+    std::remove(path.c_str());
+}
+
+TEST(ObsCli, MergedTraceNamesEachPointsTrack)
+{
+    const std::string path =
+        testing::TempDir() + "imsim_test_trace_tracks.json";
+    const char *argv[] = {"bench", "--trace", path.c_str()};
+    exp::RunArtifacts artifacts(util::Cli(3, argv), 1, 1);
+    artifacts.setPoints({"Baseline#0", "OC-A@4.10"});
+    std::vector<obs::EventTracer> tracers(2);
+    Seconds t = 0.0;
+    for (std::size_t i = 0; i < tracers.size(); ++i) {
+        tracers[i].enable([&t] { return t; });
+        tracers[i].instant("e", "cat");
+        artifacts.addTrace(i, tracers[i]);
+    }
+    std::ostringstream note;
+    artifacts.write(exp::RunReport("r"), note);
+
+    const std::string json = slurp(path);
+    EXPECT_EQ(occurrences(json, "\"thread_name\""), 2u) << json;
+    EXPECT_NE(json.find("\"ph\": \"M\", \"pid\": 0, \"tid\": 0, "
+                        "\"args\": {\"name\": \"Baseline#0\"}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"ph\": \"M\", \"pid\": 0, \"tid\": 1, "
+                        "\"args\": {\"name\": \"OC-A@4.10\"}"),
+              std::string::npos)
+        << json;
     std::remove(path.c_str());
 }
 
