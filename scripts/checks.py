@@ -184,7 +184,9 @@ def run_row(row, build, out_root, git_sha):
         point = " ".join(f"{flag} {v}" for flag, v in
                          (("--jobs", jobs), ("--sim-threads", threads))
                          if v is not None)
-        out = out_root / row["name"] / (point.replace(" ", "") or "run")
+        out = out_root / row["name"] / (point.replace(" ", "")
+                                        .replace("--", "_").strip("_")
+                                        or "run")
         subst = {"{jobs}": str(jobs), "{threads}": str(threads),
                  "{git_sha}": git_sha, "{out}": str(out)}
 
