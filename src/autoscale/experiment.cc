@@ -36,13 +36,6 @@ ObsCapture::finish()
     }
 }
 
-namespace {
-
-/**
- * Per-VM power attribution: the server VMs share small tank #1's Xeon
- * W-3175X (28 cores); each 4-vcore VM owns a 4/28 share of the package
- * power evaluated at its utilization and the fleet frequency.
- */
 double
 perVmPower(GHz freq, double utilization)
 {
@@ -61,6 +54,8 @@ perVmPower(GHz freq, double utilization)
         cpu.power(cooling, std::clamp(utilization, 0.0, 1.0));
     return breakdown.total * package_share;
 }
+
+namespace {
 
 workload::QueueingCluster::Params
 clusterParams(const ExperimentParams &params)

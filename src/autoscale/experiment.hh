@@ -84,6 +84,14 @@ struct AutoScaleOutcome
     std::vector<TracePoint> trace;
 };
 
+/**
+ * Per-VM power attribution, shared with the capacity-crisis experiment:
+ * the server VMs share small tank #1's Xeon W-3175X (28 cores); each
+ * 4-vcore VM owns a 4/28 share of the package power evaluated at its
+ * @p utilization and frequency @p freq [W].
+ */
+double perVmPower(GHz freq, double utilization);
+
 /** Parameters shared by the canned experiments. */
 struct ExperimentParams
 {

@@ -3,11 +3,9 @@
 #include <algorithm>
 
 #include "fault/invariants.hh"
-#include "hw/cpu.hh"
 #include "obs/blackbox.hh"
 #include "obs/watchdog.hh"
 #include "power/capping.hh"
-#include "thermal/cooling.hh"
 #include "thermal/tank.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -16,34 +14,7 @@
 namespace imsim {
 namespace fault {
 
-namespace {
-
-/**
- * Per-VM power attribution, matching the auto-scaler experiments: the
- * server VMs share small tank #1's Xeon W-3175X (28 cores); each
- * 4-vcore VM owns a 4/28 share of the package power at its utilization
- * and frequency.
- */
-double
-perVmPower(GHz freq, double utilization)
-{
-    static const thermal::TwoPhaseImmersionCooling cooling(
-        thermal::hfe7000());
-    hw::CpuModel cpu = hw::CpuModel::xeonW3175x();
-    hw::DomainClocks clocks;
-    clocks.core = freq;
-    clocks.llc = 2.4;
-    clocks.memory = 2.4;
-    cpu.setClocks(clocks);
-    if (freq > 3.4 + 1e-9)
-        cpu.setVoltageOffset(50.0);
-    const double package_share = 4.0 / 28.0;
-    const auto breakdown =
-        cpu.power(cooling, std::clamp(utilization, 0.0, 1.0));
-    return breakdown.total * package_share;
-}
-
-} // namespace
+using autoscale::perVmPower;
 
 CrisisOutcome
 runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
