@@ -6,7 +6,8 @@
 # observability layer's per-point capture/merge path, the sharded
 # minute loop and the sharded FleetAggregator::observe. Catches
 # use-after-free, out-of-bounds and lifetime errors across the fork and
-# the join that ThreadSanitizer does not look for.
+# the join that ThreadSanitizer does not look for. Also runs the
+# artifact-reader mutation fuzzer (label "fuzz", tests/test_fuzz.cc).
 #
 # Usage: scripts/asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -20,4 +21,4 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 # UBSan only prints its findings by default; make them fail the test.
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
-ctest --test-dir "$BUILD_DIR" -L tsan --output-on-failure -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" -L "tsan|fuzz" --output-on-failure -j "$(nproc)"

@@ -3,18 +3,29 @@
  * Randomised (fuzz) property tests: the auto-scaler driven by random
  * load schedules, random thermal networks, random hotspot parameters,
  * and random pack/evict/repack cycles — asserting the invariants that
- * must survive any input.
+ * must survive any input. Plus a seeded mutation fuzzer for the
+ * artifact readers: mutants of the committed goldens must parse or
+ * raise FatalError, never crash (run it under scripts/asan.sh).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "autoscale/autoscaler.hh"
 #include "cluster/migration.hh"
 #include "cluster/packing.hh"
+#include "exp/report.hh"
+#include "obs/profiler.hh"
+#include "obs/timeseries.hh"
 #include "sim/simulation.hh"
 #include "thermal/network.hh"
+#include "util/json.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 #include "workload/queueing.hh"
 
@@ -166,6 +177,126 @@ TEST_P(FuzzSeeds, PackEvictRepackConservesVms)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
                          ::testing::Values(11u, 29u, 73u, 547u, 9001u));
+
+// ---------------------------------------------------------------------
+// Artifact readers under mutation: every committed JSON/CSV golden is a
+// seed; each mutant goes to all four readers, which must either return
+// or throw FatalError. A report or profile that parses must also
+// survive its own toJson() -> fromJson() round trip.
+// ---------------------------------------------------------------------
+
+std::vector<std::string>
+readerSeeds()
+{
+    std::vector<std::filesystem::path> paths;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(IMSIM_GOLDEN_DIR)) {
+        const auto ext = entry.path().extension();
+        if (ext == ".json" || ext == ".csv")
+            paths.push_back(entry.path());
+    }
+    std::sort(paths.begin(), paths.end());
+    std::vector<std::string> seeds;
+    for (const auto &path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream text;
+        text << in.rdbuf();
+        seeds.push_back(text.str());
+    }
+    // No profile dump is committed; seed the profile reader too.
+    obs::ProfileReport profile;
+    profile.add({"sweep", 2, 10.5, 1.25});
+    profile.add({"sweep/point", 8, 9.25, 9.25});
+    seeds.push_back(profile.toJson());
+    return seeds;
+}
+
+/** One deterministic mutation of @p seeds[@p i]. */
+std::string
+mutate(const std::vector<std::string> &seeds, std::size_t i, util::Rng &rng)
+{
+    static const char *const kNumbers[] = {"nan", "1e400", "-0",
+                                           "18446744073709551616"};
+    std::string text = seeds[i];
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(n)));
+    };
+    switch (rng.uniformInt(0, 3)) {
+      case 0: // Flip a few bytes.
+        for (std::size_t k = 1 + pick(3); k > 0 && !text.empty(); --k)
+            text[pick(text.size() - 1)] ^=
+                static_cast<char>(rng.uniformInt(1, 255));
+        break;
+      case 1: // Truncate.
+        text.resize(pick(text.size()));
+        break;
+      case 2: { // Splice another seed's tail onto this one's head.
+        const std::string &other = seeds[pick(seeds.size() - 1)];
+        text = text.substr(0, pick(text.size())) +
+               other.substr(pick(other.size()));
+        break;
+      }
+      default: { // Swap one number for an extreme.
+        std::size_t at = pick(text.size());
+        while (at < text.size() &&
+               !std::isdigit(static_cast<unsigned char>(text[at])))
+            ++at;
+        std::size_t end = at;
+        while (end < text.size() &&
+               (std::isdigit(static_cast<unsigned char>(text[end])) ||
+                text[end] == '.' || text[end] == 'e' || text[end] == '-'))
+            ++end;
+        text.replace(at, end - at, kNumbers[pick(3)]);
+      }
+    }
+    return text;
+}
+
+/** Run @p read on @p text; only FatalError may escape it. */
+template <typename Read>
+bool
+readOrReject(const std::string &text, Read read)
+{
+    try {
+        read(text);
+        return true;
+    } catch (const FatalError &) {
+        return false;
+    }
+}
+
+TEST(ReaderFuzz, MutantsParseOrRaiseFatalError)
+{
+    const std::vector<std::string> seeds = readerSeeds();
+    ASSERT_GE(seeds.size(), 10u);
+    util::Rng rng(2021);
+    std::size_t reports = 0;
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+        for (int n = 0; n < 150; ++n) {
+            const std::string text = mutate(seeds, i, rng);
+            SCOPED_TRACE("seed " + std::to_string(i) + " mutant " +
+                         std::to_string(n));
+            readOrReject(text, [](const std::string &t) {
+                util::Json::parse(t);
+            });
+            readOrReject(text, [](const std::string &t) {
+                std::istringstream in(t);
+                obs::parseTelemetryCsv(in);
+            });
+            reports += readOrReject(text, [](const std::string &t) {
+                const auto report = exp::RunReport::fromJson(t);
+                exp::RunReport::fromJson(report.toJson());
+            });
+            readOrReject(text, [](const std::string &t) {
+                const auto profile = obs::ProfileReport::fromJson(t);
+                obs::ProfileReport::fromJson(profile.toJson());
+            });
+        }
+    }
+    // Some mutants must get past the parser into the report reader.
+    EXPECT_GT(reports, 0u);
+}
 
 } // namespace
 } // namespace imsim
