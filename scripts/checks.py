@@ -131,7 +131,7 @@ def binary(build, name):
 
 
 def run_point(row, build, out, fill):
-    """Run one axis point of @p row; return (failures, payloads)."""
+    """Run one axis point of @p row: (argvs, failures, payloads)."""
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
     for name, text in row.get("inputs", {}).items():
@@ -139,7 +139,7 @@ def run_point(row, build, out, fill):
     commands = [row["cmd"]] + row.get("then", [])
     argvs = [[binary(build, c[0])] + [fill(a) for a in c[1:]]
              for c in commands]
-    failures, payloads, stdout = [], 0, None
+    stdout = None
     for argv in argvs:
         proc = subprocess.run(argv, capture_output=True)
         if proc.returncode != 0:
@@ -159,6 +159,7 @@ def run_point(row, build, out, fill):
         checks.append(lambda e=e: expect(out / e["file"], e, fill))
     for a in row.get("anchors", []):
         checks.append(lambda a=a: check_anchor(stdout.decode(), a))
+    failures = []
     for check in checks:
         try:
             check()
@@ -181,12 +182,12 @@ def run_row(row, build, out_root, git_sha):
     payloads, ok = 0, True
     for jobs, threads in itertools.product(row.get("jobs", [None]),
                                            row.get("sim_threads", [None])):
-        point = " ".join(f"{flag} {v}" for flag, v in
-                         (("--jobs", jobs), ("--sim-threads", threads))
-                         if v is not None)
-        out = out_root / row["name"] / (point.replace(" ", "")
-                                        .replace("--", "_").strip("_")
-                                        or "run")
+        axes = [(flag, v) for flag, v in (("--jobs", jobs),
+                                          ("--sim-threads", threads))
+                if v is not None]
+        point = " ".join(f"{flag} {v}" for flag, v in axes)
+        out = out_root / row["name"] / (
+            "_".join(f"{flag[2:]}{v}" for flag, v in axes) or "run")
         subst = {"{jobs}": str(jobs), "{threads}": str(threads),
                  "{git_sha}": git_sha, "{out}": str(out)}
 
@@ -201,7 +202,8 @@ def run_row(row, build, out_root, git_sha):
         payloads += n
         if failures:
             ok = False
-            print(f"FAIL check.{row['name']} {point}", file=sys.stderr)
+            print(f"FAIL check.{row['name']} {point}".rstrip(),
+                  file=sys.stderr)
             for argv in argvs:
                 print(f"  $ {shlex.join(argv)}", file=sys.stderr)
             for failure in failures:
