@@ -28,6 +28,7 @@ Simulation::freeSlot(std::uint32_t index)
 {
     Slot &slot = slots[index];
     slot.fn = nullptr; // Release the closure's resources now.
+    slot.target = nullptr;
     slot.period = 0.0;
     slot.id = 0;
     slot.state = SlotState::Free;
@@ -35,18 +36,23 @@ Simulation::freeSlot(std::uint32_t index)
     freeHead = index;
 }
 
-EventId
-Simulation::push(Seconds t, EventFn fn, Seconds period)
+std::uint32_t
+Simulation::claimSlot(Seconds t)
 {
     util::fatalIf(t < clock, "Simulation: cannot schedule in the past");
     util::fatalIf(nextSeq >
                       (std::numeric_limits<std::uint64_t>::max() >>
                        kSlotBits),
                   "Simulation: event sequence space exhausted");
-    const std::uint32_t index = allocSlot();
+    return allocSlot();
+}
+
+/** Queue the filled slot @p index for time @p t under a fresh id. */
+EventId
+Simulation::arm(std::uint32_t index, Seconds t, Seconds period)
+{
     const EventId id = (nextSeq++ << kSlotBits) | index;
     Slot &slot = slots[index];
-    slot.fn = std::move(fn);
     slot.period = period;
     slot.id = id;
     slot.state = SlotState::Live;
@@ -55,6 +61,14 @@ Simulation::push(Seconds t, EventFn fn, Seconds period)
     if (hooks)
         hooks->onSchedule(id, t, period);
     return id;
+}
+
+EventId
+Simulation::push(Seconds t, EventFn fn, Seconds period)
+{
+    const std::uint32_t index = claimSlot(t);
+    slots[index].fn = std::move(fn);
+    return arm(index, t, period);
 }
 
 EventId
@@ -68,6 +82,17 @@ Simulation::after(Seconds delay, EventFn fn)
 {
     util::fatalIf(delay < 0.0, "Simulation::after: negative delay");
     return push(clock + delay, std::move(fn), 0.0);
+}
+
+EventId
+Simulation::after(Seconds delay, EventTarget &target, std::uint32_t tag)
+{
+    util::fatalIf(delay < 0.0, "Simulation::after: negative delay");
+    const Seconds t = clock + delay;
+    const std::uint32_t index = claimSlot(t);
+    slots[index].target = &target;
+    slots[index].tag = tag;
+    return arm(index, t, 0.0);
 }
 
 EventId
@@ -99,11 +124,12 @@ Simulation::cancel(EventId id)
  * Shared stepping loop of run() and runUntil(): pop (time, id) records,
  * reclaim cancelled slots, re-arm periodics, and fire callbacks.
  *
- * The callback is moved out of its slab slot for the duration of the
- * call (and moved back for periodics): events it schedules may grow the
- * slab vector, which would otherwise relocate the closure mid-execution.
+ * A closure is moved out of its slab slot for the duration of the call
+ * (and moved back for periodics): events it schedules may grow the slab
+ * vector, which would otherwise relocate the closure mid-execution.
  * std::function moves never allocate, so the dispatch path stays
- * allocation-free.
+ * allocation-free. A typed one-shot copies its (target, tag) out and
+ * makes one virtual call; no closure is moved or destroyed.
  */
 void
 Simulation::drain(bool bounded, Seconds horizon)
@@ -122,6 +148,20 @@ Simulation::drain(bool bounded, Seconds horizon)
         }
         clock = top.time;
         ++executed;
+        if (slot.target) {
+            EventTarget &target = *slot.target;
+            const std::uint32_t tag = slot.tag;
+            slot.state = SlotState::Running;
+            --liveCount;
+            if (hooks)
+                hooks->onFire(top.id, clock);
+            target.fire(tag);
+            if (hooks)
+                hooks->onFireDone(top.id, clock);
+            // A Running slot ignores cancel(), so it is still ours.
+            freeSlot(index);
+            continue;
+        }
         EventFn fn = std::move(slot.fn);
         const Seconds period = slot.period;
         if (period > 0.0) {

@@ -8,11 +8,14 @@
  * sampling) and one-shot delayed actions (the 60 s VM scale-out latency).
  *
  * Allocation contract (see DESIGN.md "Performance & hot paths" and
- * bench_hot_paths): callbacks live in a slab with a free list, the binary
+ * bench_hot_paths): events live in a slab with a free list, the binary
  * heap holds 16-byte POD (time, id) records, and per-slot state replaces
- * the old cancellation hash sets — so steady-state event dispatch (pops,
- * periodic re-arms, one-shot churn whose closures fit std::function's
- * small-buffer storage) performs zero heap allocations.
+ * the old cancellation hash sets. A slot holds either a closure
+ * (EventFn) or a typed (EventTarget, tag) pair. Steady-state dispatch —
+ * pops, periodic re-arms, typed one-shots, and closure one-shots that
+ * fit std::function's small-buffer storage — performs zero heap
+ * allocations. Typed one-shots also skip the closure's type erasure:
+ * scheduling stores two words and firing is one virtual call.
  */
 
 #ifndef IMSIM_SIM_SIMULATION_HH
@@ -30,6 +33,24 @@ namespace sim {
 
 /** Callback invoked when an event fires. */
 using EventFn = std::function<void()>;
+
+/**
+ * Receiver of typed one-shot events (Simulation::after with a target).
+ *
+ * A hot scheduling site that would otherwise capture `(this, index)`
+ * in a closure implements fire() instead and passes the index as the
+ * tag. The kernel does not own targets: a target must outlive every
+ * event scheduled on it, or cancel them first.
+ */
+class EventTarget
+{
+  public:
+    /** The event scheduled with @p tag fires (clock at its time). */
+    virtual void fire(std::uint32_t tag) = 0;
+
+  protected:
+    ~EventTarget() = default;
+};
 
 /**
  * Opaque handle used to cancel a scheduled event.
@@ -103,6 +124,13 @@ class Simulation
     EventId after(Seconds delay, EventFn fn);
 
     /**
+     * Schedule the typed one-shot `target.fire(tag)` @p delay seconds
+     * from now (delay >= 0). Ids, tie order, cancel(), the hooks and
+     * the counts behave exactly as for a closure event.
+     */
+    EventId after(Seconds delay, EventTarget &target, std::uint32_t tag);
+
+    /**
      * Schedule @p fn every @p period seconds, first firing at
      * now + @p period. Runs until cancelled or the simulation stops.
      * @return a handle usable with cancel() (cancels future firings).
@@ -170,10 +198,15 @@ class Simulation
         Running,   ///< One-shot mid-execution; slot reclaimed after.
     };
 
-    /** Slab cell owning one event's callback and bookkeeping. */
+    /**
+     * Slab cell owning one event's callback and bookkeeping: either
+     * @c fn, or a typed one-shot's (@c target, @c tag).
+     */
     struct Slot
     {
         EventFn fn;
+        EventTarget *target = nullptr; ///< Set for typed one-shots only.
+        std::uint32_t tag = 0;
         Seconds period = 0.0;    ///< 0 for one-shot events.
         EventId id = 0;          ///< Current full handle; 0 when free.
         std::uint32_t nextFree = kNoSlot; ///< Free-list link.
@@ -205,6 +238,8 @@ class Simulation
     }
 
     EventId push(Seconds t, EventFn fn, Seconds period);
+    std::uint32_t claimSlot(Seconds t);
+    EventId arm(std::uint32_t index, Seconds t, Seconds period);
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t index);
     void drain(bool bounded, Seconds horizon);

@@ -23,17 +23,24 @@ Rng::split(std::uint64_t stream_id) const
                           splitmix64(stream_id + 0x632be59bd9b4e019ULL)));
 }
 
-double
-Rng::lognormalMeanCv(double mean, double cv)
+Rng::LognormalParams
+Rng::lognormalParams(double mean, double cv)
 {
-    fatalIf(mean <= 0.0, "Rng::lognormalMeanCv: mean must be positive");
-    fatalIf(cv <= 0.0, "Rng::lognormalMeanCv: cv must be positive");
+    fatalIf(mean <= 0.0, "Rng::lognormalParams: mean must be positive");
+    fatalIf(cv <= 0.0, "Rng::lognormalParams: cv must be positive");
     // For lognormal with parameters (mu, sigma):
     //   E[X]  = exp(mu + sigma^2/2)
     //   CV^2  = exp(sigma^2) - 1
     const double sigma2 = std::log(1.0 + cv * cv);
-    const double mu = std::log(mean) - 0.5 * sigma2;
-    return std::lognormal_distribution<double>(mu, std::sqrt(sigma2))(engine);
+    return LognormalParams{std::log(mean) - 0.5 * sigma2,
+                           std::sqrt(sigma2)};
+}
+
+double
+Rng::lognormalMeanCv(double mean, double cv)
+{
+    const LognormalParams p = lognormalParams(mean, cv);
+    return lognormal(p.mu, p.sigma);
 }
 
 double

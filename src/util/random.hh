@@ -72,6 +72,31 @@ class Rng
         return std::normal_distribution<double>(mean, stddev)(engine);
     }
 
+    /** Parameters (mu, sigma) of the underlying normal of a lognormal. */
+    struct LognormalParams
+    {
+        double mu;
+        double sigma;
+    };
+
+    /**
+     * @return the (mu, sigma) of the lognormal with *arithmetic* mean
+     * @p mean and coefficient of variation @p cv (both > 0).
+     */
+    static LognormalParams lognormalParams(double mean, double cv);
+
+    /**
+     * Lognormal draw exp(N(mu, sigma^2)). Hot loops compute
+     * lognormalParams() once and draw through this; the stream is
+     * bit-identical to lognormalMeanCv() with the same mean and CV.
+     */
+    double
+    lognormal(double mu, double sigma)
+    {
+        fatalIf(sigma < 0.0, "Rng::lognormal: sigma must be non-negative");
+        return std::lognormal_distribution<double>(mu, sigma)(engine);
+    }
+
     /**
      * Lognormal draw parameterised by its *arithmetic* mean and coefficient
      * of variation. Used as the "General" service-time distribution of the

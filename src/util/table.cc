@@ -23,21 +23,36 @@ TableWriter::addRow(std::vector<std::string> row)
     body.push_back(std::move(row));
 }
 
+namespace {
+
+/** @return the UTF-8 code points in @p text (its non-continuation bytes). */
+std::size_t
+displayWidth(const std::string &text)
+{
+    return static_cast<std::size_t>(
+        std::count_if(text.begin(), text.end(), [](char ch) {
+            return (static_cast<unsigned char>(ch) & 0xC0u) != 0x80u;
+        }));
+}
+
+} // namespace
+
 void
 TableWriter::print(std::ostream &os) const
 {
     std::vector<std::size_t> width(header.size());
     for (std::size_t c = 0; c < header.size(); ++c)
-        width[c] = header[c].size();
+        width[c] = displayWidth(header[c]);
     for (const auto &row : body)
         for (std::size_t c = 0; c < row.size(); ++c)
-            width[c] = std::max(width[c], row[c].size());
+            width[c] = std::max(width[c], displayWidth(row[c]));
 
     auto print_row = [&](const std::vector<std::string> &row) {
         os << "|";
         for (std::size_t c = 0; c < row.size(); ++c) {
             os << " " << row[c]
-               << std::string(width[c] - row[c].size(), ' ') << " |";
+               << std::string(width[c] - displayWidth(row[c]), ' ')
+               << " |";
         }
         os << "\n";
     };

@@ -33,7 +33,11 @@ class TableWriter
     /** Append one row; must match the header column count. */
     void addRow(std::vector<std::string> row);
 
-    /** Render the table with aligned columns to @p os. */
+    /**
+     * Render the table with aligned columns to @p os. Cells are padded
+     * by UTF-8 code points, so a multi-byte character such as an em
+     * dash takes one column.
+     */
     void print(std::ostream &os) const;
 
     /** Render the table as CSV to @p os. */

@@ -15,10 +15,31 @@ QueueingCluster::QueueingCluster(sim::Simulation &simulation,
 {
     util::fatalIf(cfg.serviceMean <= 0.0,
                   "QueueingCluster: service mean must be positive");
+    util::fatalIf(cfg.serviceCv <= 0.0,
+                  "QueueingCluster: service CV must be positive");
     util::fatalIf(cfg.threadsPerServer <= 0,
                   "QueueingCluster: need at least one thread per server");
     util::fatalIf(cfg.kappa < 0.0 || cfg.kappa > 1.0,
                   "QueueingCluster: kappa out of [0,1]");
+    service = util::Rng::lognormalParams(cfg.serviceMean, cfg.serviceCv);
+}
+
+void
+QueueingCluster::fire(std::uint32_t tag)
+{
+    if (tag == kArrivalTag) {
+        arrivalPending = false;
+        onArrival();
+    } else {
+        complete(tag);
+    }
+}
+
+void
+QueueingCluster::setServerFrequency(Server &server, GHz freq)
+{
+    server.freq = freq;
+    server.serviceScale = serviceTimeScale(cfg.kappa, cfg.refFreq, freq);
 }
 
 std::size_t
@@ -27,8 +48,7 @@ QueueingCluster::addServer(GHz freq)
     util::fatalIf(freq <= 0.0, "QueueingCluster::addServer: bad frequency");
     accountVmTime();
     auto server = std::make_unique<Server>(cfg.utilWindow);
-    server->freq = freq;
-    server->threads = cfg.threadsPerServer;
+    setServerFrequency(*server, freq);
     server->createdAt = sim.now();
     server->lastChange = sim.now();
     server->lastCounterAdvance = sim.now();
@@ -37,8 +57,7 @@ QueueingCluster::addServer(GHz freq)
     const std::size_t id = servers.size() - 1;
     maxActive = std::max(maxActive, activeServers());
     // A new server can immediately absorb queued work.
-    while (!queue.empty() &&
-           servers[id]->busy < servers[id]->threads) {
+    while (!queue.empty() && servers[id]->busy < cfg.threadsPerServer) {
         Request req = queue.front();
         queue.pop_front();
         dispatch(id, req);
@@ -124,7 +143,7 @@ QueueingCluster::repairServer(std::size_t id)
     recordUtilization(server, 0.0);
     maxActive = std::max(maxActive, activeServers());
     // A repaired server can immediately absorb queued work.
-    while (!queue.empty() && server.busy < server.threads) {
+    while (!queue.empty() && server.busy < cfg.threadsPerServer) {
         Request req = queue.front();
         queue.pop_front();
         dispatch(id, req);
@@ -176,7 +195,7 @@ QueueingCluster::setFrequency(std::size_t id, GHz freq)
     util::fatalIf(freq <= 0.0,
                   "QueueingCluster::setFrequency: bad frequency");
     advanceCounters(*servers[id]);
-    servers[id]->freq = freq;
+    setServerFrequency(*servers[id], freq);
 }
 
 void
@@ -212,10 +231,7 @@ void
 QueueingCluster::scheduleNextArrival()
 {
     const Seconds gap = rng.exponential(1.0 / arrivalRate);
-    arrivalEvent = sim.after(gap, [this] {
-        arrivalPending = false;
-        onArrival();
-    });
+    arrivalEvent = sim.after(gap, *this, kArrivalTag);
     arrivalPending = true;
 }
 
@@ -225,7 +241,7 @@ QueueingCluster::onArrival()
     obs::ProfScope prof("workload.queueing.arrival");
     Request req;
     req.arrival = sim.now();
-    req.demand = rng.lognormalMeanCv(cfg.serviceMean, cfg.serviceCv);
+    req.demand = rng.lognormal(service.mu, service.sigma);
 
     const int target = pickServer();
     if (target >= 0)
@@ -241,17 +257,14 @@ int
 QueueingCluster::pickServer() const
 {
     // Least-loaded active server with a free thread (the load balancer).
+    // Every server has the same thread count, so the fewest busy
+    // threads is the lowest load; ties go to the lowest id.
     int best = -1;
-    double best_load = 2.0;
+    int best_busy = cfg.threadsPerServer;
     for (std::size_t id = 0; id < servers.size(); ++id) {
         const Server &server = *servers[id];
-        if (!server.active || server.busy >= server.threads)
-            continue;
-        const double load =
-            static_cast<double>(server.busy) /
-            static_cast<double>(server.threads);
-        if (load < best_load) {
-            best_load = load;
+        if (server.active && server.busy < best_busy) {
+            best_busy = server.busy;
             best = static_cast<int>(id);
         }
     }
@@ -262,23 +275,22 @@ void
 QueueingCluster::dispatch(std::size_t id, Request req)
 {
     Server &server = *servers[id];
-    util::panicIf(server.busy >= server.threads,
+    util::panicIf(server.busy >= cfg.threadsPerServer,
                   "QueueingCluster::dispatch: server has no free thread");
     recordBusyChange(server);
     ++server.busy;
-    recordUtilization(server, static_cast<double>(server.busy) /
-                                  static_cast<double>(server.threads));
+    recordUtilization(server,
+                      static_cast<double>(server.busy) /
+                          static_cast<double>(cfg.threadsPerServer));
 
-    const double scale =
-        serviceTimeScale(cfg.kappa, cfg.refFreq, server.freq);
-    const Seconds duration = req.demand * scale;
+    const Seconds duration = req.demand * server.serviceScale;
     const std::uint32_t slot = allocInFlight();
     InFlight &rec = inFlight[slot];
     rec.arrival = req.arrival;
     rec.demand = req.demand;
     rec.server = static_cast<std::uint32_t>(id);
     rec.live = true;
-    rec.completion = sim.after(duration, [this, slot] { complete(slot); });
+    rec.completion = sim.after(duration, *this, slot);
 }
 
 std::uint32_t
@@ -317,8 +329,9 @@ QueueingCluster::onCompletion(std::size_t id)
     --server.busy;
     util::panicIf(server.busy < 0,
                   "QueueingCluster::onCompletion: negative busy count");
-    recordUtilization(server, static_cast<double>(server.busy) /
-                                  static_cast<double>(server.threads));
+    recordUtilization(server,
+                      static_cast<double>(server.busy) /
+                          static_cast<double>(cfg.threadsPerServer));
 
     if (server.active && !queue.empty()) {
         Request req = queue.front();
@@ -351,7 +364,7 @@ QueueingCluster::advanceCounters(Server &server)
         return;
     const double busy_frac =
         static_cast<double>(server.busy) /
-        static_cast<double>(server.threads);
+        static_cast<double>(cfg.threadsPerServer);
     server.counters.advance(dt, server.freq, busy_frac, 1.0 - cfg.kappa);
     server.lastCounterAdvance = sim.now();
 }
@@ -443,7 +456,7 @@ QueueingCluster::lifetimeBusyFraction(std::size_t id) const
     const double busy_seconds =
         server.busyIntegral + dt * static_cast<double>(server.busy);
     return busy_seconds /
-           (lived * static_cast<double>(server.threads));
+           (lived * static_cast<double>(cfg.threadsPerServer));
 }
 
 void

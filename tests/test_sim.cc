@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hh"
@@ -423,6 +426,228 @@ TEST(Simulation, ReusedSlotsPreserveTieOrder)
     for (int i = 0; i < 16; ++i)
         expect[i] = i;
     EXPECT_EQ(order, expect);
+}
+
+// Typed one-shot events: a target that logs each fired tag, and can
+// run a hook from inside fire() to schedule or cancel more events.
+class Recorder final : public sim::EventTarget
+{
+  public:
+    std::vector<int> *log = nullptr;
+    std::function<void(std::uint32_t)> onFire;
+
+    void
+    fire(std::uint32_t tag) override
+    {
+        log->push_back(static_cast<int>(tag));
+        if (onFire)
+            onFire(tag);
+    }
+};
+
+// Typed and closure events at one timestamp share the tie order: they
+// fire in the order they were scheduled, interleaved.
+TEST(TypedEvents, TiesWithClosuresFireInSchedulingOrder)
+{
+    sim::Simulation sim;
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    sim.after(1.0, target, 1);
+    sim.after(1.0, [&] { order.push_back(2); });
+    sim.after(1.0, target, 3);
+    sim.at(1.0, [&] { order.push_back(4); });
+    sim.after(1.0, target, 5);
+    sim.after(0.5, target, 0);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(TypedEvents, CancelBeforeFiring)
+{
+    sim::Simulation sim;
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    const sim::EventId doomed = sim.after(1.0, target, 7);
+    sim.after(2.0, target, 8);
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    sim.cancel(doomed);
+    sim.cancel(doomed); // A double cancel is a no-op.
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{8}));
+    EXPECT_EQ(sim.eventsExecuted(), 1u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(TypedEvents, NegativeDelayIsFatal)
+{
+    sim::Simulation sim;
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    EXPECT_THROW(sim.after(-1.0, target, 0), FatalError);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+// A handle whose typed event fired (or was cancelled) stays dead after
+// its slot is reused, by a typed or by a closure event.
+TEST(TypedEvents, StaleHandleNeverCancelsSlotReuser)
+{
+    sim::Simulation sim;
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    const sim::EventId fired = sim.after(1.0, target, 1);
+    const sim::EventId cancelled = sim.after(1.5, target, 2);
+    sim.cancel(cancelled);
+    sim.run(); // Frees both slots.
+    EXPECT_EQ(order, (std::vector<int>{1}));
+
+    const sim::EventId typed = sim.after(1.0, target, 3);
+    const sim::EventId closure = sim.after(1.0, [&] { order.push_back(4); });
+    EXPECT_NE(typed, fired);
+    EXPECT_NE(typed, cancelled);
+    EXPECT_NE(closure, fired);
+    EXPECT_NE(closure, cancelled);
+    sim.cancel(fired);
+    sim.cancel(cancelled);
+    EXPECT_EQ(sim.pendingEvents(), 2u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+    EXPECT_EQ(sim.eventsExecuted(), 3u);
+}
+
+// fire() may schedule enough events to grow (and relocate) the slab;
+// the firing slot is re-found by index afterwards, and every scheduled
+// event still fires in order.
+TEST(TypedEvents, FireThatGrowsTheSlab)
+{
+    sim::Simulation sim;
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    constexpr int kFanOut = 1000;
+    target.onFire = [&](std::uint32_t tag) {
+        if (tag != 0)
+            return;
+        for (int i = 1; i <= kFanOut; ++i) {
+            if (i % 2)
+                sim.after(1.0, target, static_cast<std::uint32_t>(i));
+            else
+                sim.after(1.0, [&order, i] { order.push_back(i); });
+        }
+    };
+    sim.after(1.0, target, 0);
+    sim.run();
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kFanOut + 1));
+    for (int i = 0; i <= kFanOut; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    EXPECT_EQ(sim.eventsExecuted(), static_cast<std::uint64_t>(kFanOut + 1));
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+// Cancelling a typed event from inside its own fire() is a no-op, like
+// a closure one-shot's self-cancel.
+TEST(TypedEvents, SelfCancelDuringFireIsNoOp)
+{
+    sim::Simulation sim;
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    sim::EventId self = 0;
+    target.onFire = [&](std::uint32_t) { sim.cancel(self); };
+    self = sim.after(1.0, target, 9);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{9}));
+    EXPECT_EQ(sim.eventsExecuted(), 1u);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(TypedEvents, HooksSeeTheFullLifecycle)
+{
+    struct Log : sim::KernelHooks
+    {
+        std::vector<std::string> lines;
+        void
+        onSchedule(sim::EventId id, Seconds t, Seconds period) override
+        {
+            lines.push_back("schedule " + std::to_string(id) + " " +
+                            std::to_string(t) + " " +
+                            std::to_string(period));
+        }
+        void
+        onCancel(sim::EventId id) override
+        {
+            lines.push_back("cancel " + std::to_string(id));
+        }
+        void
+        onFire(sim::EventId id, Seconds t) override
+        {
+            lines.push_back("fire " + std::to_string(id) + " " +
+                            std::to_string(t));
+        }
+        void
+        onFireDone(sim::EventId id, Seconds t) override
+        {
+            lines.push_back("done " + std::to_string(id) + " " +
+                            std::to_string(t));
+        }
+    };
+
+    sim::Simulation sim;
+    Log hooks;
+    sim.setHooks(&hooks);
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    const sim::EventId a = sim.after(1.0, target, 1);
+    const sim::EventId b = sim.after(2.0, target, 2);
+    sim.cancel(b);
+    sim.run();
+    sim.setHooks(nullptr);
+    const std::string ia = std::to_string(a);
+    const std::string ib = std::to_string(b);
+    EXPECT_EQ(hooks.lines,
+              (std::vector<std::string>{
+                  "schedule " + ia + " 1.000000 0.000000",
+                  "schedule " + ib + " 2.000000 0.000000",
+                  "cancel " + ib,
+                  "fire " + ia + " 1.000000",
+                  "done " + ia + " 1.000000",
+              }));
+}
+
+TEST(TypedEvents, CountsMatchClosureEvents)
+{
+    std::vector<int> order;
+    Recorder target;
+    target.log = &order;
+    sim::Simulation typed;
+    sim::Simulation closure;
+    for (int i = 0; i < 6; ++i) {
+        const Seconds t = 1.0 + static_cast<double>(i);
+        typed.after(t, target, static_cast<std::uint32_t>(i));
+        closure.after(t, [] {});
+    }
+    typed.cancel(typed.after(3.5, target, 99));
+    closure.cancel(closure.after(3.5, [] {}));
+    EXPECT_EQ(typed.pendingEvents(), 6u);
+    EXPECT_EQ(closure.pendingEvents(), 6u);
+    typed.runUntil(3.75);
+    closure.runUntil(3.75);
+    EXPECT_EQ(typed.eventsExecuted(), 3u);
+    EXPECT_EQ(closure.eventsExecuted(), 3u);
+    EXPECT_EQ(typed.pendingEvents(), 3u);
+    EXPECT_EQ(closure.pendingEvents(), 3u);
+    typed.run();
+    closure.run();
+    EXPECT_EQ(typed.eventsExecuted(), 6u);
+    EXPECT_EQ(closure.eventsExecuted(), 6u);
+    EXPECT_EQ(typed.pendingEvents(), 0u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -106,6 +107,23 @@ TEST(Rng, LognormalMeanCvMatchesParameters)
         stats.add(rng.lognormalMeanCv(2.0, 1.5));
     EXPECT_NEAR(stats.mean(), 2.0, 0.05);
     EXPECT_NEAR(stats.stddev() / stats.mean(), 1.5, 0.08);
+}
+
+// The hoisted draw path: (mu, sigma) computed once and drawn through
+// lognormal() gives the same bits as lognormalMeanCv() every time.
+TEST(Rng, LognormalParamsDrawMatchesMeanCvBitForBit)
+{
+    util::Rng by_mean_cv(17);
+    util::Rng by_params(17);
+    const util::Rng::LognormalParams p =
+        util::Rng::lognormalParams(3.3e-3, 1.5);
+    for (int i = 0; i < 10000; ++i) {
+        const double a = by_mean_cv.lognormalMeanCv(3.3e-3, 1.5);
+        const double b = by_params.lognormal(p.mu, p.sigma);
+        ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "draw " << i;
+    }
+    EXPECT_THROW(util::Rng::lognormalParams(1.0, 0.0), FatalError);
+    EXPECT_THROW(util::Rng::lognormalParams(0.0, 1.0), FatalError);
 }
 
 TEST(Rng, ParetoRespectsMinimum)
@@ -522,6 +540,23 @@ TEST(TableWriter, AlignedOutputContainsCells)
     EXPECT_NE(text.find("OC3"), std::string::npos);
     EXPECT_NE(text.find("0.83"), std::string::npos);
     EXPECT_EQ(table.rows(), 2u);
+}
+
+// A multi-byte cell (the em dash benches print for "no value") pads to
+// the same column width as its one-byte neighbours.
+TEST(TableWriter, PadsByCodePointsNotBytes)
+{
+    util::TableWriter table({"Case", "Loss"});
+    table.addRow({"none", "\u2014"});
+    table.addRow({"crash", "12.5"});
+    std::ostringstream os;
+    table.print(os);
+    EXPECT_EQ(os.str(), "+-------+------+\n"
+                        "| Case  | Loss |\n"
+                        "+-------+------+\n"
+                        "| none  | \u2014    |\n"
+                        "| crash | 12.5 |\n"
+                        "+-------+------+\n");
 }
 
 TEST(TableWriter, CsvOutput)
