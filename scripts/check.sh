@@ -5,8 +5,8 @@
 #      the check table (tests/checks.json, ctest check.<row>: stdout
 #      and artifact goldens, HTML expectations, paper anchors). The
 #      labels select subsets for local runs: fault, fleet, fleet-par,
-#      obs, blackbox, control, perf, tsan, anchors (the rows that
-#      check EXPERIMENTS.md's paper values) and slow (the full
+#      obs, blackbox, control, perf, tsan, kernel, fuzz, anchors (the
+#      rows that check EXPERIMENTS.md's paper values) and slow (the full
 #      fault-crisis sweep, ~50-90 s). No test is excluded from the
 #      default run;
 #   3. the hot-path regression check against the committed
