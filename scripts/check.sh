@@ -9,9 +9,12 @@
 #      rows that check EXPERIMENTS.md's paper values) and slow (the full
 #      fault-crisis sweep, ~50-90 s). No test is excluded from the
 #      default run;
-#   3. the hot-path regression check against the committed
-#      BENCH_hotpaths.json (scripts/bench.sh --check, which also runs
-#      the bench_obs_overhead --check 0-allocs contract).
+#   3. the hot-path timing check against the committed
+#      BENCH_hotpaths.json (scripts/bench.sh --check). The functional
+#      gates bench.sh once re-ran (bench_fault_crisis --smoke,
+#      bench_control --smoke, bench_obs_overhead --check) are the
+#      check.fault_crisis_smoke, check.control_smoke and
+#      check.obs_overhead_check rows of step 2.
 #
 # Stops at the first failing step. The tsan suites have their own
 # entry points (scripts/tsan.sh, scripts/asan.sh) because they need a

@@ -14,8 +14,6 @@ ObsCapture::arm(sim::Simulation &sim)
 {
     if (!tracer.enabled())
         tracer.enable([&sim] { return sim.now(); });
-    if (traceKernel)
-        kernelTracer = std::make_unique<obs::KernelTracer>(tracer, sim);
     sampler = std::make_unique<obs::TelemetrySampler>(sim, registry,
                                                       telemetryPeriod);
     sampler->mirrorToTracer(&tracer);
@@ -28,7 +26,6 @@ ObsCapture::finish()
     sampler->stop();
     telemetry = sampler->takeSeries();
     sampler.reset();
-    kernelTracer.reset();
     tracer.disable();
     for (const auto &entry : registry.gauges()) {
         if (entry.second->provided())

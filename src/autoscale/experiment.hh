@@ -33,7 +33,7 @@ namespace autoscale {
  *  - @ref telemetry holds the periodic gauge/counter samples
  *    (period @ref telemetryPeriod, first sample at the scaler start);
  *  - @ref tracer holds scale/frequency instants on the virtual
- *    timeline, plus kernel events when @ref traceKernel is set.
+ *    timeline.
  *
  * A run attaches its observers to @ref registry and @ref tracer, then
  * brackets the simulation with arm() and finish().
@@ -49,7 +49,6 @@ struct ObsCapture
     obs::TimeSeries telemetry;
     obs::EventTracer tracer;
     Seconds telemetryPeriod = 60.0; ///< Telemetry sampling period [s].
-    bool traceKernel = false;       ///< Also trace raw kernel events.
 
     /**
      * Enable @ref tracer on @p sim's clock, then start sampling
@@ -66,7 +65,6 @@ struct ObsCapture
     void finish();
 
   private:
-    std::unique_ptr<obs::KernelTracer> kernelTracer;
     std::unique_ptr<obs::TelemetrySampler> sampler;
 };
 

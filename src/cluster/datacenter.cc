@@ -13,6 +13,7 @@
 #include "power/server_power.hh"
 #include "thermal/fluid.hh"
 #include "util/logging.hh"
+#include "workload/trace.hh"
 
 namespace imsim {
 namespace cluster {
@@ -160,21 +161,25 @@ namespace {
 
 /**
  * One smoothed diurnal utilization trace per rack (racks aggregate
- * many servers, so the trace is smoother than a single machine's).
- * Shared by both fidelity modes so they see the same rack-level load.
+ * many servers, so the trace is smoother than a single machine's),
+ * stored minute-major: rack r's utilization at minute m is
+ * [m * rack_count + r]. Racks draw from @p rng in rack order. Shared
+ * by both fidelity modes so they see the same rack-level load.
  */
-std::vector<std::vector<workload::TraceSample>>
+std::vector<double>
 generateRackTraces(std::size_t rack_count, util::Rng &rng, double days)
 {
     workload::TraceParams trace_params;
     trace_params.sampleInterval = 60.0;
     trace_params.noiseSigma = 0.03;
     trace_params.burstProb = 0.005;
-    std::vector<std::vector<workload::TraceSample>> traces;
-    traces.reserve(rack_count);
+    const workload::TraceGenerator gen(trace_params);
+    std::vector<double> traces;
     for (std::size_t r = 0; r < rack_count; ++r) {
-        workload::TraceGenerator gen(trace_params);
-        traces.push_back(gen.generate(rng, days));
+        const std::vector<double> rack = gen.generate(rng, days);
+        traces.resize(rack.size() * rack_count);
+        for (std::size_t m = 0; m < rack.size(); ++m)
+            traces[m * rack_count + r] = rack[m];
     }
     return traces;
 }
@@ -310,7 +315,7 @@ PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
     }
     shardRack.push_back(racks.size());
 
-    minutesTotal = traces.front().size();
+    minutesTotal = traces.size() / racks.size();
 }
 
 const std::vector<fleet::SkuParams> &
@@ -426,6 +431,7 @@ PerServerSession::stepMinute()
     const std::vector<fleet::SkuParams> &skus = owner.physics.skus;
     const std::size_t minute = minuteIndex;
     const Seconds minute_dt = 60.0;
+    const double *rack_util_now = traces.data() + minute * racks.size();
 
     obs::ProfScope minute_prof("datacenter.minute");
 
@@ -438,7 +444,7 @@ PerServerSession::stepMinute()
     };
     const auto setRackDemand = [&](std::size_t r) {
         const auto &rack = racks[r];
-        const double util = traces[r][minute].utilization;
+        const double util = rack_util_now[r];
         const double servers = static_cast<double>(rack.servers);
         Watts demand =
             servers *
@@ -457,7 +463,7 @@ PerServerSession::stepMinute()
         const auto &rack = racks[r];
         const std::uint32_t sku =
             owner.physics.rackSku.empty() ? 0u : owner.physics.rackSku[r];
-        const double rack_util = traces[r][minute].utilization;
+        const double rack_util = rack_util_now[r];
         for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1]; ++i) {
             double u = std::clamp(rack_util + offset[i], 0.0, 1.0);
             if (packing < 1.0) {

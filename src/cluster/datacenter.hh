@@ -28,7 +28,6 @@
 #include "util/random.hh"
 #include "util/shard.hh"
 #include "util/units.hh"
-#include "workload/trace.hh"
 
 namespace imsim {
 
@@ -234,7 +233,8 @@ class PerServerSession
     bool perServer; ///< Units are servers (else racks).
     obs::TimeSeries *telemetry = nullptr;
 
-    std::vector<std::vector<workload::TraceSample>> traces;
+    /** Rack utilization, minute-major: [minute * racks + r]. */
+    std::vector<double> traces;
     fleet::FleetState state;
     /** Rack r owns units [rackBegin[r], rackBegin[r + 1]). */
     std::vector<std::size_t> rackBegin;

@@ -49,8 +49,6 @@ QueueingCluster::addServer(GHz freq)
     accountVmTime();
     auto server = std::make_unique<Server>(cfg.utilWindow);
     setServerFrequency(*server, freq);
-    server->createdAt = sim.now();
-    server->lastChange = sim.now();
     server->lastCounterAdvance = sim.now();
     recordUtilization(*server, 0.0);
     servers.push_back(std::move(server));
@@ -88,10 +86,10 @@ QueueingCluster::crashServer(std::size_t id)
     util::fatalIf(!server.active,
                   "QueueingCluster::crashServer: server not active");
     accountVmTime();
-    // Advance the busy integral and counters up to the crash instant,
-    // then zero the thread state: the interrupted work is not lost, it
-    // goes back to the queue below.
-    recordBusyChange(server);
+    // Advance the counters up to the crash instant, then zero the
+    // thread state: the interrupted work is not lost, it goes back to
+    // the queue below.
+    advanceCounters(server);
     server.busy = 0;
     server.active = false;
     server.crashed = true;
@@ -138,7 +136,6 @@ QueueingCluster::repairServer(std::size_t id)
     // Restart the piecewise-constant signals at the repair instant; the
     // dead gap reads as zero utilization and contributes no counter
     // cycles (callers invalidate their Aperf/Pperf deltas on crash).
-    server.lastChange = sim.now();
     server.lastCounterAdvance = sim.now();
     recordUtilization(server, 0.0);
     maxActive = std::max(maxActive, activeServers());
@@ -277,7 +274,7 @@ QueueingCluster::dispatch(std::size_t id, Request req)
     Server &server = *servers[id];
     util::panicIf(server.busy >= cfg.threadsPerServer,
                   "QueueingCluster::dispatch: server has no free thread");
-    recordBusyChange(server);
+    advanceCounters(server);
     ++server.busy;
     recordUtilization(server,
                       static_cast<double>(server.busy) /
@@ -325,7 +322,7 @@ void
 QueueingCluster::onCompletion(std::size_t id)
 {
     Server &server = *servers[id];
-    recordBusyChange(server);
+    advanceCounters(server);
     --server.busy;
     util::panicIf(server.busy < 0,
                   "QueueingCluster::onCompletion: negative busy count");
@@ -338,15 +335,6 @@ QueueingCluster::onCompletion(std::size_t id)
         queue.pop_front();
         dispatch(id, req);
     }
-}
-
-void
-QueueingCluster::recordBusyChange(Server &server)
-{
-    const Seconds dt = sim.now() - server.lastChange;
-    server.busyIntegral += dt * static_cast<double>(server.busy);
-    server.lastChange = sim.now();
-    advanceCounters(server);
 }
 
 void
@@ -443,45 +431,17 @@ QueueingCluster::vmHours() const
            units::kSecondsPerHour;
 }
 
-double
-QueueingCluster::lifetimeBusyFraction(std::size_t id) const
-{
-    util::fatalIf(id >= servers.size(),
-                  "QueueingCluster::lifetimeBusyFraction: bad server id");
-    const Server &server = *servers[id];
-    const Seconds lived = sim.now() - server.createdAt;
-    if (lived <= 0.0)
-        return 0.0;
-    const Seconds dt = sim.now() - server.lastChange;
-    const double busy_seconds =
-        server.busyIntegral + dt * static_cast<double>(server.busy);
-    return busy_seconds /
-           (lived * static_cast<double>(cfg.threadsPerServer));
-}
-
 void
 QueueingCluster::enableTailTracking(Seconds window, std::size_t buckets)
 {
-    // 0.1 ms .. 100 s log-spaced: ~5.5% per-bin resolution across the
-    // six decades a crisis can stretch a latency distribution over.
-    enableTailTracking(window, buckets,
-                       util::QuantileSketch::logarithmic(1e-4, 100.0,
-                                                         256));
-}
-
-void
-QueueingCluster::enableTailTracking(Seconds window, std::size_t buckets,
-                                    const util::QuantileSketch &prototype)
-{
-    util::fatalIf(window <= 0.0,
+    util::fatalIf(!(window > 0.0),
                   "enableTailTracking: window must be > 0");
     util::fatalIf(buckets == 0,
                   "enableTailTracking: need at least one bucket");
-    util::fatalIf(prototype.bins() == 0,
-                  "enableTailTracking: prototype sketch has no bins");
-    tailBuckets.assign(buckets, prototype);
-    for (util::QuantileSketch &bucket : tailBuckets)
-        bucket.reset();
+    // 0.1 ms .. 100 s log-spaced: ~5.5% per-bin resolution across the
+    // six decades a crisis can stretch a latency distribution over.
+    tailBuckets.assign(buckets,
+                       util::QuantileSketch::logarithmic(1e-4, 100.0, 256));
     tailBucketSpan = window / static_cast<double>(buckets);
     tailBucketCur = 0;
     tailBucketStart = sim.now();

@@ -154,19 +154,17 @@ class QueueingCluster final : private sim::EventTarget
     /**
      * Opt-in *windowed* tail-latency tracking for live SLO watchdogs:
      * completions also feed a ring of @p buckets quantile sketches
-     * (util::QuantileSketch copies of @p prototype) rotated every
+     * (util::QuantileSketch) rotated every
      * window/buckets seconds, so recentTailQuantile() reflects only
      * the trailing ~window seconds rather than the whole run. O(1)
      * per completion, allocation-free after this call, and — when
      * never enabled — completely free (one branch per completion), so
      * existing runs stay byte-identical.
      *
-     * The default prototype's log-spaced bins cover 0.1 ms .. 100 s
-     * at ~5% per-bin resolution.
+     * Each sketch's log-spaced bins cover 0.1 ms .. 100 s at ~5%
+     * per-bin resolution.
      */
     void enableTailTracking(Seconds window, std::size_t buckets = 8);
-    void enableTailTracking(Seconds window, std::size_t buckets,
-                            const util::QuantileSketch &prototype);
 
     /** @return whether enableTailTracking() was called. */
     bool tailTrackingEnabled() const { return !tailBuckets.empty(); }
@@ -195,10 +193,6 @@ class QueueingCluster final : private sim::EventTarget
     /** @return peak number of simultaneously active servers. */
     std::size_t maxServers() const { return maxActive; }
 
-    /** @return time-average busy-thread fraction of server @p id since
-     *  creation (for power accounting). */
-    double lifetimeBusyFraction(std::size_t id) const;
-
     /** @return the cluster parameters. */
     const Params &params() const { return cfg; }
 
@@ -216,9 +210,6 @@ class QueueingCluster final : private sim::EventTarget
         int busy = 0;
         bool active = true;
         bool crashed = false;
-        Seconds createdAt = 0.0;
-        Seconds busyIntegral = 0.0; ///< busy-thread-seconds accumulated.
-        Seconds lastChange = 0.0;
         util::SlidingTimeWindow utilWindow;
         hw::CounterBlock counters;
         Seconds lastCounterAdvance = 0.0;
@@ -256,7 +247,6 @@ class QueueingCluster final : private sim::EventTarget
     void drainQueue();
     void complete(std::uint32_t slot);
     void onCompletion(std::size_t id);
-    void recordBusyChange(Server &server);
     void recordUtilization(Server &server, double value);
     void advanceCounters(Server &server);
     int pickServer() const;

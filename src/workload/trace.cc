@@ -15,16 +15,15 @@ constexpr double kSecondsPerDay = 86400.0;
 
 TraceGenerator::TraceGenerator(TraceParams params) : cfg(params)
 {
-    util::fatalIf(cfg.cores <= 0, "TraceGenerator: need cores");
-    util::fatalIf(cfg.meanUtil < 0.0 || cfg.meanUtil > 1.0,
+    util::fatalIf(!(cfg.meanUtil >= 0.0 && cfg.meanUtil <= 1.0),
                   "TraceGenerator: mean utilization out of [0,1]");
     util::fatalIf(!(cfg.sampleInterval > 0.0),
                   "TraceGenerator: sample interval must be positive");
-    util::fatalIf(cfg.noisePhi < 0.0 || cfg.noisePhi >= 1.0,
+    util::fatalIf(!(cfg.noisePhi >= 0.0 && cfg.noisePhi < 1.0),
                   "TraceGenerator: AR(1) phi out of [0,1)");
 }
 
-std::vector<TraceSample>
+std::vector<double>
 TraceGenerator::generate(util::Rng &rng, double days) const
 {
     util::fatalIf(!(days > 0.0 && std::isfinite(days)),
@@ -39,7 +38,7 @@ TraceGenerator::generate(util::Rng &rng, double days) const
         static_cast<std::size_t>(std::ceil(exact_samples - 1e-9));
     util::fatalIf(samples == 0,
                   "TraceGenerator: horizon too short for one sample");
-    std::vector<TraceSample> out;
+    std::vector<double> out;
     out.reserve(samples);
 
     double noise = 0.0;
@@ -63,14 +62,7 @@ TraceGenerator::generate(util::Rng &rng, double days) const
         double util = cfg.meanUtil + diurnal + weekly + noise;
         if (rng.bernoulli(cfg.burstProb))
             util += cfg.burstBoost;
-        util = std::clamp(util, 0.01, 1.0);
-
-        TraceSample sample;
-        sample.time = t;
-        sample.utilization = util;
-        sample.activeCores = std::clamp(
-            static_cast<int>(std::lround(util * cfg.cores)), 1, cfg.cores);
-        out.push_back(sample);
+        out.push_back(std::clamp(util, 0.01, 1.0));
     }
     return out;
 }
@@ -79,26 +71,32 @@ OpportunityReport
 analyzeOpportunity(const hw::TurboGovernor &governor,
                    const power::SocketPowerModel &socket,
                    const thermal::CoolingSystem &cooling,
-                   const std::vector<TraceSample> &trace)
+                   const std::vector<double> &utilization)
 {
-    util::fatalIf(trace.empty(), "analyzeOpportunity: empty trace");
+    util::fatalIf(utilization.empty(), "analyzeOpportunity: empty trace");
+    const int cores = governor.cores();
     OpportunityReport report;
     double freq_sum = 0.0;
-    for (const auto &sample : trace) {
+    for (const double u : utilization) {
+        util::fatalIf(!(u >= 0.0 && u <= 1.0),
+                      "analyzeOpportunity: utilization sample out of "
+                      "[0,1]");
+        const int active_cores =
+            std::clamp(static_cast<int>(std::lround(u * cores)), 1, cores);
         // The *opportunity* is the frequency the package could sustain
         // within its power budget at this instant's active-core count
         // (each active core fully busy), independent of the turbo
         // table — then classified against the Fig. 4 domains.
         const double package_activity = std::clamp(
-            static_cast<double>(sample.activeCores) /
-                static_cast<double>(governor.cores()),
+            static_cast<double>(active_cores) /
+                static_cast<double>(cores),
             0.05, 1.0);
         GHz f = socket.maxFrequencyAtPowerLimit(governor.tdp(), cooling,
                                                 package_activity);
         f = std::min(f, governor.overclockBoundary());
         f = governor.snapToBin(f);
         freq_sum += f;
-        switch (governor.classify(f, sample.activeCores)) {
+        switch (governor.classify(f, active_cores)) {
           case hw::FrequencyDomain::Overclocking:
           case hw::FrequencyDomain::NonOperating:
             report.overclockShare += 1.0;
@@ -111,7 +109,7 @@ analyzeOpportunity(const hw::TurboGovernor &governor,
             break;
         }
     }
-    const double n = static_cast<double>(trace.size());
+    const double n = static_cast<double>(utilization.size());
     report.turboShare /= n;
     report.overclockShare /= n;
     report.guaranteedShare /= n;

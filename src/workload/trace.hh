@@ -29,18 +29,9 @@
 namespace imsim {
 namespace workload {
 
-/** One utilization sample. */
-struct TraceSample
-{
-    Seconds time;       ///< Sample timestamp [s].
-    double utilization; ///< Server CPU utilization [0, 1].
-    int activeCores;    ///< Cores with runnable work.
-};
-
 /** Parameters of the synthetic trace generator. */
 struct TraceParams
 {
-    int cores = 28;             ///< Cores on the server.
     double meanUtil = 0.45;     ///< Long-run average utilization.
     double diurnalAmplitude = 0.20; ///< Peak-to-mean diurnal swing.
     double weekendDip = 0.10;   ///< Utilization drop on weekends.
@@ -60,10 +51,11 @@ class TraceGenerator
     explicit TraceGenerator(TraceParams params = {});
 
     /**
-     * Generate @p days of samples.
+     * Generate @p days of samples; sample i is the server CPU
+     * utilization in [0, 1] at i * sampleInterval.
      * @param rng Random stream.
      */
-    std::vector<TraceSample> generate(util::Rng &rng, double days) const;
+    std::vector<double> generate(util::Rng &rng, double days) const;
 
     /** @return the parameters. */
     const TraceParams &params() const { return cfg; }
@@ -84,18 +76,22 @@ struct OpportunityReport
 /**
  * For each trace sample, compute the highest frequency the part could
  * sustain under @p cooling within @p tdp (via the turbo governor) and
- * classify it against the Fig. 4 domains.
+ * classify it against the Fig. 4 domains. A sample's active cores are
+ * its utilization times the governor's core count, rounded and
+ * clamped to [1, cores].
  *
- * @param governor Part's frequency-domain map.
- * @param socket   Power model.
- * @param cooling  Cooling system.
- * @param trace    Utilization trace.
+ * @param governor    Part's frequency-domain map.
+ * @param socket      Power model.
+ * @param cooling     Cooling system.
+ * @param utilization Utilization trace, each sample in [0, 1].
+ * @throws FatalError when the trace is empty or a sample is not a
+ *         finite value in [0, 1].
  */
 OpportunityReport
 analyzeOpportunity(const hw::TurboGovernor &governor,
                    const power::SocketPowerModel &socket,
                    const thermal::CoolingSystem &cooling,
-                   const std::vector<TraceSample> &trace);
+                   const std::vector<double> &utilization);
 
 } // namespace workload
 } // namespace imsim

@@ -487,7 +487,6 @@ TEST(HoltForecaster, NearZeroDtDoesNotExplodeTheTrend)
 TEST(TraceGenerator, DiurnalPeakAtSixteenHundred)
 {
     workload::TraceParams params;
-    params.cores = 32;
     params.meanUtil = 0.45;
     params.diurnalAmplitude = 0.2;
     params.weekendDip = 0.0;
@@ -501,34 +500,36 @@ TEST(TraceGenerator, DiurnalPeakAtSixteenHundred)
 
     std::size_t argmax = 0;
     for (std::size_t i = 1; i < trace.size(); ++i) {
-        if (trace[i].utilization > trace[argmax].utilization)
+        if (trace[i] > trace[argmax])
             argmax = i;
     }
     // Documented peak: 16:00, +/- 30 minutes.
-    const double peak_s = trace[argmax].time;
+    const double peak_s = static_cast<double>(argmax) * params.sampleInterval;
     EXPECT_NEAR(peak_s, 16.0 * 3600.0, 30.0 * 60.0);
 
     // And the trough lands twelve hours opposite, at 04:00.
     std::size_t argmin = 0;
     for (std::size_t i = 1; i < trace.size(); ++i) {
-        if (trace[i].utilization < trace[argmin].utilization)
+        if (trace[i] < trace[argmin])
             argmin = i;
     }
-    EXPECT_NEAR(trace[argmin].time, 4.0 * 3600.0, 30.0 * 60.0);
+    EXPECT_NEAR(static_cast<double>(argmin) * params.sampleInterval,
+                4.0 * 3600.0, 30.0 * 60.0);
 }
 
 TEST(TraceGenerator, NonDivisibleSampleIntervalKeepsFinalSample)
 {
     workload::TraceParams params;
-    params.cores = 8;
     params.sampleInterval = 7.0; // 86400 / 7 = 12342.857...
     workload::TraceGenerator generator(params);
     util::Rng rng(2);
     const auto trace = generator.generate(rng, 1.0);
     // Rounded up: the final partial interval is sampled, not dropped.
     EXPECT_EQ(trace.size(), 12343u);
-    EXPECT_LT(trace.back().time, 86400.0);
-    EXPECT_GE(trace.back().time, 86400.0 - 7.0);
+    const double last_s =
+        static_cast<double>(trace.size() - 1) * params.sampleInterval;
+    EXPECT_LT(last_s, 86400.0);
+    EXPECT_GE(last_s, 86400.0 - 7.0);
 
     // Exact multiples stay exact (no spurious extra sample).
     params.sampleInterval = 60.0;

@@ -81,11 +81,9 @@ TEST(Trace, GeneratesRequestedLength)
     util::Rng rng(1);
     const auto trace = gen.generate(rng, 7.0);
     EXPECT_EQ(trace.size(), 7u * 288u); // 5-minute samples.
-    for (const auto &s : trace) {
-        EXPECT_GE(s.utilization, 0.0);
-        EXPECT_LE(s.utilization, 1.0);
-        EXPECT_GE(s.activeCores, 1);
-        EXPECT_LE(s.activeCores, 28);
+    for (const double u : trace) {
+        EXPECT_GE(u, 0.0);
+        EXPECT_LE(u, 1.0);
     }
 }
 
@@ -97,8 +95,8 @@ TEST(Trace, MeanUtilizationNearTarget)
     util::Rng rng(2);
     const auto trace = gen.generate(rng, 14.0);
     double total = 0.0;
-    for (const auto &s : trace)
-        total += s.utilization;
+    for (const double u : trace)
+        total += u;
     EXPECT_NEAR(total / trace.size(), 0.45, 0.05);
 }
 
@@ -112,13 +110,14 @@ TEST(Trace, DiurnalPatternPresent)
     double trough = 0.0;
     int peak_n = 0;
     int trough_n = 0;
-    for (const auto &s : trace) {
-        const double hour = std::fmod(s.time / 3600.0, 24.0);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const double t = static_cast<double>(i) * gen.params().sampleInterval;
+        const double hour = std::fmod(t / 3600.0, 24.0);
         if (hour >= 15.0 && hour < 17.0) {
-            peak += s.utilization;
+            peak += trace[i];
             ++peak_n;
         } else if (hour >= 3.0 && hour < 5.0) {
-            trough += s.utilization;
+            trough += trace[i];
             ++trough_n;
         }
     }
@@ -189,6 +188,11 @@ TEST(Trace, InvalidParamsAreFatal)
     workload::TraceParams params;
     params.meanUtil = 1.5;
     EXPECT_THROW(workload::TraceGenerator{params}, FatalError);
+    params.meanUtil = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(workload::TraceGenerator{params}, FatalError);
+    params = {};
+    params.noisePhi = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(workload::TraceGenerator{params}, FatalError);
     workload::TraceGenerator gen;
     util::Rng rng(6);
     EXPECT_THROW(gen.generate(rng, 0.0), FatalError);
@@ -198,6 +202,54 @@ TEST(Trace, InvalidParamsAreFatal)
                  FatalError);
     // Positive but too short to yield a single sample.
     EXPECT_THROW(gen.generate(rng, 1e-13), FatalError);
+}
+
+TEST(Trace, OpportunityActiveCoresFollowGovernor)
+{
+    // A sample's active cores are round(u * governor.cores()) clamped to
+    // [1, cores]: an idle sample counts one core, a saturated one all.
+    const auto governor = hw::TurboGovernor::skylake8180();
+    const auto socket = power::SocketPowerModel::skylakeServer(2.6);
+    thermal::AirCooling air(thermal::CoolingTech::DirectEvaporative, 35.0,
+                            0.21);
+    const auto check = [&](double u, int active_cores) {
+        SCOPED_TRACE(u);
+        const auto report =
+            workload::analyzeOpportunity(governor, socket, air, {u});
+        // One sample: the mean sustainable frequency is that sample's.
+        const hw::FrequencyDomain domain =
+            governor.classify(report.meanSustainable, active_cores);
+        const bool oc = domain == hw::FrequencyDomain::Overclocking ||
+                        domain == hw::FrequencyDomain::NonOperating;
+        EXPECT_EQ(report.overclockShare, oc ? 1.0 : 0.0);
+        EXPECT_EQ(report.turboShare,
+                  domain == hw::FrequencyDomain::Turbo ? 1.0 : 0.0);
+        EXPECT_EQ(report.guaranteedShare,
+                  domain == hw::FrequencyDomain::Guaranteed ? 1.0 : 0.0);
+        return report.meanSustainable;
+    };
+    const GHz idle = check(0.0, 1);
+    const GHz saturated = check(1.0, governor.cores());
+    // Samples that round to the same core count give the same answer.
+    EXPECT_EQ(check(0.01, 1), idle);
+    EXPECT_EQ(check(0.99, governor.cores()), saturated);
+    // More active cores share the same power budget.
+    EXPECT_GT(idle, saturated);
+}
+
+TEST(Trace, OpportunityRejectsOutOfRangeSamples)
+{
+    const auto governor = hw::TurboGovernor::skylake8180();
+    const auto socket = power::SocketPowerModel::skylakeServer(2.6);
+    thermal::AirCooling air(thermal::CoolingTech::DirectEvaporative, 35.0,
+                            0.21);
+    for (const double u : {std::numeric_limits<double>::quiet_NaN(), 1.5,
+                           -0.1}) {
+        SCOPED_TRACE(u);
+        EXPECT_THROW(workload::analyzeOpportunity(governor, socket, air,
+                                                  {0.5, u}),
+                     FatalError);
+    }
 }
 
 // --- Live migration -------------------------------------------------------------

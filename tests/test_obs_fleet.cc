@@ -1033,6 +1033,10 @@ TEST(TailTracking, RecentQuantileReflectsTrailingWindowOnly)
     EXPECT_LT(cluster.recentTailQuantile(99.0), 1.0);
 
     EXPECT_THROW(cluster.enableTailTracking(-1.0), FatalError);
+    EXPECT_THROW(cluster.enableTailTracking(
+                     std::numeric_limits<double>::quiet_NaN()),
+                 FatalError);
+    EXPECT_THROW(cluster.enableTailTracking(10.0, 0), FatalError);
 }
 
 // ---------------------------------------------------------------------

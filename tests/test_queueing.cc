@@ -268,8 +268,9 @@ TEST(Queueing, LifetimeBusyFractionTracksLoad)
     const std::size_t id = cluster.addServer(3.4);
     cluster.setArrivalRate(1000.0);
     sim.runUntil(120.0);
-    // rho = 1000 * 0.0026 / 4 = 0.65.
-    EXPECT_NEAR(cluster.lifetimeBusyFraction(id), 0.65, 0.05);
+    // rho = 1000 * 0.0026 / 4 = 0.65. The 120 s window spans the
+    // server's whole life (the utilization window keeps 200 s).
+    EXPECT_NEAR(cluster.utilization(id, 120.0), 0.65, 0.05);
 }
 
 TEST(Queueing, InvalidOperationsAreFatal)
