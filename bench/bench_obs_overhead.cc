@@ -1,15 +1,13 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the observability layer's
- * overhead contract: a disabled tracer / unattached hook must cost a
- * single branch on the kernel's hot path, and enabled instrumentation
- * must stay cheap enough to leave on during experiments.
+ * overhead contract: a disabled tracer or profiler scope must cost a
+ * single branch on a hot path, and enabled instrumentation must stay
+ * cheap enough to leave on during experiments.
  *
  * Pairs to compare:
- *  - BM_KernelLoopBare vs BM_KernelLoopHooksOff vs BM_KernelLoopTraced;
  *  - BM_TracerDisabled vs BM_TracerEnabled (per-emit cost);
  *  - BM_CounterInc / BM_GaugePoll (registry primitives);
- *  - BM_TraceScopeDisabled vs BM_TraceScopeEnabled;
  *  - BM_ProfScopeDisabled vs BM_ProfScopeEnabled (wall-clock profiler);
  *  - BM_FleetAggregatorObserve / ...Recorded: the per-tick columnar
  *    fleet reduction, with per-server cost (ns_per_server) and the
@@ -49,7 +47,6 @@
 #include "obs/sampler.hh"
 #include "obs/trace.hh"
 #include "obs/watchdog.hh"
-#include "sim/simulation.hh"
 #include "util/stats.hh"
 
 namespace {
@@ -117,72 +114,6 @@ using namespace imsim;
 
 namespace {
 
-/** The kernel loop with no hooks installed (the baseline). */
-void
-BM_KernelLoopBare(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::Simulation sim;
-        int counter = 0;
-        for (int i = 0; i < state.range(0); ++i) {
-            sim.at(static_cast<double>(i % 97),
-                   [&counter] { ++counter; });
-        }
-        sim.run();
-        benchmark::DoNotOptimize(counter);
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KernelLoopBare)->Arg(10000);
-
-/**
- * The kernel loop with hooks attached but the tracer disabled: every
- * hook call returns after the tracer's single-branch fast path.
- */
-void
-BM_KernelLoopHooksOff(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::Simulation sim;
-        obs::EventTracer tracer; // Never enabled.
-        class NullHooks : public sim::KernelHooks
-        {
-        } hooks;
-        sim.setHooks(&hooks);
-        int counter = 0;
-        for (int i = 0; i < state.range(0); ++i) {
-            sim.at(static_cast<double>(i % 97),
-                   [&counter] { ++counter; });
-        }
-        sim.run();
-        benchmark::DoNotOptimize(counter);
-        benchmark::DoNotOptimize(tracer.size());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KernelLoopHooksOff)->Arg(10000);
-
-/** The kernel loop under a live KernelTracer (full event capture). */
-void
-BM_KernelLoopTraced(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::Simulation sim;
-        obs::EventTracer tracer;
-        obs::KernelTracer kernel_tracer(tracer, sim);
-        int counter = 0;
-        for (int i = 0; i < state.range(0); ++i) {
-            sim.at(static_cast<double>(i % 97),
-                   [&counter] { ++counter; });
-        }
-        sim.run();
-        benchmark::DoNotOptimize(counter);
-        benchmark::DoNotOptimize(tracer.size());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KernelLoopTraced)->Arg(10000);
-
 /** Per-emit cost of a disabled tracer (the always-compiled-in path). */
 void
 BM_TracerDisabled(benchmark::State &state)
@@ -244,39 +175,6 @@ BM_GaugePoll(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GaugePoll);
-
-/** RAII scope on a disabled tracer: one branch in, nothing out. */
-void
-BM_TraceScopeDisabled(benchmark::State &state)
-{
-    obs::EventTracer tracer;
-    for (auto _ : state) {
-        obs::TraceScope scope(tracer, "work", "bench");
-        benchmark::DoNotOptimize(&scope);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceScopeDisabled);
-
-/** RAII scope on an enabled tracer: one complete event per scope. */
-void
-BM_TraceScopeEnabled(benchmark::State &state)
-{
-    obs::EventTracer tracer;
-    Seconds t = 0.0;
-    tracer.enable([&t] { return t; });
-    for (auto _ : state) {
-        t += 1.0;
-        {
-            obs::TraceScope scope(tracer, "work", "bench");
-            benchmark::DoNotOptimize(&scope);
-        }
-        if (tracer.size() > 1u << 20)
-            tracer.clear();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceScopeEnabled);
 
 /**
  * Profiler scope with the global flag off: the cost every instrumented

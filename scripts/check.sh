@@ -9,7 +9,13 @@
 #      rows that check EXPERIMENTS.md's paper values) and slow (the full
 #      fault-crisis sweep, ~50-90 s). No test is excluded from the
 #      default run;
-#   3. the hot-path timing check against the committed
+#   3. the end-to-end benchmark builds and runs: perfbench/run.py
+#      compiles perfbench/ against src/ (so a library API change that
+#      breaks it fails here, not at benchmark time), then runs each
+#      gated workload (fleet-perserver, control-crisis, autoscale-ramp)
+#      for 1 s with --smoke and --trace 0, plus one --trace 1 run; each
+#      run must exit 0 with the declared metrics;
+#   4. the hot-path timing check against the committed
 #      BENCH_hotpaths.json (scripts/bench.sh --check). The functional
 #      gates bench.sh once re-ran (bench_fault_crisis --smoke,
 #      bench_control --smoke, bench_obs_overhead --check) are the
@@ -26,14 +32,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-echo "== [1/3] build ($BUILD_DIR) =="
+echo "== [1/4] build ($BUILD_DIR) =="
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-echo "== [2/3] tier-1 tests =="
+echo "== [2/4] tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== [3/3] hot-path regression check =="
+echo "== [3/4] perfbench build + smoke runs =="
+for workload in fleet-perserver control-crisis autoscale-ramp; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace 0 --smoke >/dev/null
+done
+python3 perfbench/run.py --workload control-crisis --seed 1 --seconds 1 \
+    --trace 1 --smoke >/dev/null
+
+echo "== [4/4] hot-path regression check =="
 scripts/bench.sh --check
 
 echo "All checks passed."

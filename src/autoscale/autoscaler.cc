@@ -76,16 +76,7 @@ AutoScaler::start()
     running = true;
     startTime = sim.now();
     lastFreqChange = sim.now();
-    loopEvent = sim.every(cfg.decisionPeriod, [this] { decide(); });
-}
-
-void
-AutoScaler::stop()
-{
-    if (!running)
-        return;
-    sim.cancel(loopEvent);
-    running = false;
+    sim.every(cfg.decisionPeriod, [this] { decide(); });
 }
 
 void

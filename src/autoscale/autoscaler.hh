@@ -113,9 +113,6 @@ class AutoScaler
     /** Arm the decision loop (first decision after one period). */
     void start();
 
-    /** Stop the decision loop. */
-    void stop();
-
     /** @return the recorded decision trace. */
     const std::vector<TracePoint> &trace() const { return traceLog; }
 
@@ -180,7 +177,6 @@ class AutoScaler
     workload::QueueingCluster &cluster;
     AutoScalerConfig cfg;
     FrequencyGrid grid;
-    sim::EventId loopEvent = 0;
     bool running = false;
     bool scaleOutPending = false;
     GHz fleetFreq;

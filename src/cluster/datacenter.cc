@@ -372,12 +372,6 @@ PerServerSession::setFeedCapacity(Watts capacity)
 }
 
 void
-PerServerSession::setRecoverableBrownout(bool recoverable)
-{
-    budget.setRecoverableBrownout(recoverable);
-}
-
-void
 PerServerSession::setPackingFraction(double fraction)
 {
     util::fatalIf(!(fraction > 0.0 && fraction <= 1.0),

@@ -202,9 +202,6 @@ class PerServerSession
      *  feed capacity allocatable without a brownout. */
     Watts minimumFeedDemand() const;
 
-    /** Forwarded to PowerBudget::setRecoverableBrownout. */
-    void setRecoverableBrownout(bool recoverable);
-
     /** Pack rack load onto the first @p fraction of servers, (0, 1]. */
     void setPackingFraction(double fraction);
 
@@ -378,9 +375,6 @@ class DatacenterPowerSim
 
     /** @return the per-server physics (per-server fidelity only). */
     const PerServerPhysics &perServerPhysics() const { return physics; }
-
-    /** @return the nominal feed capacity [W]. */
-    Watts feedCapacityNominal() const { return feedCapacity; }
 
     /**
      * Start an externally stepped per-server run (see PerServerSession;

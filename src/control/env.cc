@@ -122,9 +122,6 @@ void
 ControlEnv::applyCrisesDue(Seconds t)
 {
     const auto &events = cfg.crises.scripted();
-    util::fatalIf(cfg.crises.crashProcess().enabled,
-                  "ControlEnv: stochastic crash process unsupported "
-                  "(scripted faults only)");
     while (nextCrisis < events.size() && events[nextCrisis].first <= t) {
         const fault::Fault &f = events[nextCrisis].second;
         switch (f.kind) {

@@ -153,8 +153,7 @@ struct ControlEnvConfig
     /** Scripted faults applied at epoch boundaries: PowerDerate /
      *  PowerRestore (feed), CoolingDegrade / CoolingRestore (bars
      *  overclocking while degraded), ServerCrash / ServerRepair
-     *  (queueing VMs). The stochastic crash process is not supported
-     *  here (epoch boundaries only). */
+     *  (queueing VMs). */
     fault::FaultPlan crises;
 
     ControlEnvConfig();

@@ -80,13 +80,6 @@ FaultInjector::start(const FaultPlan &plan)
                 inject(fault);
         });
     }
-    process = plan.crashProcess();
-    if (process.enabled) {
-        const Seconds begin = std::max(process.start, sim.now());
-        const Seconds first =
-            begin + rng.exponential(process.meanTimeBetweenCrashes);
-        sim.at(first, [this] { processTick(); });
-    }
 }
 
 void
@@ -216,29 +209,6 @@ FaultInjector::pickVictim()
     const auto pick = static_cast<std::size_t>(rng.uniformInt(
         0, static_cast<std::int64_t>(candidates.size()) - 1));
     return candidates[pick];
-}
-
-void
-FaultInjector::processTick()
-{
-    if (stopped)
-        return;
-    if (process.stop >= 0.0 && sim.now() > process.stop)
-        return;
-    if (downIds.size() < process.maxConcurrentDown) {
-        const std::size_t victim = pickVictim();
-        if (victim != kAnyServer) {
-            injectCrash(victim);
-            const Seconds repair_in =
-                rng.lognormalMeanCv(process.meanRepair, process.repairCv);
-            sim.after(repair_in, [this, victim] {
-                if (!stopped && cluster->isCrashed(victim))
-                    injectRepair(victim);
-            });
-        }
-    }
-    sim.after(rng.exponential(process.meanTimeBetweenCrashes),
-              [this] { processTick(); });
 }
 
 void

@@ -70,8 +70,8 @@ class FaultInjector
   public:
     /**
      * @param simulation Event kernel the faults are scheduled on.
-     * @param rng        Substream for victim choice and the stochastic
-     *                   crash process (fork it from the run's root Rng).
+     * @param rng        Substream for kAnyServer victim choice (fork it
+     *                   from the run's root Rng).
      */
     FaultInjector(sim::Simulation &simulation, util::Rng rng);
 
@@ -117,13 +117,12 @@ class FaultInjector
     void attach(const obs::Observers &bundle);
 
     /**
-     * Arm @p plan: scripted faults are scheduled at their times and the
-     * stochastic crash process (if enabled) starts ticking. May only be
-     * called once.
+     * Arm @p plan: its scripted faults are scheduled at their times.
+     * May only be called once.
      */
     void start(const FaultPlan &plan);
 
-    /** Stop injecting: pending scripted faults and process ticks no-op. */
+    /** Stop injecting: pending scripted faults no-op. */
     void stop();
 
     /** Inject @p fault right now (also usable without start()). */
@@ -140,7 +139,6 @@ class FaultInjector
     void injectRepair(std::size_t target);
     void applyFluidLevel(double level);
     void applyFeedCapacity(double fraction);
-    void processTick();
     std::size_t pickVictim();
     void record(FaultKind kind, std::size_t target, double magnitude);
 
@@ -155,7 +153,6 @@ class FaultInjector
 
     bool started = false;
     bool stopped = false;
-    CrashProcess process;
     std::vector<std::size_t> downIds; ///< Crash order (FIFO repairs).
     std::vector<InjectedFault> injected;
 

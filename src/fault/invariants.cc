@@ -73,15 +73,6 @@ InvariantChecker::watchBudget(const power::PowerBudget &budget,
 }
 
 void
-InvariantChecker::watchJunction(std::function<Celsius()> tj, Celsius tj_max)
-{
-    util::fatalIf(!tj, "InvariantChecker::watchJunction: empty reader");
-    addCheck("cpu.junction_below_max", [tj = std::move(tj), tj_max] {
-        return tj() <= tj_max;
-    });
-}
-
-void
 InvariantChecker::watchFleetAggregator(
     const obs::FleetAggregator &aggregator, Celsius tj_max)
 {

@@ -84,9 +84,6 @@ class InvariantChecker
     void watchBudget(const power::PowerBudget &budget,
                      const power::AllocScratch &scratch);
 
-    /** Canned junction check: @p tj() stays at or below @p tj_max. */
-    void watchJunction(std::function<Celsius()> tj, Celsius tj_max);
-
     /**
      * Canned fleet checks over @p aggregator's published sample: while
      * the fleet is non-empty, its hottest junction stays at or below

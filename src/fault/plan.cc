@@ -42,21 +42,5 @@ FaultPlan::at(Seconds t, Fault fault)
     return *this;
 }
 
-FaultPlan &
-FaultPlan::withCrashProcess(CrashProcess process_in)
-{
-    util::fatalIf(process_in.meanTimeBetweenCrashes <= 0.0,
-                  "FaultPlan: mean time between crashes must be positive");
-    util::fatalIf(process_in.meanRepair <= 0.0,
-                  "FaultPlan: mean repair time must be positive");
-    util::fatalIf(process_in.repairCv <= 0.0,
-                  "FaultPlan: repair CV must be positive");
-    util::fatalIf(process_in.maxConcurrentDown == 0,
-                  "FaultPlan: maxConcurrentDown must be >= 1");
-    process = process_in;
-    process.enabled = true;
-    return *this;
-}
-
 } // namespace fault
 } // namespace imsim

@@ -6,9 +6,8 @@
  * part of the fleet is lost — a power-feed derate, a cooling problem, or
  * plain server crashes — the surviving machines overclock to cover the
  * gap instead of keeping idle spares provisioned. A FaultPlan describes
- * such an episode: scripted faults pinned to simulation times plus an
- * optional seeded stochastic crash/repair process, both executed by
- * fault::FaultInjector on the deterministic event kernel.
+ * such an episode: scripted faults pinned to simulation times, executed
+ * by fault::FaultInjector on the deterministic event kernel.
  */
 
 #ifndef IMSIM_FAULT_PLAN_HH
@@ -55,29 +54,10 @@ struct Fault
 };
 
 /**
- * Seeded stochastic crash/repair process: server crashes arrive with
- * exponential inter-arrival times (a Poisson process, the standard
- * fleet-failure model) and each crashed server is repaired after a
- * lognormal delay — repair times are long-tailed in practice (parts,
- * people, remote hands).
- */
-struct CrashProcess
-{
-    bool enabled = false;
-    Seconds start = 0.0;          ///< Process active from this time.
-    Seconds stop = -1.0;          ///< Inactive after this time; <0 = never.
-    Seconds meanTimeBetweenCrashes = 3600.0;
-    Seconds meanRepair = 900.0;   ///< Mean of the lognormal repair time.
-    double repairCv = 1.0;        ///< Repair-time coefficient of variation.
-    std::size_t maxConcurrentDown = 1; ///< Crash ticks beyond this no-op.
-};
-
-/**
- * A deterministic fault schedule: scripted (time, fault) pairs plus an
- * optional stochastic crash process. Plans are plain data — build one,
- * hand it to FaultInjector::start(). An empty plan injects nothing, so
- * attaching an injector with an empty plan leaves a run bit-identical
- * to one without the injector.
+ * A deterministic fault schedule: scripted (time, fault) pairs. Plans
+ * are plain data — build one, hand it to FaultInjector::start(). An
+ * empty plan injects nothing, so attaching an injector with an empty
+ * plan leaves a run bit-identical to one without the injector.
  */
 class FaultPlan
 {
@@ -85,24 +65,17 @@ class FaultPlan
     /** Schedule @p fault at absolute simulation time @p t (chainable). */
     FaultPlan &at(Seconds t, Fault fault);
 
-    /** Enable the stochastic crash/repair process (chainable). */
-    FaultPlan &withCrashProcess(CrashProcess process);
-
     /** @return the scripted (time, fault) events, in insertion order. */
     const std::vector<std::pair<Seconds, Fault>> &scripted() const
     {
         return events;
     }
 
-    /** @return the stochastic process configuration. */
-    const CrashProcess &crashProcess() const { return process; }
-
     /** @return whether the plan injects nothing at all. */
-    bool empty() const { return events.empty() && !process.enabled; }
+    bool empty() const { return events.empty(); }
 
   private:
     std::vector<std::pair<Seconds, Fault>> events;
-    CrashProcess process;
 };
 
 } // namespace fault

@@ -7,7 +7,6 @@
 #include "power/socket_power.hh"
 #include "reliability/mechanisms.hh"
 #include "thermal/cooling.hh"
-#include "thermal/tank.hh"
 #include "util/logging.hh"
 
 namespace imsim {
@@ -207,19 +206,6 @@ FleetState::applyFrequencyCeiling(const std::vector<SkuParams> &skus,
         }
     }
     return demoted;
-}
-
-std::size_t
-syncTankHeatLoads(const FleetState &state, std::size_t first_server,
-                  thermal::ImmersionTank &tank)
-{
-    util::fatalIf(first_server > state.size(),
-                  "syncTankHeatLoads: first server out of range");
-    const std::size_t n =
-        std::min(tank.slots(), state.size() - first_server);
-    for (std::size_t j = 0; j < n; ++j)
-        tank.setHeatLoad(j, state.totalPower[first_server + j]);
-    return n;
 }
 
 obs::FleetView

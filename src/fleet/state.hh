@@ -44,7 +44,6 @@ class SocketPowerModel;
 
 namespace thermal {
 class CoolingSystem;
-class ImmersionTank;
 } // namespace thermal
 
 namespace fleet {
@@ -232,17 +231,6 @@ class FleetState
     std::vector<double> wearOxideScratch;
     std::vector<double> wearArrheniusScratch;
 };
-
-/**
- * Push per-server heat loads into an immersion tank: server
- * @p first_server + j feeds tank slot j. The tank's condenser headroom
- * and fluid telemetry then reflect the fleet step just taken.
- *
- * @return the number of slots written (min(tank slots, servers left)).
- */
-std::size_t syncTankHeatLoads(const FleetState &state,
-                              std::size_t first_server,
-                              thermal::ImmersionTank &tank);
 
 /**
  * Column-pointer view over @p state for obs::FleetAggregator::observe

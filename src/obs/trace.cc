@@ -56,13 +56,6 @@ EventTracer::enable(Clock clock_in)
 }
 
 void
-EventTracer::push(TraceEvent ev)
-{
-    ev.tid = track;
-    log.push_back(std::move(ev));
-}
-
-void
 EventTracer::complete(const std::string &name, const std::string &cat,
                       Seconds begin, Seconds end)
 {
@@ -74,7 +67,7 @@ EventTracer::complete(const std::string &name, const std::string &cat,
     ev.phase = 'X';
     ev.tsUs = begin * 1e6;
     ev.durUs = (end - begin) * 1e6;
-    push(std::move(ev));
+    log.push_back(std::move(ev));
 }
 
 void
@@ -98,7 +91,7 @@ EventTracer::instantAt(const std::string &name, const std::string &cat,
     ev.phase = 'i';
     ev.tsUs = t * 1e6;
     ev.args = std::move(args);
-    push(std::move(ev));
+    log.push_back(std::move(ev));
 }
 
 void
@@ -120,7 +113,7 @@ EventTracer::counterAt(const std::string &name, Seconds t, double value)
     ev.phase = 'C';
     ev.tsUs = t * 1e6;
     ev.args.emplace_back("value", value);
-    push(std::move(ev));
+    log.push_back(std::move(ev));
 }
 
 void
@@ -129,9 +122,9 @@ EventTracer::nameTrack(std::uint32_t tid, const std::string &label)
     TraceEvent ev;
     ev.name = "thread_name";
     ev.phase = 'M';
+    ev.tid = tid;
     ev.strArg = label;
-    push(std::move(ev));
-    log.back().tid = tid;
+    log.push_back(std::move(ev));
 }
 
 void
@@ -215,50 +208,6 @@ EventTracer::writeJsonFile(const std::string &path,
                             "' for writing");
     writeJson(out, metadata_json);
     util::fatalIf(!out, "EventTracer: failed writing '" + path + "'");
-}
-
-KernelTracer::KernelTracer(EventTracer &tracer_in, sim::Simulation &sim_in)
-    : tracer(tracer_in), sim(sim_in)
-{
-    util::fatalIf(sim.hooksAttached() != nullptr,
-                  "KernelTracer: simulation already has hooks");
-    if (!tracer.enabled())
-        tracer.enable([this] { return sim.now(); });
-    sim.setHooks(this);
-}
-
-KernelTracer::~KernelTracer()
-{
-    if (sim.hooksAttached() == this)
-        sim.setHooks(nullptr);
-}
-
-void
-KernelTracer::onSchedule(sim::EventId id, Seconds t, Seconds period)
-{
-    // Scheduling is traced only for one-shots: periodic re-arms would
-    // double every firing's event count for no extra information.
-    if (period <= 0.0) {
-        tracer.instantAt("schedule", "sim", sim.now(),
-                         {{"id", static_cast<double>(id)},
-                          {"at", t}});
-    }
-}
-
-void
-KernelTracer::onCancel(sim::EventId id)
-{
-    tracer.instantAt("cancel", "sim", sim.now(),
-                     {{"id", static_cast<double>(id)}});
-}
-
-void
-KernelTracer::onFire(sim::EventId id, Seconds t)
-{
-    tracer.instantAt("fire", "sim", t,
-                     {{"id", static_cast<double>(id)}});
-    tracer.counterAt("pending_events", t,
-                     static_cast<double>(sim.pendingEvents()));
 }
 
 } // namespace obs

@@ -1,15 +1,14 @@
 /**
  * @file
- * Event tracing in Chrome trace_event format: an in-memory tracer with
- * RAII scopes, instant/complete/counter events on the *virtual*
- * timeline, and a KernelTracer adapter that observes the simulation
- * kernel through sim::KernelHooks. The JSON output loads directly into
- * chrome://tracing or https://ui.perfetto.dev.
+ * Event tracing in Chrome trace_event format: an in-memory tracer of
+ * instant/complete/counter events on the *virtual* timeline. The JSON
+ * output loads directly into chrome://tracing or
+ * https://ui.perfetto.dev.
  *
  * Overhead contract: a default-constructed tracer is disabled and
  * every emit method returns after a single branch (`if (!on) return`),
  * so instrumentation can stay compiled into hot paths; see
- * bench_obs_overhead and the disabled-drift test in tests/test_obs.cc.
+ * bench_obs_overhead's BM_TracerDisabled.
  *
  * Thread-safety: a tracer is not synchronised — use one per sweep
  * point / replication and append() them in point order afterwards.
@@ -25,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/simulation.hh"
 #include "util/units.hh"
 
 namespace imsim {
@@ -41,7 +39,7 @@ struct TraceEvent
     double tsUs = 0.0;   ///< Timestamp [us] on the virtual timeline.
     double durUs = 0.0;  ///< Duration [us]; 'X' events only.
     std::uint32_t tid = 0;
-    /** Numeric args ({"value": v} for counters, {"id": n} for fires). */
+    /** Numeric args ({"value": v} for counters). */
     std::vector<std::pair<std::string, double>> args;
     /** String arg for 'M' metadata events (thread names). */
     std::string strArg;
@@ -77,12 +75,6 @@ class EventTracer
 
     /** @return the clock's current virtual time [s]; 0 when disabled. */
     Seconds now() const { return on ? clock() : 0.0; }
-
-    /** Thread-track id stamped on subsequently emitted events. */
-    void setTid(std::uint32_t tid) { track = tid; }
-
-    /** @return the current thread-track id. */
-    std::uint32_t tid() const { return track; }
 
     /** Emit a complete ('X') event spanning [begin, end] seconds. */
     void complete(const std::string &name, const std::string &cat,
@@ -142,88 +134,9 @@ class EventTracer
     void clear() { log.clear(); }
 
   private:
-    void push(TraceEvent ev);
-
     bool on = false;
     Clock clock;
-    std::uint32_t track = 0;
     std::vector<TraceEvent> log;
-};
-
-/**
- * RAII scope: emits one complete ('X') event covering the scope's
- * virtual-time extent. Construction on a disabled tracer costs one
- * branch and the destructor is free.
- *
- * @code
- *   void Autoscaler::decide() {
- *       obs::TraceScope scope(tracer, "decide", "autoscale");
- *       ...
- *   }
- * @endcode
- */
-class TraceScope
-{
-  public:
-    TraceScope(EventTracer &tracer_in, std::string name_in,
-               std::string cat_in = "scope")
-        : tracer(tracer_in.enabled() ? &tracer_in : nullptr)
-    {
-        if (tracer) {
-            name = std::move(name_in);
-            cat = std::move(cat_in);
-            begin = tracer->now();
-        }
-    }
-
-    TraceScope(const TraceScope &) = delete;
-    TraceScope &operator=(const TraceScope &) = delete;
-
-    ~TraceScope()
-    {
-        if (tracer)
-            tracer->complete(name, cat, begin, tracer->now());
-    }
-
-  private:
-    EventTracer *tracer;
-    std::string name;
-    std::string cat;
-    Seconds begin = 0.0;
-};
-
-/**
- * sim::KernelHooks adapter: traces every kernel event execution as an
- * instant event (args: event id) and tracks the live pending-event
- * count as a counter series. Attaches itself to the simulation on
- * construction and detaches on destruction.
- *
- * The tracer is enabled with the simulation's clock if it was not
- * enabled already, so `KernelTracer kt(tracer, sim);` is all a bench
- * needs before running.
- */
-class KernelTracer : public sim::KernelHooks
-{
-  public:
-    /**
-     * @param tracer_in Destination tracer (enabled onto @p sim's clock
-     *                  when not already enabled).
-     * @param sim_in    Kernel to observe; must outlive this object.
-     */
-    KernelTracer(EventTracer &tracer_in, sim::Simulation &sim_in);
-
-    ~KernelTracer() override;
-
-    KernelTracer(const KernelTracer &) = delete;
-    KernelTracer &operator=(const KernelTracer &) = delete;
-
-    void onSchedule(sim::EventId id, Seconds t, Seconds period) override;
-    void onCancel(sim::EventId id) override;
-    void onFire(sim::EventId id, Seconds t) override;
-
-  private:
-    EventTracer &tracer;
-    sim::Simulation &sim;
 };
 
 } // namespace obs

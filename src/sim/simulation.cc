@@ -58,8 +58,6 @@ Simulation::arm(std::uint32_t index, Seconds t, Seconds period)
     slot.state = SlotState::Live;
     queue.push(HeapEntry{t, id});
     ++liveCount;
-    if (hooks)
-        hooks->onSchedule(id, t, period);
     return id;
 }
 
@@ -116,8 +114,6 @@ Simulation::cancel(EventId id)
         return;
     slot.state = SlotState::Cancelled;
     --liveCount;
-    if (hooks)
-        hooks->onCancel(id);
 }
 
 /**
@@ -153,11 +149,7 @@ Simulation::drain(bool bounded, Seconds horizon)
             const std::uint32_t tag = slot.tag;
             slot.state = SlotState::Running;
             --liveCount;
-            if (hooks)
-                hooks->onFire(top.id, clock);
             target.fire(tag);
-            if (hooks)
-                hooks->onFireDone(top.id, clock);
             // A Running slot ignores cancel(), so it is still ours.
             freeSlot(index);
             continue;
@@ -169,17 +161,11 @@ Simulation::drain(bool bounded, Seconds horizon)
             // single cancel() kills all future firings and the event
             // keeps its tie-break rank; the slot stays Live.
             queue.push(HeapEntry{clock + period, top.id});
-            if (hooks)
-                hooks->onSchedule(top.id, clock + period, period);
         } else {
             slot.state = SlotState::Running;
             --liveCount;
         }
-        if (hooks)
-            hooks->onFire(top.id, clock);
         fn();
-        if (hooks)
-            hooks->onFireDone(top.id, clock);
         // Re-index: fn() may have grown the slab.
         Slot &after_fire = slots[index];
         if (after_fire.state == SlotState::Running)

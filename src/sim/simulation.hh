@@ -65,37 +65,6 @@ class EventTarget
 using EventId = std::uint64_t;
 
 /**
- * Observer interface for the kernel's lifecycle: scheduling, firing,
- * and cancellation. The default implementations do nothing, so
- * observers override only what they need. obs::KernelTracer adapts
- * this interface onto the Chrome-trace EventTracer.
- *
- * The kernel pays one branch per callback site when no observer is
- * attached (`if (hooks)`), so disabled observability is effectively
- * free; see bench_obs_overhead.
- */
-class KernelHooks
-{
-  public:
-    virtual ~KernelHooks() = default;
-
-    /** An event was scheduled for @p t (period > 0 for periodic). */
-    virtual void onSchedule(EventId id, Seconds t, Seconds period)
-    {
-        (void)id; (void)t; (void)period;
-    }
-
-    /** A live queued event was cancelled. */
-    virtual void onCancel(EventId id) { (void)id; }
-
-    /** Event @p id is about to execute at virtual time @p t. */
-    virtual void onFire(EventId id, Seconds t) { (void)id; (void)t; }
-
-    /** Event @p id finished executing (clock still at @p t). */
-    virtual void onFireDone(EventId id, Seconds t) { (void)id; (void)t; }
-};
-
-/**
  * Discrete-event simulation engine.
  *
  * Events scheduled for the same timestamp fire in scheduling order, which
@@ -125,8 +94,8 @@ class Simulation
 
     /**
      * Schedule the typed one-shot `target.fire(tag)` @p delay seconds
-     * from now (delay >= 0). Ids, tie order, cancel(), the hooks and
-     * the counts behave exactly as for a closure event.
+     * from now (delay >= 0). Ids, tie order, cancel() and the counts
+     * behave exactly as for a closure event.
      */
     EventId after(Seconds delay, EventTarget &target, std::uint32_t tag);
 
@@ -167,16 +136,6 @@ class Simulation
 
     /** @return number of live (non-cancelled) events currently pending. */
     std::size_t pendingEvents() const { return liveCount; }
-
-    /**
-     * Attach a lifecycle observer (nullptr detaches). The kernel does
-     * not own the observer; it must outlive the simulation or be
-     * detached first. At most one observer is attached at a time.
-     */
-    void setHooks(KernelHooks *h) { hooks = h; }
-
-    /** @return the attached lifecycle observer, or nullptr. */
-    KernelHooks *hooksAttached() const { return hooks; }
 
   private:
     /**
@@ -253,7 +212,6 @@ class Simulation
     std::uint64_t nextSeq = 1;
     std::uint64_t executed = 0;
     bool stopping = false;
-    KernelHooks *hooks = nullptr;
 };
 
 } // namespace sim

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the fault-injection subsystem: FaultPlan validation,
- * the injector's typed faults against cluster/tank/feed, the stochastic
- * crash process's determinism, the invariant checker, and the
+ * the injector's typed faults against cluster/tank/feed, seeded
+ * kAnyServer victim choice, the invariant checker, and the
  * capacity-crisis experiment's reproducibility and qualitative outcome.
  */
 
@@ -60,25 +60,6 @@ TEST(FaultPlan, RejectsBadScriptedFaults)
         FatalError);
 }
 
-TEST(FaultPlan, RejectsBadCrashProcess)
-{
-    fault::CrashProcess process;
-    process.meanTimeBetweenCrashes = 0.0;
-    EXPECT_THROW(FaultPlan().withCrashProcess(process), FatalError);
-
-    process = fault::CrashProcess();
-    process.meanRepair = 0.0;
-    EXPECT_THROW(FaultPlan().withCrashProcess(process), FatalError);
-
-    process = fault::CrashProcess();
-    process.repairCv = 0.0; // lognormalMeanCv needs a positive CV.
-    EXPECT_THROW(FaultPlan().withCrashProcess(process), FatalError);
-
-    process = fault::CrashProcess();
-    process.maxConcurrentDown = 0;
-    EXPECT_THROW(FaultPlan().withCrashProcess(process), FatalError);
-}
-
 TEST(FaultPlan, EmptinessAndChaining)
 {
     FaultPlan plan;
@@ -90,11 +71,6 @@ TEST(FaultPlan, EmptinessAndChaining)
     ASSERT_EQ(plan.scripted().size(), 2u);
     EXPECT_EQ(plan.scripted()[0].second.kind, FaultKind::ServerCrash);
     EXPECT_EQ(plan.scripted()[1].second.kind, FaultKind::ServerRepair);
-
-    FaultPlan stochastic;
-    stochastic.withCrashProcess(fault::CrashProcess());
-    EXPECT_FALSE(stochastic.empty());
-    EXPECT_TRUE(stochastic.crashProcess().enabled);
 }
 
 // --- Scripted faults through the cluster ---------------------------------
@@ -190,55 +166,53 @@ TEST(FaultInjector, StopCancelsPendingFaults)
     EXPECT_FALSE(cluster.isCrashed(0));
 }
 
-// --- Stochastic crash process --------------------------------------------
+// --- Seeded victim choice ------------------------------------------------
 
 namespace {
 
+/** Five kAnyServer crashes with two FIFO repairs among them. */
 std::vector<fault::InjectedFault>
-runCrashProcess(std::uint64_t seed)
+runAnyServerCrashes(std::uint64_t seed)
 {
     sim::Simulation sim;
     util::Rng rng(seed);
     workload::QueueingCluster cluster(sim, rng.child(), {});
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < 8; ++i)
         cluster.addServer(3.4);
-
-    fault::CrashProcess process;
-    process.meanTimeBetweenCrashes = 3.0;
-    process.meanRepair = 2.0;
-    process.repairCv = 1.0;
-    process.maxConcurrentDown = 2;
 
     FaultInjector injector(sim, rng.child());
     injector.attachCluster(cluster);
-    injector.start(FaultPlan().withCrashProcess(process));
-
-    sim.every(0.5, [&] {
-        EXPECT_LE(injector.serversDown(), process.maxConcurrentDown);
-    });
-    sim.runUntil(60.0);
+    FaultPlan plan;
+    for (int i = 1; i <= 5; ++i)
+        plan.at(static_cast<double>(i), Fault{FaultKind::ServerCrash});
+    plan.at(2.5, Fault{FaultKind::ServerRepair})
+        .at(4.5, Fault{FaultKind::ServerRepair});
+    injector.start(plan);
+    sim.runUntil(10.0);
+    EXPECT_EQ(injector.serversDown(), 3u);
     return injector.timeline();
 }
 
 } // namespace
 
-TEST(FaultInjector, CrashProcessIsSeededAndBounded)
+TEST(FaultInjector, AnyServerVictimsAreSeeded)
 {
-    const auto a = runCrashProcess(21);
-    const auto b = runCrashProcess(21);
-    const auto c = runCrashProcess(22);
+    const auto a = runAnyServerCrashes(21);
+    const auto b = runAnyServerCrashes(21);
+    const auto c = runAnyServerCrashes(22);
 
-    ASSERT_FALSE(a.empty());
+    ASSERT_EQ(a.size(), 7u);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_DOUBLE_EQ(a[i].time, b[i].time);
         EXPECT_EQ(a[i].kind, b[i].kind);
         EXPECT_EQ(a[i].target, b[i].target);
     }
-    // A different seed produces a different fault sequence.
-    bool differs = c.size() != a.size();
+    // A different seed picks different victims.
+    ASSERT_EQ(c.size(), a.size());
+    bool differs = false;
     for (std::size_t i = 0; !differs && i < a.size(); ++i)
-        differs = a[i].time != c[i].time || a[i].target != c[i].target;
+        differs = a[i].target != c[i].target;
     EXPECT_TRUE(differs);
 }
 

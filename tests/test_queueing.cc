@@ -302,20 +302,27 @@ slowParams()
     return params;
 }
 
-/** Feed exactly one request, arriving (a nanosecond or so) from now. */
+/** Requests the cluster holds: busy threads plus the queue. */
+std::size_t
+placedRequests(const workload::QueueingCluster &cluster)
+{
+    std::size_t placed = cluster.queueDepth();
+    for (std::size_t id = 0; id < cluster.serverCount(); ++id)
+        placed += static_cast<std::size_t>(cluster.busyThreads(id));
+    return placed;
+}
+
+/**
+ * Feed exactly one request, arriving (a nanosecond or so) from now:
+ * step the clock in picosecond slices until the arrival is placed.
+ */
 void
 arriveNow(sim::Simulation &sim, workload::QueueingCluster &cluster)
 {
-    struct StopAfterOne : sim::KernelHooks
-    {
-        sim::Simulation *sim = nullptr;
-        void onFireDone(sim::EventId, Seconds) override { sim->stop(); }
-    } stop;
-    stop.sim = &sim;
-    sim.setHooks(&stop);
+    const std::size_t before = placedRequests(cluster);
     cluster.setArrivalRate(1e9);
-    sim.run(); // Fires the arrival, then stops.
-    sim.setHooks(nullptr);
+    while (placedRequests(cluster) == before)
+        sim.runUntil(sim.now() + 1e-12);
     cluster.setArrivalRate(0.0);
 }
 

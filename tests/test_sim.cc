@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/simulation.hh"
@@ -344,19 +343,10 @@ TEST(Simulation, PeriodicSelfCancelDuringFiringStopsFutureFirings)
 }
 
 // Cancelling a one-shot from inside its own callback is a no-op (the
-// event is no longer pending while it executes) and must not emit a
-// cancellation to observers.
+// event is no longer pending while it executes).
 TEST(Simulation, OneShotSelfCancelDuringExecutionIsNoOp)
 {
-    struct CancelCounter : sim::KernelHooks
-    {
-        int cancels = 0;
-        void onCancel(sim::EventId) override { ++cancels; }
-    };
-
     sim::Simulation sim;
-    CancelCounter hooks;
-    sim.setHooks(&hooks);
     sim::EventId self = 0;
     int fired = 0;
     self = sim.at(1.0, [&] {
@@ -364,9 +354,7 @@ TEST(Simulation, OneShotSelfCancelDuringExecutionIsNoOp)
         sim.cancel(self);
     });
     sim.run();
-    sim.setHooks(nullptr);
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(hooks.cancels, 0);
     EXPECT_EQ(sim.eventsExecuted(), 1u);
     EXPECT_EQ(sim.pendingEvents(), 0u);
 }
@@ -564,60 +552,6 @@ TEST(TypedEvents, SelfCancelDuringFireIsNoOp)
     EXPECT_EQ(order, (std::vector<int>{9}));
     EXPECT_EQ(sim.eventsExecuted(), 1u);
     EXPECT_EQ(sim.pendingEvents(), 0u);
-}
-
-TEST(TypedEvents, HooksSeeTheFullLifecycle)
-{
-    struct Log : sim::KernelHooks
-    {
-        std::vector<std::string> lines;
-        void
-        onSchedule(sim::EventId id, Seconds t, Seconds period) override
-        {
-            lines.push_back("schedule " + std::to_string(id) + " " +
-                            std::to_string(t) + " " +
-                            std::to_string(period));
-        }
-        void
-        onCancel(sim::EventId id) override
-        {
-            lines.push_back("cancel " + std::to_string(id));
-        }
-        void
-        onFire(sim::EventId id, Seconds t) override
-        {
-            lines.push_back("fire " + std::to_string(id) + " " +
-                            std::to_string(t));
-        }
-        void
-        onFireDone(sim::EventId id, Seconds t) override
-        {
-            lines.push_back("done " + std::to_string(id) + " " +
-                            std::to_string(t));
-        }
-    };
-
-    sim::Simulation sim;
-    Log hooks;
-    sim.setHooks(&hooks);
-    std::vector<int> order;
-    Recorder target;
-    target.log = &order;
-    const sim::EventId a = sim.after(1.0, target, 1);
-    const sim::EventId b = sim.after(2.0, target, 2);
-    sim.cancel(b);
-    sim.run();
-    sim.setHooks(nullptr);
-    const std::string ia = std::to_string(a);
-    const std::string ib = std::to_string(b);
-    EXPECT_EQ(hooks.lines,
-              (std::vector<std::string>{
-                  "schedule " + ia + " 1.000000 0.000000",
-                  "schedule " + ib + " 2.000000 0.000000",
-                  "cancel " + ib,
-                  "fire " + ia + " 1.000000",
-                  "done " + ia + " 1.000000",
-              }));
 }
 
 TEST(TypedEvents, CountsMatchClosureEvents)

@@ -490,20 +490,39 @@ incidentColor(const std::string &kind)
     return "#555555";
 }
 
+/** A vertical tick on a timeline (a fault, violation or note). */
+struct TimelineMark
+{
+    double t;
+    const char *stroke;
+    const char *dash;   ///< stroke-dasharray; "" draws a solid line.
+    std::string label;  ///< HTML-escaped; the title appends " @ t s".
+};
+
+/** An interval band on one lane of a timeline. */
+struct TimelineBand
+{
+    int lane;
+    double open;
+    double close;       ///< Negative: still open, drawn to the horizon.
+    const char *fill;
+    std::string label;  ///< HTML-escaped title before the interval.
+    std::string detail; ///< HTML-escaped title after the interval.
+};
+
 /**
- * SVG timeline of one point's incidents: a horizontal band per
- * incident (lane-stacked, colored by alert kind, open ends drawn to
- * the horizon) over vertical tick marks for every noted fault.
+ * SVG timeline over [0, @p horizon] with @p lanes band lanes (at least
+ * one): the marks first, underneath, then the bands (each at least a
+ * 2-px sliver wide), then the time axis.
  */
 std::string
-incidentTimeline(const util::Json &point, double horizon)
+timelineSvg(int lanes, const std::vector<TimelineMark> &marks,
+            const std::vector<TimelineBand> &bands, double horizon)
 {
     const int w = 700;
     const int lane_h = 16;
     const int axis_h = 18;
-    const auto &incidents = point.at("incidents").array();
-    const auto &faults = point.at("faults").array();
-    const int lanes = std::max<int>(1, static_cast<int>(incidents.size()));
+    lanes = std::max(1, lanes);
     const int h = lanes * lane_h + axis_h;
     const double span = horizon > 0.0 ? horizon : 1.0;
     const auto x_of = [&](double t) {
@@ -515,41 +534,28 @@ incidentTimeline(const util::Json &point, double horizon)
                       std::to_string(h) + "\" viewBox=\"0 0 " +
                       std::to_string(w) + " " + std::to_string(h) +
                       "\">";
-    // Fault ticks first, underneath the bands.
-    for (const auto &fault : faults) {
-        const std::string x = fmtCoord(x_of(fault.at("t_s").number()));
+    for (const auto &mark : marks) {
+        const std::string x = fmtCoord(x_of(mark.t));
         svg += "<line x1=\"" + x + "\" y1=\"0\" x2=\"" + x +
                "\" y2=\"" + std::to_string(lanes * lane_h) +
-               "\" stroke=\"#999\" stroke-dasharray=\"2,2\">"
-               "<title>" +
-               htmlEscape(fault.at("label").str()) + " @ " +
-               fmtNum(fault.at("t_s").number()) + " s</title></line>";
+               "\" stroke=\"" + mark.stroke + "\" stroke-dasharray=\"" +
+               mark.dash + "\"><title>" + mark.label + " @ " +
+               fmtNum(mark.t) + " s</title></line>";
     }
-    int lane = 0;
-    for (const auto &incident : incidents) {
-        const double opened = incident.at("opened_s").number();
-        const double closed = incident.at("closed_s").number();
-        const double end = closed >= 0.0 ? closed : horizon;
-        const double x0 = x_of(opened);
+    for (const auto &band : bands) {
+        const double end = band.close >= 0.0 ? band.close : horizon;
+        const double x0 = x_of(band.open);
         const double x1 = std::max(x_of(end), x0 + 2.0); // Visible sliver.
-        const std::string kind = incident.at("kind").str();
         svg += "<rect x=\"" + fmtCoord(x0) + "\" y=\"" +
-               std::to_string(lane * lane_h + 2) + "\" width=\"" +
+               std::to_string(band.lane * lane_h + 2) + "\" width=\"" +
                fmtCoord(x1 - x0) + "\" height=\"" +
                std::to_string(lane_h - 4) + "\" rx=\"2\" fill=\"" +
-               incidentColor(kind) + "\" fill-opacity=\"0.85\">"
-               "<title>" +
-               htmlEscape(incident.at("rule").str()) + " [" +
-               htmlEscape(kind) + "] " + fmtNum(opened) + " s → " +
-               (closed >= 0.0 ? fmtNum(closed) + " s"
-                              : std::string("open")) +
-               ", peak " + fmtNum(incident.at("peak_value").number()) +
-               " (threshold " +
-               fmtNum(incident.at("threshold").number()) +
-               ")</title></rect>";
-        ++lane;
+               band.fill + "\" fill-opacity=\"0.85\"><title>" +
+               band.label + " " + fmtNum(band.open) + " s → " +
+               (band.close >= 0.0 ? fmtNum(band.close) + " s"
+                                  : std::string("open")) +
+               band.detail + "</title></rect>";
     }
-    // Time axis.
     const int axis_y = lanes * lane_h + 4;
     svg += "<line x1=\"1\" y1=\"" + std::to_string(axis_y) +
            "\" x2=\"" + std::to_string(w - 1) + "\" y2=\"" +
@@ -562,6 +568,36 @@ incidentTimeline(const util::Json &point, double horizon)
            " s</text>";
     svg += "</svg>";
     return svg;
+}
+
+/**
+ * SVG timeline of one point's incidents: a band per incident (one lane
+ * each, colored by alert kind, open ends drawn to the horizon) over
+ * dashed ticks for every noted fault.
+ */
+std::string
+incidentTimeline(const util::Json &point, double horizon)
+{
+    std::vector<TimelineMark> marks;
+    for (const auto &fault : point.at("faults").array()) {
+        marks.push_back({fault.at("t_s").number(), "#999", "2,2",
+                         htmlEscape(fault.at("label").str())});
+    }
+    std::vector<TimelineBand> bands;
+    for (const auto &incident : point.at("incidents").array()) {
+        const std::string kind = incident.at("kind").str();
+        bands.push_back(
+            {static_cast<int>(bands.size()),
+             incident.at("opened_s").number(),
+             incident.at("closed_s").number(), incidentColor(kind),
+             htmlEscape(incident.at("rule").str()) + " [" +
+                 htmlEscape(kind) + "]",
+             ", peak " + fmtNum(incident.at("peak_value").number()) +
+                 " (threshold " +
+                 fmtNum(incident.at("threshold").number()) + ")"});
+    }
+    return timelineSvg(static_cast<int>(bands.size()), marks, bands,
+                       horizon);
 }
 
 /**
@@ -650,112 +686,45 @@ blackboxLaneColor(std::size_t lane)
 std::string
 blackboxTimeline(const util::Json &point, double horizon)
 {
-    struct Span
-    {
-        std::string rule;
-        double open = 0.0;
-        double close = -1.0; // -1: still raised at dump time.
-        double value = 0.0;
+    std::vector<TimelineBand> bands;
+    std::map<std::string, std::size_t> raised; // rule -> open band.
+    std::map<std::string, int> lane_of;        // First-seen order.
+    std::vector<TimelineMark> marks;
+    const auto add_band = [&](const std::string &rule, double open,
+                              double close, double value) {
+        const auto lane = lane_of.emplace(
+            rule, static_cast<int>(lane_of.size())).first->second;
+        bands.push_back({lane, open, close,
+                         blackboxLaneColor(static_cast<std::size_t>(lane)),
+                         htmlEscape(rule), ", value " + fmtNum(value)});
     };
-    std::vector<Span> spans;
-    std::map<std::string, std::size_t> raised; // rule -> open span.
-    struct Mark
-    {
-        double t = 0.0;
-        std::string kind;
-        std::string label;
-    };
-    std::vector<Mark> marks;
     for (const auto &event : point.at("events").array()) {
         const double t = event.at("t_s").number();
         const std::string kind = event.at("kind").str();
         const std::string label = event.at("label").str();
         if (kind == "alert_raise") {
-            raised[label] = spans.size();
-            spans.push_back(
-                {label, t, -1.0, event.at("value").number()});
+            raised[label] = bands.size();
+            add_band(label, t, -1.0, event.at("value").number());
         } else if (kind == "alert_clear") {
             const auto it = raised.find(label);
             if (it != raised.end()) {
-                spans[it->second].close = t;
+                bands[it->second].close = t;
                 raised.erase(it);
             } else {
                 // The matching raise fell off the bounded ring: the
                 // alert was already up when retention began.
-                spans.push_back(
-                    {label, 0.0, t, event.at("value").number()});
+                add_band(label, 0.0, t, event.at("value").number());
             }
         } else {
-            marks.push_back({t, kind, label});
+            const char *stroke = kind == "violation" ? "#9d0208"
+                                 : kind == "fault"   ? "#999"
+                                                     : "#bbb";
+            marks.push_back({t, stroke, kind == "violation" ? "" : "2,2",
+                             htmlEscape(kind) + ": " + htmlEscape(label)});
         }
     }
-
-    // One lane per distinct rule, in first-seen order.
-    std::map<std::string, int> lane_of;
-    for (const auto &span : spans)
-        if (lane_of.find(span.rule) == lane_of.end()) {
-            const int next = static_cast<int>(lane_of.size());
-            lane_of[span.rule] = next;
-        }
-    const int w = 700;
-    const int lane_h = 16;
-    const int axis_h = 18;
-    const int lanes = std::max<int>(1, static_cast<int>(lane_of.size()));
-    const int h = lanes * lane_h + axis_h;
-    const double span_t = horizon > 0.0 ? horizon : 1.0;
-    const auto x_of = [&](double t) {
-        return std::clamp(t / span_t, 0.0, 1.0) * (w - 2.0) + 1.0;
-    };
-
-    std::string svg = "<svg class=\"timeline\" width=\"" +
-                      std::to_string(w) + "\" height=\"" +
-                      std::to_string(h) + "\" viewBox=\"0 0 " +
-                      std::to_string(w) + " " + std::to_string(h) +
-                      "\">";
-    // Fault/violation/note ticks first, underneath the alert bands.
-    for (const auto &mark : marks) {
-        const std::string x = fmtCoord(x_of(mark.t));
-        const char *stroke = mark.kind == "violation" ? "#9d0208"
-                             : mark.kind == "fault"   ? "#999"
-                                                      : "#bbb";
-        const char *dash = mark.kind == "violation" ? "" : "2,2";
-        svg += "<line x1=\"" + x + "\" y1=\"0\" x2=\"" + x +
-               "\" y2=\"" + std::to_string(lanes * lane_h) +
-               "\" stroke=\"" + stroke + "\" stroke-dasharray=\"" +
-               dash + "\"><title>" + htmlEscape(mark.kind) + ": " +
-               htmlEscape(mark.label) + " @ " + fmtNum(mark.t) +
-               " s</title></line>";
-    }
-    for (const auto &span : spans) {
-        const int lane = lane_of[span.rule];
-        const double end = span.close >= 0.0 ? span.close : horizon;
-        const double x0 = x_of(span.open);
-        const double x1 = std::max(x_of(end), x0 + 2.0); // Sliver.
-        svg += "<rect x=\"" + fmtCoord(x0) + "\" y=\"" +
-               std::to_string(lane * lane_h + 2) + "\" width=\"" +
-               fmtCoord(x1 - x0) + "\" height=\"" +
-               std::to_string(lane_h - 4) + "\" rx=\"2\" fill=\"" +
-               blackboxLaneColor(static_cast<std::size_t>(lane)) +
-               "\" fill-opacity=\"0.85\"><title>" +
-               htmlEscape(span.rule) + " " + fmtNum(span.open) +
-               " s → " +
-               (span.close >= 0.0 ? fmtNum(span.close) + " s"
-                                  : std::string("open")) +
-               ", value " + fmtNum(span.value) + "</title></rect>";
-    }
-    // Time axis.
-    const int axis_y = lanes * lane_h + 4;
-    svg += "<line x1=\"1\" y1=\"" + std::to_string(axis_y) +
-           "\" x2=\"" + std::to_string(w - 1) + "\" y2=\"" +
-           std::to_string(axis_y) + "\" stroke=\"#888\"/>";
-    svg += "<text x=\"2\" y=\"" + std::to_string(axis_y + 12) +
-           "\" class=\"axis\">0 s</text>";
-    svg += "<text x=\"" + std::to_string(w - 2) + "\" y=\"" +
-           std::to_string(axis_y + 12) +
-           "\" class=\"axis\" text-anchor=\"end\">" + fmtNum(horizon) +
-           " s</text>";
-    svg += "</svg>";
-    return svg;
+    return timelineSvg(static_cast<int>(lane_of.size()), marks, bands,
+                       horizon);
 }
 
 /**
