@@ -399,7 +399,8 @@ benchFleetStep(std::uint64_t target_server_minutes)
     for (std::uint64_t m = 0; m < minutes; ++m)
         fleet::stepAll(state, skus, 60.0);
     const auto t1 = Clock::now();
-    util::fatalIf(state.meanTj() <= 0.0, "bench: fleet step went cold");
+    util::fatalIf(state.summarize().meanTj <= 0.0,
+                  "bench: fleet step went cold");
     return makeResult("fleet_step", "server_minute", minutes * kServers,
                       elapsedSeconds(t0, t1), allocsSoFar() - allocs0);
 }
@@ -514,7 +515,7 @@ benchFleetStepParallel(std::uint64_t target_server_minutes,
     for (std::uint64_t m = 0; m < minutes; ++m)
         fleet::stepAll(state, skus, 60.0, plan, runner);
     const auto t1 = Clock::now();
-    util::fatalIf(state.meanTj() <= 0.0,
+    util::fatalIf(state.summarize().meanTj <= 0.0,
                   "bench: parallel fleet step went cold");
     return makeResult("fleet_step_parallel", "server_minute",
                       minutes * kServers, elapsedSeconds(t0, t1),

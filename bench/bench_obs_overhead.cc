@@ -213,7 +213,8 @@ BENCHMARK(BM_ProfScopeEnabled);
 /**
  * Synthetic fleet columns with a plausible mixed-SKU population:
  * deterministic values (no RNG on the measured path) spanning each
- * channel's sketch range.
+ * channel's sketch range. SKUs change every @p run units: 1
+ * interleaves them, a rack size gives a rack-ordered fleet.
  */
 struct SyntheticFleet
 {
@@ -223,7 +224,7 @@ struct SyntheticFleet
     std::vector<double> tj;
     std::vector<double> wear;
 
-    explicit SyntheticFleet(std::size_t count, std::size_t skus)
+    SyntheticFleet(std::size_t count, std::size_t skus, std::size_t run = 1)
     {
         sku.resize(count);
         util.resize(count);
@@ -231,7 +232,7 @@ struct SyntheticFleet
         tj.resize(count);
         wear.resize(count);
         for (std::size_t i = 0; i < count; ++i) {
-            sku[i] = static_cast<std::uint32_t>(i % skus);
+            sku[i] = static_cast<std::uint32_t>(i / run % skus);
             util[i] = static_cast<double>(i % 101) / 100.0;
             power[i] = 180.0 + static_cast<double>(i % 241);
             tj[i] = 45.0 + static_cast<double>(i % 56);
@@ -267,12 +268,15 @@ struct SyntheticFleet
  * The tentpole budget: one columnar fleet reduction per tick. Reported
  * per-server (ns_per_server) because the contract is "a few ns per
  * server-minute"; allocs_per_op must be 0 once the scratch is sized.
+ * Args: fleet size, then units per SKU run (1: interleaved SKUs; 40:
+ * single-SKU racks, the layout of a datacenter's fleet).
  */
 void
 BM_FleetAggregatorObserve(benchmark::State &state)
 {
     const auto count = static_cast<std::size_t>(state.range(0));
-    SyntheticFleet fleet(count, 3);
+    SyntheticFleet fleet(count, 3,
+                         static_cast<std::size_t>(state.range(1)));
     obs::FleetAggregator::Config cfg;
     cfg.skuCount = 3;
     cfg.record = false;    // Pure reduction; recording measured below.
@@ -300,7 +304,10 @@ BM_FleetAggregatorObserve(benchmark::State &state)
         static_cast<double>(count) * static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_FleetAggregatorObserve)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_FleetAggregatorObserve)
+    ->Args({1024, 1})
+    ->Args({16384, 1})
+    ->Args({16384, 40});
 
 /** The same reduction with per-tick TimeSeries recording on. */
 void

@@ -13,8 +13,11 @@
 #      compiles perfbench/ against src/ (so a library API change that
 #      breaks it fails here, not at benchmark time), then runs each
 #      gated workload (fleet-perserver, control-crisis, autoscale-ramp)
-#      for 1 s with --smoke and --trace 0, plus one --trace 1 run; each
-#      run must exit 0 with the declared metrics;
+#      for 1 s with --smoke and --trace 0, one --trace 1 run, and one
+#      full-size fleet-perserver pass (backout and capping at 100k
+#      servers); each run must exit 0 with the declared metrics and
+#      print the outcome digest pinned in
+#      tests/golden/perfbench_digests.txt;
 #   4. the hot-path timing check against the committed
 #      BENCH_hotpaths.json (scripts/bench.sh --check). The functional
 #      gates bench.sh once re-ran (bench_fault_crisis --smoke,
@@ -39,13 +42,28 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 echo "== [2/4] tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-echo "== [3/4] perfbench build + smoke runs =="
+echo "== [3/4] perfbench build + digest-pinned runs =="
+DIGESTS=tests/golden/perfbench_digests.txt
+# Usage: perfbench_run LABEL WORKLOAD TRACE [run.py flag...]. Runs one
+# seed-1, 1-s workload and compares its digest with LABEL's pinned one.
+perfbench_run() {
+    local label="$1" workload="$2" trace="$3"
+    shift 3
+    local got want
+    got=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 1 --trace "$trace" "$@" |
+        awk '$1 == "workload" && $7 == "digest" { print $8 }')
+    want=$(awk -v key="$label" '$1 == key { print $2 }' "$DIGESTS")
+    if [ -z "$got" ] || [ "$got" != "$want" ]; then
+        echo "perfbench $label: digest '$got', pinned '$want' ($DIGESTS)" >&2
+        return 1
+    fi
+}
 for workload in fleet-perserver control-crisis autoscale-ramp; do
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
-        --trace 0 --smoke >/dev/null
+    perfbench_run "$workload/smoke" "$workload" 0 --smoke
 done
-python3 perfbench/run.py --workload control-crisis --seed 1 --seconds 1 \
-    --trace 1 --smoke >/dev/null
+perfbench_run control-crisis/smoke-traced control-crisis 1 --smoke
+perfbench_run fleet-perserver/full fleet-perserver 0
 
 echo "== [4/4] hot-path regression check =="
 scripts/bench.sh --check

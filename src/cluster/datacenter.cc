@@ -485,12 +485,10 @@ PerServerSession::stepMinute()
                 grant ? fleet::kOverclocked : fleet::kNominal;
         }
     };
-    // Per-server power at the operating points, summed left to right
+    // Shard s's rack demands: per-server power summed left to right
     // over each rack — whole inside a single shard, so every thread
     // count associates identically.
-    const auto stepShardPower = [&](std::size_t s, std::size_t begin,
-                                    std::size_t end) {
-        fleet::stepPower(state, skus, begin, end);
+    const auto sumShardRacks = [&](std::size_t s) {
         for (std::size_t r = shardRack[s]; r < shardRack[s + 1]; ++r) {
             Watts demand = 0.0;
             for (std::size_t i = rackBegin[r]; i < rackBegin[r + 1]; ++i)
@@ -515,7 +513,8 @@ PerServerSession::stepMinute()
         }
         for (std::size_t r = shardRack[s]; r < r_end; ++r)
             setRackOperatingPoints(r);
-        stepShardPower(s, begin, end);
+        fleet::stepPower(state, skus, begin, end);
+        sumShardRacks(s);
     });
     // Cross-rack total: serial, in fixed rack order (the barrier
     // before this line is what makes the order deterministic).
@@ -526,7 +525,9 @@ PerServerSession::stepMinute()
     // Power-aware policy backs every overclock out when the fleet
     // would breach the feed, before capping has to fire: clear the
     // flags, then drop each rack unit's overclock part (rack-aggregate)
-    // or re-evaluate the servers' power at nominal (per-server).
+    // or re-price the backed-out servers at nominal and re-sum the
+    // shard's racks (per-server; Tj has not moved since the demand
+    // pass, so the stored leakage still holds).
     if (policy == OverclockPolicy::PowerAware &&
         demand_total > feedCap && state.overclockedCount() > 0) {
         runner.run(plan, [&](std::size_t s, std::size_t begin,
@@ -537,6 +538,7 @@ PerServerSession::stepMinute()
                 state.overclocked[i] = 0;
                 if (perServer) {
                     state.freqLevel[i] = fleet::kNominal;
+                    fleet::repricePower(state, skus, i, i + 1);
                 } else {
                     consumers[i].demand -=
                         static_cast<double>(racks[i].servers) *
@@ -544,7 +546,7 @@ PerServerSession::stepMinute()
                 }
             }
             if (perServer)
-                stepShardPower(s, begin, end);
+                sumShardRacks(s);
         });
     }
 
@@ -599,10 +601,10 @@ PerServerSession::stepMinute()
     cappedOcMinutes = capped_oc;
     speedupSum = speedup;
 
-    // Post-capping physics (per mode). Per server: re-evaluate the
-    // capped racks' power at the clawed-back frequencies, then advance
-    // thermal and wear at that operating point. Rack-aggregate: the
-    // unit's power is its granted draw.
+    // Post-capping physics (per mode). Per server: re-price the capped
+    // racks at the clawed-back frequencies (before this shard's thermal
+    // step moves Tj), then advance thermal and wear at that operating
+    // point. Rack-aggregate: the unit's power is its granted draw.
     if (perServer) {
         fleet::prepareThermalStep(state, skus, minute_dt);
         fleet::prepareWearStep(state);
@@ -610,8 +612,8 @@ PerServerSession::stepMinute()
                              std::size_t end) {
             for (std::size_t r = shardRack[s]; r < shardRack[s + 1]; ++r) {
                 if (scratch.capped[r] != 0)
-                    fleet::stepPower(state, skus, rackBegin[r],
-                                     rackBegin[r + 1]);
+                    fleet::repricePower(state, skus, rackBegin[r],
+                                        rackBegin[r + 1]);
             }
             fleet::stepThermal(state, skus, minute_dt, begin, end);
             fleet::stepWear(state, skus, fleet::secondsToYears(minute_dt),
@@ -630,14 +632,14 @@ PerServerSession::stepMinute()
     const double feed_util = drawn / feedCap;
     const Seconds now = static_cast<double>(minute) * 60.0;
     if (perServer) {
-        const Celsius mean_tj = state.meanTj();
-        const Celsius max_tj = state.maxTj();
-        meanTjSum += mean_tj;
-        peakTj = std::max(peakTj, max_tj);
-        fleetPowerSum += state.fleetPower();
+        const fleet::FleetState::Summary summary = state.summarize();
+        meanTjSum += summary.meanTj;
+        peakTj = std::max(peakTj, summary.maxTj);
+        fleetPowerSum += summary.power;
         if (telemetry) {
             telemetry->append(now, {drawn, feed_util, any_capped ? 1.0 : 0.0,
-                                    minute_oc, mean_tj, max_tj,
+                                    minute_oc, summary.meanTj,
+                                    summary.maxTj,
                                     state.meanWearConsumed()});
         }
     } else if (telemetry) {

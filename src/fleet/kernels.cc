@@ -10,6 +10,31 @@
 namespace imsim {
 namespace fleet {
 
+namespace {
+
+/**
+ * Price server @p i at its operating point with leakage @p leak: the
+ * dynamic power and the server total, the arithmetic stepPower and
+ * repricePower share.
+ */
+inline void
+priceServer(FleetState &state, const SkuParams &p, std::size_t i,
+            double leak)
+{
+    const SkuLevelParams &lv = p.level[state.freqLevel[i]];
+    // SocketPowerModel::dynamicPower: dynNominal * activity *
+    // v_ratio^3 * f_ratio, multiplied left to right.
+    const double dyn = p.dynNominal * state.utilization[i] * lv.vRatio *
+                       lv.vRatio * lv.vRatio * lv.fRatio;
+    // ServerPowerModel aggregation: sockets plus the constant
+    // component budget.
+    const double total = (dyn + leak) * p.sockets + p.constantPower;
+    state.dynamicPower[i] = dyn;
+    state.totalPower[i] = total;
+}
+
+} // namespace
+
 void
 stepPower(FleetState &state, const std::vector<SkuParams> &skus,
           std::size_t begin, std::size_t end)
@@ -19,22 +44,26 @@ stepPower(FleetState &state, const std::vector<SkuParams> &skus,
     util::fatalIf(skus.empty(), "stepPower: no SKUs");
     for (std::size_t i = begin; i < end; ++i) {
         const SkuParams &p = skus[state.skuIndex[i]];
-        const SkuLevelParams &lv = p.level[state.freqLevel[i]];
-        // SocketPowerModel::dynamicPower: dynNominal * activity *
-        // v_ratio^3 * f_ratio, multiplied left to right.
-        const double dyn = p.dynNominal * state.utilization[i] *
-                           lv.vRatio * lv.vRatio * lv.vRatio * lv.fRatio;
         // SocketPowerModel::leakagePower at the current junction
         // temperature (explicit coupling: Tj from the last thermal
         // step, the transient analogue of the scalar fixed point).
         const double leak =
             p.leakRef * std::exp((state.tj[i] - p.leakRefTj) / p.leakTheta);
-        state.dynamicPower[i] = dyn;
+        priceServer(state, p, i, leak);
         state.leakagePower[i] = leak;
-        // ServerPowerModel aggregation: sockets plus the constant
-        // component budget.
-        state.totalPower[i] = (dyn + leak) * p.sockets + p.constantPower;
     }
+}
+
+void
+repricePower(FleetState &state, const std::vector<SkuParams> &skus,
+             std::size_t begin, std::size_t end)
+{
+    util::fatalIf(begin > end || end > state.size(),
+                  "repricePower: bad server range");
+    util::fatalIf(skus.empty(), "repricePower: no SKUs");
+    for (std::size_t i = begin; i < end; ++i)
+        priceServer(state, skus[state.skuIndex[i]], i,
+                    state.leakagePower[i]);
 }
 
 void

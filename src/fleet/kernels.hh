@@ -8,6 +8,8 @@
  *  - stepPower:   power::SocketPowerModel::dynamicPower +
  *                 leakagePower + the power::ServerPowerModel
  *                 aggregation (sockets + constant components);
+ *                 repricePower redoes only the dynamic part and the
+ *                 aggregation after a frequency change;
  *  - stepThermal: thermal::ThermalNode::step (exact exponential RC
  *                 update against the SKU's coolant reference);
  *  - stepWear:    reliability::LifetimeModel::wearFraction (gate
@@ -22,6 +24,9 @@
  * level) pure values (voltage ratios, voltage-driven wear factors, the
  * RC decay factor) are computed once instead of per server, and the
  * scalar paths' per-call argument validation runs once per kernel call.
+ * repricePower is held to the same identity against stepPower under
+ * one precondition: Tj is unchanged since the servers' last stepPower,
+ * so the stored leakagePower is the value stepPower would recompute.
  *
  * Steady-state calls are allocation-free: the only buffer (per-SKU
  * thermal decay factors) lives in FleetState::thermalDecayScratch and
@@ -58,6 +63,17 @@ namespace fleet {
  */
 void stepPower(FleetState &state, const std::vector<SkuParams> &skus,
                std::size_t begin, std::size_t end);
+
+/**
+ * Re-price servers [@p begin, @p end) after a frequency-level change:
+ * recompute dynamicPower and totalPower from their level and
+ * utilization, reusing the stored leakagePower. Requires that no Tj in
+ * the range changed since the range's last stepPower (leakage depends
+ * on Tj alone), which makes the columns bit-identical to a fresh
+ * stepPower at a fraction of the cost (no exp per server).
+ */
+void repricePower(FleetState &state, const std::vector<SkuParams> &skus,
+                  std::size_t begin, std::size_t end);
 
 /** stepPower over the whole fleet. */
 inline void

@@ -1,6 +1,5 @@
 #include "fleet/state.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/fleet_agg.hh"
@@ -119,32 +118,25 @@ FleetState::addServers(std::size_t count, std::uint32_t sku, Celsius tj0)
     serviceYears.resize(n, 0.0);
 }
 
-Watts
-FleetState::fleetPower() const
+FleetState::Summary
+FleetState::summarize() const
 {
-    Watts total = 0.0;
-    for (const double p : totalPower)
-        total += p;
-    return total;
-}
-
-Celsius
-FleetState::meanTj() const
-{
-    if (tj.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const double t : tj)
-        sum += t;
-    return sum / static_cast<double>(tj.size());
-}
-
-Celsius
-FleetState::maxTj() const
-{
-    if (tj.empty())
-        return 0.0;
-    return *std::max_element(tj.begin(), tj.end());
+    Summary out;
+    const std::size_t n = tj.size();
+    if (n == 0)
+        return out;
+    double tj_sum = 0.0;
+    double power = 0.0;
+    double top = tj[0];
+    for (std::size_t i = 0; i < n; ++i) {
+        tj_sum += tj[i];
+        power += totalPower[i];
+        top = top < tj[i] ? tj[i] : top;
+    }
+    out.meanTj = tj_sum / static_cast<double>(n);
+    out.maxTj = top;
+    out.power = power;
+    return out;
 }
 
 double

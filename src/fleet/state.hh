@@ -186,14 +186,20 @@ class FleetState
 
     // ----- aggregates (pure reads; what the gauges poll) -------------
 
-    /** @return total server power across the fleet [W]. */
-    Watts fleetPower() const;
+    /** Junction-temperature and power aggregates of one pass. */
+    struct Summary
+    {
+        Celsius meanTj = 0.0; ///< Mean junction temperature (0 if empty).
+        Celsius maxTj = 0.0;  ///< Max junction temperature (0 if empty).
+        Watts power = 0.0;    ///< Total server power across the fleet.
+    };
 
-    /** @return mean junction temperature [C] (0 when empty). */
-    Celsius meanTj() const;
-
-    /** @return max junction temperature [C] (0 when empty). */
-    Celsius maxTj() const;
+    /**
+     * @return the mean and max Tj and the total power in one pass: the
+     * Tj and power sums each fold left to right in server order, and
+     * the max keeps the first of equal values (std::max_element's `<`).
+     */
+    Summary summarize() const;
 
     /** @return mean consumed life fraction (0 when empty). */
     double meanWearConsumed() const;

@@ -135,8 +135,9 @@ class FleetAggregator
      * the previous tick (used to turn the wear column's deltas into a
      * per-year rate; the first tick reports rate 0). The per-unit pass
      * is split over the shards of @p plan and run on @p runner's
-     * threads. Each shard folds min/max/n and its sketches into
-     * private scratch; after the join the shards merge in ascending
+     * threads. Each shard walks its runs of same-SKU units channel by
+     * channel, folding min/max/n and its sketches into private
+     * scratch; after the join the shards merge in ascending
      * shard order, keeping the earlier value on ties as the unit-order
      * fold does, and only the floating-point sum chain re-reduces
      * serially in unit order. The published sample, recorded series
@@ -144,9 +145,10 @@ class FleetAggregator
      * plan and any thread count.
      *
      * @p plan must cover exactly view.count units. O(count); steady-
-     * state calls are allocation-free once the per-unit wear scratch
-     * and the per-shard scratch are sized (re-sized only when the
-     * fleet size or the plan's shard count changes).
+     * state calls are allocation-free once the per-unit wear (or
+     * zero-column) scratch and the per-shard scratch are sized
+     * (re-sized only when the fleet size or the plan's shard count
+     * changes).
      */
     void observe(Seconds t, const FleetView &view, Seconds dt,
                  const util::ShardPlan &plan, util::ShardRunner &runner);
@@ -211,6 +213,8 @@ class FleetAggregator
     std::vector<double> prevWear;
     /** Per-unit wear-rate scratch for the sketch pass. */
     std::vector<double> wearRateScratch;
+    /** All-zero stand-in for a null value column (sized on demand). */
+    std::vector<double> zeroColumn;
     /**
      * One shard's scratch for one (SKU, channel) cell. The sum field is
      * unused (the sum runs in unit order). Cache-line aligned, so

@@ -12,10 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -225,6 +227,75 @@ TEST(FleetEquivalence, StepAllComposesFromKernels)
     EXPECT_EQ(a.tj, b.tj);
     EXPECT_EQ(a.wearConsumed, b.wearConsumed);
     EXPECT_EQ(a.serviceYears, b.serviceYears);
+}
+
+/** @return whether @p a and @p b hold the same bits. */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(FleetState, SummarizeMatchesSeparateFolds)
+{
+    const auto skus = mixedSkus();
+    fleet::FleetState state = makeFleet(skus, 40, 2);
+    fleet::stepAll(state, skus, 60.0);
+    double tj_sum = 0.0;
+    double power = 0.0;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+        tj_sum += state.tj[i];
+        power += state.totalPower[i];
+    }
+    const fleet::FleetState::Summary summary = state.summarize();
+    EXPECT_EQ(summary.meanTj, tj_sum / 40.0);
+    EXPECT_EQ(summary.maxTj,
+              *std::max_element(state.tj.begin(), state.tj.end()));
+    EXPECT_EQ(summary.power, power);
+
+    // Equal maxima: the first one is kept, as std::max_element does.
+    std::fill(state.tj.begin(), state.tj.end(), -5.0);
+    state.tj[7] = -0.0;
+    state.tj[31] = +0.0;
+    EXPECT_TRUE(std::signbit(state.summarize().maxTj));
+
+    const fleet::FleetState::Summary empty = fleet::FleetState{}.summarize();
+    EXPECT_EQ(empty.meanTj, 0.0);
+    EXPECT_EQ(empty.maxTj, 0.0);
+    EXPECT_EQ(empty.power, 0.0);
+}
+
+TEST(FleetEquivalence, RepriceMatchesFreshStepPower)
+{
+    // After a frequency change at unchanged Tj, re-pricing with the
+    // stored leakage must equal a fresh stepPower bit for bit.
+    const auto skus = mixedSkus();
+    for (const std::size_t sku_count : {1u, 2u}) {
+        SCOPED_TRACE(::testing::Message() << sku_count << " SKUs");
+        fleet::FleetState state = makeFleet(skus, 50, sku_count);
+        fleet::stepAll(state, skus, 60.0); // Tj leaves the coolant ref.
+        fleet::stepPower(state, skus);     // Leakage at the current Tj.
+        for (std::size_t i = 0; i < state.size(); i += 3) {
+            state.freqLevel[i] = state.freqLevel[i] == fleet::kNominal
+                                     ? fleet::kOverclocked
+                                     : fleet::kNominal;
+        }
+        fleet::FleetState fresh = state;
+        fleet::stepPower(fresh, skus);
+        ASSERT_FALSE(sameBits(state.totalPower, fresh.totalPower));
+
+        // Two ranges and an empty one, as shards would call it.
+        fleet::repricePower(state, skus, 0, 17);
+        fleet::repricePower(state, skus, 17, 17);
+        fleet::repricePower(state, skus, 17, state.size());
+        EXPECT_TRUE(sameBits(state.dynamicPower, fresh.dynamicPower));
+        EXPECT_TRUE(sameBits(state.leakagePower, fresh.leakagePower));
+        EXPECT_TRUE(sameBits(state.totalPower, fresh.totalPower));
+    }
+    fleet::FleetState state = makeFleet(skus, 4, 1);
+    EXPECT_THROW(fleet::repricePower(state, skus, 3, 5), FatalError);
+    EXPECT_THROW(fleet::repricePower(state, {}, 0, 4), FatalError);
 }
 
 // ---------------------------------------------------------------------
