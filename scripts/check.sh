@@ -13,11 +13,13 @@
 #      compiles perfbench/ against src/ (so a library API change that
 #      breaks it fails here, not at benchmark time), then runs each
 #      gated workload (fleet-perserver, control-crisis, autoscale-ramp)
-#      for 1 s with --smoke and --trace 0, one --trace 1 run, and one
+#      for 1 s with --smoke and --trace 0, one --trace 1 run, one
 #      full-size fleet-perserver pass (backout and capping at 100k
-#      servers); each run must exit 0 with the declared metrics and
-#      print the outcome digest pinned in
-#      tests/golden/perfbench_digests.txt;
+#      servers) and one full-size autoscale-ramp pass (its 180-s
+#      utilization reads clip their start, evict and wrap the window's
+#      ring, which the smoke ramp's 160 s never do); each run must
+#      exit 0 with the declared metrics and print the outcome digest
+#      pinned in tests/golden/perfbench_digests.txt;
 #   4. the hot-path timing check against the committed
 #      BENCH_hotpaths.json (scripts/bench.sh --check). The functional
 #      gates bench.sh once re-ran (bench_fault_crisis --smoke,
@@ -64,6 +66,7 @@ for workload in fleet-perserver control-crisis autoscale-ramp; do
 done
 perfbench_run control-crisis/smoke-traced control-crisis 1 --smoke
 perfbench_run fleet-perserver/full fleet-perserver 0
+perfbench_run autoscale-ramp/full autoscale-ramp 0
 
 echo "== [4/4] hot-path regression check =="
 scripts/bench.sh --check
