@@ -2,10 +2,14 @@
  * @file
  * Google-benchmark microbenchmarks of the library's hot paths: the DES
  * event loop, Eq. 1 evaluation, the lifetime model, the coupled socket
- * power solve, the hypervisor scheduler step, and the queueing cluster.
+ * power solve, the hypervisor scheduler step, the queueing cluster, and
+ * the auto-scaler's windowed utilization read.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "hw/counters.hh"
 #include "power/socket_power.hh"
@@ -128,6 +132,46 @@ BM_QueueingClusterSecond(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_QueueingClusterSecond);
+
+/**
+ * One windowed utilization read (SlidingTimeWindow::average) over a
+ * 200-s history, the auto-scaler's 30-s or 180-s query (the Arg).
+ * The history is a queueing server's busy-thread share: a change every
+ * 2 ms on average, about 4 % of them at the previous change's instant,
+ * recorded for 1000 s so eviction has wrapped the ring several times.
+ * Reported per segment the read folds (ns_per_segment).
+ */
+void
+BM_SlidingWindowAverage(benchmark::State &state)
+{
+    constexpr int kThreads = 8;
+    const Seconds sub_window = static_cast<double>(state.range(0));
+    util::SlidingTimeWindow window(200.0);
+    util::Rng rng(5);
+    std::vector<Seconds> starts; // Distinct record instants.
+    Seconds t = 0.0;
+    int busy = 0;
+    while (t < 1000.0) {
+        if (!rng.bernoulli(0.04))
+            t += rng.exponential(2e-3);
+        busy = std::clamp(busy + (rng.bernoulli(0.5) ? 1 : -1), 0, kThreads);
+        window.record(t, static_cast<double>(busy) / kThreads);
+        if (starts.empty() || starts.back() != t)
+            starts.push_back(t);
+    }
+    const Seconds now = t + 1e-3;
+    // The read folds every segment that starts inside its sub-window,
+    // plus the clipped one that straddles its start.
+    const auto segments = static_cast<double>(
+        starts.end() -
+        std::upper_bound(starts.begin(), starts.end(), now - sub_window) + 1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(window.average(now, sub_window));
+    state.counters["ns_per_segment"] = benchmark::Counter(
+        segments * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SlidingWindowAverage)->Arg(30)->Arg(180);
 
 void
 BM_PercentileEstimator(benchmark::State &state)

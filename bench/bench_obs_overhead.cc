@@ -25,8 +25,8 @@
  * the fleet-aggregation cases can report allocs_per_op directly.
  * `--check` skips the timing runs and enforces the fleet aggregator's
  * and the flight recorder's allocation contracts directly (exit 1 on
- * any steady-state alloc), which is how scripts/bench.sh gates it in
- * CI.
+ * any steady-state alloc); the tier-1 ctest row check.obs_overhead_check
+ * runs it.
  */
 
 #include <benchmark/benchmark.h>

@@ -19,6 +19,7 @@
 #ifndef IMSIM_UTIL_RING_HH
 #define IMSIM_UTIL_RING_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -69,6 +70,44 @@ template <typename T> class RingDeque
     {
         fatalIf(count == 0, "RingDeque::back: empty");
         return buffer[wrap(head + count - 1)];
+    }
+
+    /** @copydoc back() */
+    T &back()
+    {
+        fatalIf(count == 0, "RingDeque::back: empty");
+        return buffer[wrap(head + count - 1)];
+    }
+
+    /**
+     * Call @p f(operator[](i), operator[](i + 1)) for each i in
+     * [lo, hi), in order. The live range covers at most two contiguous
+     * runs of the buffer, so the walk reads each run by raw pointer
+     * with no per-index bound check or wrap, and visits the one pair
+     * that straddles the buffer's end once in between. Requires
+     * lo <= hi < size(); FatalError otherwise.
+     */
+    template <typename F>
+    void
+    forEachPair(std::size_t lo, std::size_t hi, F &&f) const
+    {
+        fatalIf(lo > hi || hi >= count,
+                "RingDeque::forEachPair: range out of bounds");
+        if (lo == hi)
+            return;
+        const T *data = buffer.data();
+        const std::size_t last = buffer.size() - 1;
+        const std::size_t p = wrap(head + lo);
+        const std::size_t pairs = hi - lo;
+        // Pairs whose both elements lie before the buffer's end.
+        const std::size_t run = std::min(pairs, last - p);
+        for (std::size_t k = p; k < p + run; ++k)
+            f(data[k], data[k + 1]);
+        if (run == pairs)
+            return;
+        f(data[last], data[0]);
+        for (std::size_t k = 0; k + 1 < pairs - run; ++k)
+            f(data[k], data[k + 1]);
     }
 
     /** Append @p value at the back (amortised allocation-free). */

@@ -175,6 +175,15 @@ SlidingTimeWindow::record(Seconds t, double value)
 {
     fatalIf(!segments.empty() && t < segments.back().first,
             "SlidingTimeWindow::record: time went backwards");
+    // A record at the last segment's start would append a zero-length
+    // segment, which no read ever weighs: overwrite that segment's
+    // value instead (eviction already ran at this instant). Stored
+    // starts therefore strictly increase, so every segment but the
+    // last has positive length.
+    if (!segments.empty() && t == segments.back().first) {
+        segments.back().second = value;
+        return;
+    }
     segments.emplace_back(t, value);
 
     // Evict segments that ended before the retained window started. A
@@ -205,32 +214,46 @@ SlidingTimeWindow::average(Seconds now, Seconds sub_window) const
     const Seconds start = now - sub_window;
 
     // Skip, by binary search, every segment whose successor starts at
-    // or before `start`: the loop below would `continue` past each of
+    // or before `start`: the full scan would `continue` past each of
     // them without touching `weighted` or `span`, so starting at the
     // first segment that can overlap [start, now] is bit-identical to
-    // the full scan. Timestamps are non-decreasing (record() enforces
-    // it), so those segments form a prefix; the last segment always
-    // remains, since it extends to `now`.
+    // it. Timestamps strictly increase (record() folds same-instant
+    // records), so those segments form a prefix; the last segment
+    // always remains, since it extends to `now`.
+    const std::size_t last = segments.size() - 1;
     std::size_t first = 0;
-    std::size_t last = segments.size() - 1;
-    while (first < last) {
-        const std::size_t mid = first + (last - first) / 2;
+    for (std::size_t hi = last; first < hi;) {
+        const std::size_t mid = first + (hi - first) / 2;
         if (segments[mid + 1].first <= start)
             first = mid + 1;
         else
-            last = mid;
+            hi = mid;
     }
 
+    // Stored starts strictly increase and the first segment ends after
+    // `start`, so every segment but the last (which runs to `now`)
+    // has positive length and folds in with no branch. The terms and
+    // their order are the full scan's, so every bit matches.
     double weighted = 0.0;
     double span = 0.0;
-    for (std::size_t i = first; i < segments.size(); ++i) {
-        const Seconds seg_start = std::max(segments[i].first, start);
-        const Seconds seg_end =
-            (i + 1 < segments.size()) ? segments[i + 1].first : now;
-        if (seg_end <= seg_start)
-            continue;
-        weighted += segments[i].second * (seg_end - seg_start);
-        span += seg_end - seg_start;
+    if (first < last) {
+        const Seconds head_len =
+            segments[first + 1].first - std::max(segments[first].first, start);
+        weighted += segments[first].second * head_len;
+        span += head_len;
+        segments.forEachPair(
+            first + 1, last,
+            [&](const std::pair<Seconds, double> &seg,
+                const std::pair<Seconds, double> &next) {
+                weighted += seg.second * (next.first - seg.first);
+                span += next.first - seg.first;
+            });
+    }
+    const auto &tail = segments[last];
+    const Seconds tail_start = std::max(tail.first, start);
+    if (now > tail_start) {
+        weighted += tail.second * (now - tail_start);
+        span += now - tail_start;
     }
     if (span <= 0.0)
         return segments.back().second;

@@ -155,6 +155,10 @@ class PercentileEstimator
  * queries through const references are race-free. A query binary-
  * searches to the first segment that can overlap its sub-window, so a
  * 30-s read of a 200-s history visits only the last 30 s of segments.
+ * A record at the last segment's start instant replaces its value
+ * rather than appending a zero-length segment, so stored starts
+ * strictly increase and a read folds every segment between its
+ * clipped first one and the last one with no per-segment branch.
  *
  * Storage is a RingDeque, so once the segment buffer reaches the
  * window's high-water mark, record() is allocation-free — std::deque
@@ -168,7 +172,10 @@ class SlidingTimeWindow
     /** @param window_s Length of the trailing window in seconds (> 0). */
     explicit SlidingTimeWindow(Seconds window_s);
 
-    /** Record that the signal took value @p value starting at time @p t. */
+    /**
+     * Record that the signal took value @p value starting at time @p t.
+     * A second record at the same instant replaces the first's value.
+     */
     void record(Seconds t, double value);
 
     /**

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -318,10 +320,12 @@ TEST(SlidingTimeWindow, EmptyReturnsZero)
 }
 
 /**
- * Oracle for the bounded scan: a mirror of SlidingTimeWindow with the
+ * Oracle for the window's reads: a mirror of SlidingTimeWindow with the
  * same eviction rule and the full-history scan average() ran before it
  * learned to skip, by binary search, the segments that end before its
- * sub-window starts. The skip must not change a single bit.
+ * sub-window starts, and before record() folded same-instant records.
+ * It appends every record, so it keeps zero-length segments and skips
+ * them one branch at a time. Neither cut may change a single bit.
  */
 class FullScanWindow
 {
@@ -334,6 +338,7 @@ class FullScanWindow
         const Seconds retain_start = t - windowLen;
         while (segments.size() > 1 && segments[1].first <= retain_start)
             segments.pop_front();
+        maxSize = std::max(maxSize, segments.size());
     }
 
     double average(Seconds now, Seconds sub_window) const
@@ -357,15 +362,31 @@ class FullScanWindow
         return weighted / span;
     }
 
+    double latest() const
+    {
+        return segments.empty() ? 0.0 : segments.back().second;
+    }
+
     const std::deque<std::pair<Seconds, double>> &history() const
     {
         return segments;
     }
 
+    /** @return the most segments ever held at once. */
+    std::size_t highWater() const { return maxSize; }
+
   private:
     Seconds windowLen;
     std::deque<std::pair<Seconds, double>> segments;
+    std::size_t maxSize = 0;
 };
+
+/** @return the bits of @p x, so that -0 != +0 and NaN payloads count. */
+std::uint64_t
+bitsOf(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
 
 TEST(SlidingTimeWindow, BoundedScanMatchesFullScanBitForBit)
 {
@@ -376,16 +397,31 @@ TEST(SlidingTimeWindow, BoundedScanMatchesFullScanBitForBit)
 
     std::size_t checked = 0;
     std::size_t on_segment_start = 0;
+    std::size_t start_on_run = 0;
+    std::size_t now_on_run = 0;
     std::size_t before_first = 0;
+    std::size_t instants = 0; // Records at a new instant.
+    std::size_t run_length = 0; // Records at the current instant.
     auto check = [&](Seconds now, Seconds sub_window) {
-        ASSERT_EQ(window.average(now, sub_window),
-                  oracle.average(now, sub_window))
+        ASSERT_EQ(bitsOf(window.average(now, sub_window)),
+                  bitsOf(oracle.average(now, sub_window)))
             << "now=" << now << " sub_window=" << sub_window;
         ++checked;
     };
+    auto record = [&](Seconds t, double value) {
+        const auto &history = oracle.history();
+        if (history.empty() || history.back().first != t) {
+            ++instants;
+            run_length = 0;
+        }
+        ++run_length;
+        window.record(t, value);
+        oracle.record(t, value);
+        ASSERT_EQ(bitsOf(window.latest()), bitsOf(oracle.latest()));
+    };
 
     Seconds t = 0.0;
-    for (int i = 0; i < 10000; ++i) {
+    for (int i = 0; i < 20000; ++i) {
         // Half the run steps on a 1/8-s grid, where now - sub_window is
         // exact and lands on segment starts; the rest steps by
         // arbitrary doubles. About one step in five repeats the last
@@ -394,15 +430,20 @@ TEST(SlidingTimeWindow, BoundedScanMatchesFullScanBitForBit)
         if (step_kind < 0.2)
             t += 0.0;
         else if (step_kind < 0.99)
-            t += i < 5000 ? 0.125 * static_cast<double>(rng.uniformInt(1, 40))
-                          : rng.uniform(0.0, 5.0);
+            t += i < 10000 ? 0.125 * static_cast<double>(rng.uniformInt(1, 40))
+                           : rng.uniform(0.0, 5.0);
         else
             t += rng.uniform(150.0, 400.0);
         const double value = rng.bernoulli(0.3)
                                  ? static_cast<double>(rng.uniformInt(0, 4)) / 4.0
                                  : rng.uniform();
-        window.record(t, value);
-        oracle.record(t, value);
+        // A value overwritten at its own instant never reaches a read,
+        // not even a non-finite one.
+        if (step_kind < 0.05)
+            record(t, rng.bernoulli(0.5)
+                          ? std::numeric_limits<double>::infinity()
+                          : std::numeric_limits<double>::quiet_NaN());
+        record(t, value);
 
         // Check every record while the history is younger than the
         // window (so full-window reads start before the first record),
@@ -411,21 +452,28 @@ TEST(SlidingTimeWindow, BoundedScanMatchesFullScanBitForBit)
             continue;
         const Seconds later = t + rng.uniform(0.0, 20.0);
         for (Seconds now : {t, later}) {
+            if (now == t && run_length > 1)
+                ++now_on_run;
             check(now, 30.0);
             check(now, 180.0);
             check(now, kWindow);
             check(now, kWindow + 1e-10); // Retention edge tolerance.
             check(now, rng.uniform(1e-6, kWindow));
             // Sub-windows that start exactly on a retained segment
-            // start (including duplicates of it).
+            // start (including runs of same-instant records).
             const auto &history = oracle.history();
-            const Seconds seg = history[static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<std::int64_t>(history.size()) -
-                                      1))].first;
+            const std::size_t k = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(history.size()) - 1));
+            const Seconds seg = history[k].first;
             const Seconds sub = now - seg;
             if (sub > 0.0 && sub <= kWindow) {
-                if (now - sub == seg)
+                if (now - sub == seg) {
                     ++on_segment_start;
+                    if ((k > 0 && history[k - 1].first == seg) ||
+                        (k + 1 < history.size() &&
+                         history[k + 1].first == seg))
+                        ++start_on_run;
+                }
                 check(now, sub);
             }
             // A sub-window reaching back before the first record.
@@ -435,9 +483,57 @@ TEST(SlidingTimeWindow, BoundedScanMatchesFullScanBitForBit)
             }
         }
     }
-    EXPECT_GT(checked, 10000u);
-    EXPECT_GT(on_segment_start, 500u);
+    EXPECT_GT(checked, 20000u);
+    EXPECT_GT(on_segment_start, 1000u);
+    EXPECT_GT(start_on_run, 200u);
+    EXPECT_GT(now_on_run, 200u);
     EXPECT_GT(before_first, 10u);
+    // The window's ring never holds more segments than the oracle's
+    // high water, so its capacity is at most twice that; every other
+    // instant was evicted, which wraps the ring at least this often.
+    const std::size_t capacity_bound = 2 * oracle.highWater();
+    EXPECT_GT((instants - oracle.highWater()) / capacity_bound, 20u);
+}
+
+TEST(SlidingTimeWindow, SameInstantRecordsFoldBitForBit)
+{
+    constexpr Seconds kWindow = 20.0;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    util::SlidingTimeWindow window(kWindow);
+    FullScanWindow oracle(kWindow);
+    // Runs of several records at one instant, at the first instant, in
+    // the middle, at the retention boundary and at the last instant;
+    // the overwritten values include ones no read could absorb.
+    const std::vector<std::pair<Seconds, double>> stream = {
+        {0.0, 0.25},  {0.0, kInf},  {0.0, 0.5},  {1.5, 1.0},
+        {1.5, -0.0},  {1.5, 0.75},  {2.0, 0.125}, {4.25, kNaN},
+        {4.25, 0.3},  {4.25, 0.9},  {4.25, 0.6},  {9.0, -kInf},
+        {9.0, 0.0},   {12.5, 0.4},  {21.5, 1.0},  {21.5, kNaN},
+        {21.5, 0.2},  {24.25, 0.7}, {25.0, kInf}, {25.0, 0.05},
+        {25.0, 0.35}, {25.0, 0.95},
+    };
+    for (const auto &[t, value] : stream) {
+        window.record(t, value);
+        oracle.record(t, value);
+        ASSERT_EQ(bitsOf(window.latest()), bitsOf(oracle.latest()))
+            << "t=" << t;
+        // Every sub-window on a 1/8-s grid, and every one that starts
+        // on a recorded instant, read at the record and just after.
+        for (Seconds now : {t, t + 0.5}) {
+            std::vector<Seconds> subs;
+            for (int k = 1; k <= 8 * static_cast<int>(kWindow); ++k)
+                subs.push_back(0.125 * k);
+            for (const auto &seg : oracle.history())
+                if (now > seg.first && now - seg.first <= kWindow)
+                    subs.push_back(now - seg.first);
+            for (Seconds sub : subs)
+                ASSERT_EQ(bitsOf(window.average(now, sub)),
+                          bitsOf(oracle.average(now, sub)))
+                    << "t=" << t << " now=" << now << " sub=" << sub;
+        }
+    }
+    EXPECT_EQ(window.latest(), 0.95);
 }
 
 // --- Const-read thread safety (regression; run under `ctest -L tsan`) ----
@@ -854,6 +950,107 @@ TEST(RingDeque, EmptyAccessAndOutOfRangeAreFatal)
     ring.reserve(100); // Capacity-only; still empty.
     EXPECT_TRUE(ring.empty());
     EXPECT_THROW(ring[0], FatalError);
+}
+
+using IntPairs = std::vector<std::pair<int, int>>;
+
+/** @return the pairs (ring[i], ring[i + 1]) for i in [lo, hi). */
+IntPairs
+pairsByIndex(const util::RingDeque<int> &ring, std::size_t lo,
+             std::size_t hi)
+{
+    IntPairs pairs;
+    for (std::size_t i = lo; i < hi; ++i)
+        pairs.emplace_back(ring[i], ring[i + 1]);
+    return pairs;
+}
+
+/** @return the pairs forEachPair(lo, hi) visits, in visiting order. */
+IntPairs
+pairsByWalk(const util::RingDeque<int> &ring, std::size_t lo,
+            std::size_t hi)
+{
+    IntPairs pairs;
+    ring.forEachPair(lo, hi, [&](int a, int b) { pairs.emplace_back(a, b); });
+    return pairs;
+}
+
+/** Compare the walk with indexing over every range of @p ring. */
+void
+expectWalkMatchesIndexing(const util::RingDeque<int> &ring)
+{
+    for (std::size_t hi = 0; hi < ring.size(); ++hi)
+        for (std::size_t lo = 0; lo <= hi; ++lo)
+            ASSERT_EQ(pairsByWalk(ring, lo, hi), pairsByIndex(ring, lo, hi))
+                << "size=" << ring.size() << " lo=" << lo << " hi=" << hi;
+}
+
+TEST(RingDeque, PairWalkCrossesTheWrapPoint)
+{
+    util::RingDeque<int> ring;
+    // Fill the initial 8-slot buffer with its head at slot 6, so the
+    // live range is slots 6, 7, 0, ..., 5 and the pair (1, 2) straddles
+    // the buffer's end.
+    for (int i = 0; i < 6; ++i)
+        ring.push_back(-1);
+    for (int i = 0; i < 6; ++i)
+        ring.pop_front();
+    for (int i = 0; i < 8; ++i)
+        ring.push_back(i);
+    EXPECT_EQ(pairsByWalk(ring, 0, 7),
+              (IntPairs{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+                        {6, 7}}));
+    EXPECT_EQ(pairsByWalk(ring, 1, 2), (IntPairs{{1, 2}})); // Wrap only.
+    EXPECT_EQ(pairsByWalk(ring, 1, 4), (IntPairs{{1, 2}, {2, 3}, {3, 4}}));
+    EXPECT_EQ(pairsByWalk(ring, 0, 1), (IntPairs{{0, 1}})); // Before it.
+    EXPECT_EQ(pairsByWalk(ring, 2, 5), (IntPairs{{2, 3}, {3, 4}, {4, 5}}));
+    expectWalkMatchesIndexing(ring);
+}
+
+TEST(RingDeque, PairWalkEmptyAndOnePairRanges)
+{
+    util::RingDeque<int> ring;
+    ring.push_back(7);
+    EXPECT_TRUE(pairsByWalk(ring, 0, 0).empty());
+    ring.push_back(8);
+    EXPECT_TRUE(pairsByWalk(ring, 1, 1).empty());
+    EXPECT_EQ(pairsByWalk(ring, 0, 1), (IntPairs{{7, 8}}));
+}
+
+TEST(RingDeque, PairWalkMatchesIndexingAfterGrowthAndPushFront)
+{
+    util::RingDeque<int> ring;
+    util::Rng rng(27);
+    int next = 0;
+    // Mixed pushes at both ends and pops grow the buffer through
+    // several capacities with the head at arbitrary slots.
+    for (int step = 0; step < 300; ++step) {
+        const double op = rng.uniform();
+        if (op < 0.45)
+            ring.push_back(next++);
+        else if (op < 0.65)
+            ring.push_front(next++);
+        else if (!ring.empty())
+            ring.pop_front();
+        if (step % 5 == 0)
+            expectWalkMatchesIndexing(ring);
+    }
+    for (int i = 0; i < 40; ++i)
+        ring.push_front(next++);
+    expectWalkMatchesIndexing(ring);
+}
+
+TEST(RingDeque, PairWalkOutOfRangeIsFatal)
+{
+    util::RingDeque<int> ring;
+    auto visit = [](int, int) {};
+    EXPECT_THROW(ring.forEachPair(0, 0, visit), FatalError);
+    for (int i = 0; i < 5; ++i)
+        ring.push_back(i);
+    EXPECT_THROW(ring.forEachPair(0, 5, visit), FatalError); // hi == size
+    EXPECT_THROW(ring.forEachPair(5, 5, visit), FatalError);
+    EXPECT_THROW(ring.forEachPair(3, 2, visit), FatalError); // lo > hi
+    EXPECT_NO_THROW(ring.forEachPair(0, 4, visit));
 }
 
 } // namespace
