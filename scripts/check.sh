@@ -17,9 +17,12 @@
 #      full-size fleet-perserver pass (backout and capping at 100k
 #      servers) and one full-size autoscale-ramp pass (its 180-s
 #      utilization reads clip their start, evict and wrap the window's
-#      ring, which the smoke ramp's 160 s never do); each run must
-#      exit 0 with the declared metrics and print the outcome digest
-#      pinned in tests/golden/perfbench_digests.txt;
+#      ring, which the smoke ramp's 160 s never do), one full-size
+#      control-crisis pass (the whole crisis day) and a smoke and a
+#      full-size pass of the report-only fleet-rackagg workload (the
+#      rack-aggregate trace path); each run must exit 0 with the
+#      declared metrics and print the outcome digest pinned in
+#      tests/golden/perfbench_digests.txt;
 #   4. the hot-path timing check against the committed
 #      BENCH_hotpaths.json (scripts/bench.sh --check). The functional
 #      gates bench.sh once re-ran (bench_fault_crisis --smoke,
@@ -67,6 +70,9 @@ done
 perfbench_run control-crisis/smoke-traced control-crisis 1 --smoke
 perfbench_run fleet-perserver/full fleet-perserver 0
 perfbench_run autoscale-ramp/full autoscale-ramp 0
+perfbench_run control-crisis/full control-crisis 0
+perfbench_run fleet-rackagg/smoke fleet-rackagg 0 --smoke
+perfbench_run fleet-rackagg/full fleet-rackagg 0
 
 echo "== [4/4] hot-path regression check =="
 scripts/bench.sh --check
