@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the library's hot paths: the DES
  * event loop, Eq. 1 evaluation, the lifetime model, the coupled socket
- * power solve, the hypervisor scheduler step, the queueing cluster, and
- * the auto-scaler's windowed utilization read.
+ * power solve, the hypervisor scheduler step, the queueing cluster,
+ * the auto-scaler's windowed utilization read, and the random draws
+ * behind requests and rack traces.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +22,7 @@
 #include "vm/hypervisor.hh"
 #include "workload/app.hh"
 #include "workload/queueing.hh"
+#include "workload/trace.hh"
 
 using namespace imsim;
 
@@ -186,6 +188,54 @@ BM_PercentileEstimator(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PercentileEstimator)->Arg(10000);
+
+/**
+ * One draw of each kind the simulator repeats most (the capture
+ * names the row): a raw engine output; one request's exponential
+ * inter-arrival gap and lognormal service time, as QueueingCluster
+ * draws them; and one sample of a rack trace (a day of a 64-rack
+ * set per iteration, reported per sample).
+ */
+void
+BM_RngDraw(benchmark::State &state, int kind)
+{
+    util::Rng rng(7);
+    const util::Rng::LognormalParams service =
+        util::Rng::lognormalParams(2.6e-3, 1.5);
+    workload::TraceParams trace_params;
+    trace_params.sampleInterval = 60.0;
+    trace_params.noiseSigma = 0.03;
+    trace_params.burstProb = 0.005;
+    const workload::TraceGenerator traces(trace_params);
+    constexpr std::size_t kRacks = 64;
+    std::int64_t items = 0;
+    for (auto _ : state) {
+        switch (kind) {
+          case 0:
+            benchmark::DoNotOptimize(rng.next());
+            items += 1;
+            break;
+          case 1:
+            benchmark::DoNotOptimize(rng.exponential(5e-4));
+            benchmark::DoNotOptimize(rng.lognormal(service.mu, service.sigma));
+            items += 1;
+            break;
+          default: {
+            const std::vector<double> day = traces.generate(rng, 1.0, kRacks);
+            benchmark::DoNotOptimize(day.data());
+            items += static_cast<std::int64_t>(day.size());
+            break;
+          }
+        }
+    }
+    state.SetItemsProcessed(items);
+    state.counters["ns_per_draw"] = benchmark::Counter(
+        static_cast<double>(items),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_RngDraw, engine, 0);
+BENCHMARK_CAPTURE(BM_RngDraw, request, 1);
+BENCHMARK_CAPTURE(BM_RngDraw, trace_sample, 2);
 
 } // namespace
 

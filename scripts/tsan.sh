@@ -6,7 +6,9 @@
 # per-point capture/merge path, and the intra-run fleet sharding (the
 # "fleet-par-tsan"/"obs-tsan" labels match the tsan regex, so the
 # sharded minute loop and sharded FleetAggregator::observe run under
-# the sanitizer here).
+# the sanitizer here), plus the event kernel and queueing-core suites
+# (label "kernel", tests/test_sim.cc and tests/test_queueing.cc), which
+# scripts/asan.sh also runs.
 #
 # Usage: scripts/tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -18,4 +20,4 @@ cmake -B "$BUILD_DIR" -S . \
     -DIMSIM_SANITIZE=thread \
     -DIMSIM_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L tsan --output-on-failure -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR" -L "tsan|kernel" --output-on-failure -j "$(nproc)"

@@ -169,19 +169,13 @@ namespace {
 std::vector<double>
 generateRackTraces(std::size_t rack_count, util::Rng &rng, double days)
 {
+    obs::ProfScope prof("datacenter.traces");
     workload::TraceParams trace_params;
     trace_params.sampleInterval = 60.0;
     trace_params.noiseSigma = 0.03;
     trace_params.burstProb = 0.005;
-    const workload::TraceGenerator gen(trace_params);
-    std::vector<double> traces;
-    for (std::size_t r = 0; r < rack_count; ++r) {
-        const std::vector<double> rack = gen.generate(rng, days);
-        traces.resize(rack.size() * rack_count);
-        for (std::size_t m = 0; m < rack.size(); ++m)
-            traces[m * rack_count + r] = rack[m];
-    }
-    return traces;
+    return workload::TraceGenerator(trace_params)
+        .generate(rng, days, rack_count);
 }
 
 /**

@@ -5,6 +5,41 @@
 namespace imsim {
 namespace util {
 
+Mt19937_64::Mt19937_64(result_type seed) : pos(kN)
+{
+    state[0] = seed;
+    for (std::size_t i = 1; i < kN; ++i)
+        state[i] = 6364136223846793005ULL *
+                       (state[i - 1] ^ (state[i - 1] >> 62)) +
+                   i;
+    state[kN] = 0;
+}
+
+void
+Mt19937_64::refill()
+{
+    // Word k is twisted from the upper 33 bits of word k, the lower 31
+    // bits of word k + 1 and word k + kM, all indices mod kN, in
+    // ascending k: words below kN - kM read old words ahead of them,
+    // the rest read words the first loop already renewed (the last one
+    // reads the new word 0 through the mirror slot). The matrix term is
+    // selected by a mask rather than a branch so both loops vectorise.
+    constexpr std::uint64_t upper = ~std::uint64_t(0) << 31;
+    constexpr std::uint64_t lower = ~upper;
+    constexpr std::uint64_t matrix = 0xb5026f5aa96619e9ULL;
+    std::uint64_t *x = state.data();
+    for (std::size_t k = 0; k < kN - kM; ++k) {
+        const std::uint64_t y = (x[k] & upper) | (x[k + 1] & lower);
+        x[k] = x[k + kM] ^ (y >> 1) ^ ((0 - (y & 1)) & matrix);
+    }
+    x[kN] = x[0];
+    for (std::size_t k = kN - kM; k < kN; ++k) {
+        const std::uint64_t y = (x[k] & upper) | (x[k + 1] & lower);
+        x[k] = x[k - (kN - kM)] ^ (y >> 1) ^ ((0 - (y & 1)) & matrix);
+    }
+    pos = 0;
+}
+
 std::uint64_t
 Rng::splitmix64(std::uint64_t x)
 {

@@ -24,7 +24,8 @@ TraceGenerator::TraceGenerator(TraceParams params) : cfg(params)
 }
 
 std::vector<double>
-TraceGenerator::generate(util::Rng &rng, double days) const
+TraceGenerator::generate(util::Rng &rng, double days,
+                         std::size_t traces) const
 {
     util::fatalIf(!(days > 0.0 && std::isfinite(days)),
                   "TraceGenerator: days must be positive and finite");
@@ -38,12 +39,11 @@ TraceGenerator::generate(util::Rng &rng, double days) const
         static_cast<std::size_t>(std::ceil(exact_samples - 1e-9));
     util::fatalIf(samples == 0,
                   "TraceGenerator: horizon too short for one sample");
-    std::vector<double> out;
-    out.reserve(samples);
 
-    double noise = 0.0;
-    const double innovation =
-        cfg.noiseSigma * std::sqrt(1.0 - cfg.noisePhi * cfg.noisePhi);
+    // The noise-free part, (mean + diurnal) + weekly, is the same for
+    // every trace; adding the noise to it keeps the single-trace sum's
+    // left-to-right order, so every sample keeps its bits.
+    std::vector<double> shape(samples);
     for (std::size_t i = 0; i < samples; ++i) {
         const Seconds t = static_cast<double>(i) * cfg.sampleInterval;
         const double day_frac = std::fmod(t, kSecondsPerDay) /
@@ -57,12 +57,21 @@ TraceGenerator::generate(util::Rng &rng, double days) const
         // Weekly: days 5 and 6 of each week dip.
         const bool weekend = std::fmod(day_index, 7.0) >= 5.0;
         const double weekly = weekend ? -cfg.weekendDip : 0.0;
+        shape[i] = cfg.meanUtil + diurnal + weekly;
+    }
 
-        noise = cfg.noisePhi * noise + rng.normal(0.0, innovation);
-        double util = cfg.meanUtil + diurnal + weekly + noise;
-        if (rng.bernoulli(cfg.burstProb))
-            util += cfg.burstBoost;
-        out.push_back(std::clamp(util, 0.01, 1.0));
+    std::vector<double> out(samples * traces);
+    const double innovation =
+        cfg.noiseSigma * std::sqrt(1.0 - cfg.noisePhi * cfg.noisePhi);
+    for (std::size_t r = 0; r < traces; ++r) {
+        double noise = 0.0;
+        for (std::size_t i = 0; i < samples; ++i) {
+            noise = cfg.noisePhi * noise + rng.normal(0.0, innovation);
+            double util = shape[i] + noise;
+            if (rng.bernoulli(cfg.burstProb))
+                util += cfg.burstBoost;
+            out[i * traces + r] = std::clamp(util, 0.01, 1.0);
+        }
     }
     return out;
 }

@@ -51,11 +51,16 @@ class TraceGenerator
     explicit TraceGenerator(TraceParams params = {});
 
     /**
-     * Generate @p days of samples; sample i is the server CPU
-     * utilization in [0, 1] at i * sampleInterval.
+     * Generate @p traces independent traces of @p days each, stored
+     * sample-major: trace r's server CPU utilization in [0, 1] at
+     * i * sampleInterval is [i * traces + r]. The traces draw from
+     * @p rng one after another, so the result and the stream left in
+     * @p rng equal @p traces single-trace calls; only the noise-free
+     * diurnal and weekly shape is computed once for all of them.
      * @param rng Random stream.
      */
-    std::vector<double> generate(util::Rng &rng, double days) const;
+    std::vector<double> generate(util::Rng &rng, double days,
+                                 std::size_t traces = 1) const;
 
     /** @return the parameters. */
     const TraceParams &params() const { return cfg; }

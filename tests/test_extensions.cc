@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "autoscale/predictive.hh"
 #include "cluster/migration.hh"
@@ -183,6 +185,46 @@ TEST(Trace, HigherTdpShrinksAirOpportunity)
               today_report.meanSustainable);
 }
 
+TEST(Trace, MultiTraceMatchesPerTraceCallsBitForBit)
+{
+    // A rack set's parameters over eight days (a weekend included), the
+    // default 5-minute generator, and a 7-s interval whose final
+    // sample is partial.
+    workload::TraceParams racks;
+    racks.sampleInterval = 60.0;
+    racks.noiseSigma = 0.03;
+    racks.burstProb = 0.005;
+    workload::TraceParams partial;
+    partial.sampleInterval = 7.0;
+    const struct
+    {
+        workload::TraceParams params;
+        double days;
+        std::size_t traces;
+    } cases[] = {{racks, 8.0, 5}, {{}, 3.0, 4}, {partial, 1.0, 3},
+                 {racks, 1.0, 1}};
+    for (const auto &c : cases) {
+        const workload::TraceGenerator gen(c.params);
+        util::Rng multi_rng(31);
+        util::Rng single_rng(31);
+        const std::vector<double> multi =
+            gen.generate(multi_rng, c.days, c.traces);
+        for (std::size_t r = 0; r < c.traces; ++r) {
+            const std::vector<double> single =
+                gen.generate(single_rng, c.days);
+            ASSERT_EQ(multi.size(), single.size() * c.traces);
+            for (std::size_t i = 0; i < single.size(); ++i)
+                ASSERT_EQ(std::memcmp(&multi[i * c.traces + r], &single[i],
+                                      sizeof(double)),
+                          0)
+                    << "trace " << r << " sample " << i;
+        }
+        // Both streams go on from the same state.
+        for (int i = 0; i < 16; ++i)
+            ASSERT_EQ(multi_rng.next(), single_rng.next());
+    }
+}
+
 TEST(Trace, InvalidParamsAreFatal)
 {
     workload::TraceParams params;
@@ -202,6 +244,9 @@ TEST(Trace, InvalidParamsAreFatal)
                  FatalError);
     // Positive but too short to yield a single sample.
     EXPECT_THROW(gen.generate(rng, 1e-13), FatalError);
+    // The horizon checks hold for a multi-trace call too.
+    EXPECT_THROW(gen.generate(rng, 0.0, 4), FatalError);
+    EXPECT_THROW(gen.generate(rng, 1e-13, 4), FatalError);
 }
 
 TEST(Trace, OpportunityActiveCoresFollowGovernor)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -17,6 +18,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -175,6 +177,235 @@ TEST(Rng, ChildStreamsAreIndependent)
         if (c1.uniform() == c2.uniform())
             ++same;
     EXPECT_LT(same, 5);
+}
+
+// --- The engine and distributions against <random> ------------------------
+//
+// util::Rng spells out the engine and the continuous distributions that
+// std::mt19937_64 and libstdc++'s std:: distributions used to provide;
+// every stream must keep its bits. Each test runs the standard twin in
+// lock step and compares the draws' bytes.
+
+/** Byte-for-byte equality, so signed zeros and NaNs count. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+constexpr std::uint64_t kEngineSeeds[] = {0, 1, 0x1ce5eedULL,
+                                          ~std::uint64_t(0)};
+
+/** Count how often @p n draws of two generators differ. */
+template <class Ours, class Ref>
+int
+engineMismatches(Ours &ours, Ref &ref, int n)
+{
+    int mismatches = 0;
+    for (int i = 0; i < n; ++i)
+        mismatches += ours() != ref();
+    return mismatches;
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    for (const std::uint64_t seed : kEngineSeeds) {
+        util::Mt19937_64 engine(seed);
+        std::mt19937_64 ref(seed);
+        EXPECT_EQ(engineMismatches(engine, ref, 10'000'000), 0)
+            << "seed " << seed;
+    }
+}
+
+TEST(Rng, ChildAndSplitStreamsMatchStdMt19937_64)
+{
+    for (const std::uint64_t seed : kEngineSeeds) {
+        util::Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        auto next = [&rng] { return rng.next(); };
+        EXPECT_EQ(engineMismatches(next, ref, 1000), 0);
+
+        util::Rng child = rng.child();
+        std::mt19937_64 ref_child(ref());
+        auto child_next = [&child] { return child.next(); };
+        EXPECT_EQ(engineMismatches(child_next, ref_child, 100'000), 0)
+            << "seed " << seed;
+
+        // split() reseeds from the construction seed alone.
+        util::Rng split = rng.split(7);
+        std::mt19937_64 ref_split(util::Rng::splitmix64(
+            util::Rng::splitmix64(seed) ^
+            util::Rng::splitmix64(7 + 0x632be59bd9b4e019ULL)));
+        auto split_next = [&split] { return split.next(); };
+        EXPECT_EQ(engineMismatches(split_next, ref_split, 100'000), 0)
+            << "seed " << seed;
+        // The parent's stream goes on where it was.
+        auto after = [&rng] { return rng.next(); };
+        EXPECT_EQ(engineMismatches(after, ref, 1000), 0);
+    }
+}
+
+/** A generator that returns one fixed word: drives generate_canonical. */
+struct FixedBits
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+    result_type value;
+    result_type operator()() { return value; }
+};
+
+TEST(Rng, CanonicalMatchesGenerateCanonical)
+{
+    const std::uint64_t two53 = std::uint64_t(1) << 53;
+    const std::uint64_t top = ~std::uint64_t(0);
+    std::vector<std::uint64_t> words = {0,
+                                        1,
+                                        two53 - 1,
+                                        two53,
+                                        two53 + 1,
+                                        std::uint64_t(1) << 63,
+                                        (std::uint64_t(1) << 63) + 1,
+                                        top - (1u << 11) + 1,
+                                        top - (1u << 10) + 1,
+                                        top};
+    for (std::uint64_t x = 1; words.size() < 100'000;)
+        words.push_back(x = util::Rng::splitmix64(x));
+    for (const std::uint64_t x : words) {
+        FixedBits stub{x};
+        const double ref = std::generate_canonical<double, 53>(stub);
+        EXPECT_TRUE(sameBits(util::Rng::canonical(x), ref)) << "x = " << x;
+    }
+    // 2^64 - 2^11 is the largest word below 1; the two above round up
+    // to 1 and take the clamp.
+    EXPECT_LT(util::Rng::canonical(top - (1u << 11) + 1), 1.0);
+    const double below_one = std::nextafter(1.0, 0.0);
+    EXPECT_TRUE(sameBits(util::Rng::canonical(top - (1u << 10) + 1),
+                         below_one));
+    EXPECT_TRUE(sameBits(util::Rng::canonical(top), below_one));
+}
+
+/**
+ * Draw @p n values from @p ours and from @p ref (a fresh std::
+ * distribution per draw on the reference engine, as Rng used to) and
+ * count the draws whose bits differ.
+ */
+template <class Ours, class Ref>
+int
+drawMismatches(Ours ours, Ref ref, int n = 20'000)
+{
+    int mismatches = 0;
+    for (int i = 0; i < n; ++i)
+        mismatches += !sameBits(ours(), ref());
+    return mismatches;
+}
+
+TEST(Rng, DistributionsMatchTheirStdTwins)
+{
+    util::Rng rng(2021);
+    std::mt19937_64 ref(2021);
+    EXPECT_EQ(drawMismatches([&] { return rng.uniform(); },
+                             [&] {
+                                 return std::uniform_real_distribution<
+                                     double>(0.0, 1.0)(ref);
+                             }),
+              0);
+    // lo == hi, a negative lo, and a range wholly below zero.
+    for (const auto &[lo, hi] : {std::pair{0.0, 1.0}, std::pair{2.0, 2.0},
+                                std::pair{-3.5, 2.25},
+                                std::pair{-1e9, -1e3}}) {
+        EXPECT_EQ(drawMismatches([&] { return rng.uniform(lo, hi); },
+                                 [&] {
+                                     return std::uniform_real_distribution<
+                                         double>(lo, hi)(ref);
+                                 }),
+                  0)
+            << lo << ", " << hi;
+    }
+    for (const double mean : {2.6e-3, 1.0, 250.0}) {
+        EXPECT_EQ(drawMismatches([&] { return rng.exponential(mean); },
+                                 [&] {
+                                     return std::exponential_distribution<
+                                         double>(1.0 / mean)(ref);
+                                 }),
+                  0)
+            << mean;
+    }
+    // stddev == 0 returns the mean through ret * 0 + mean.
+    for (const auto &[mean, sd] : {std::pair{0.0, 1.0}, std::pair{0.0, 0.0},
+                                  std::pair{-3.0, 0.5},
+                                  std::pair{1e3, 7.0}}) {
+        EXPECT_EQ(drawMismatches([&] { return rng.normal(mean, sd); },
+                                 [&] {
+                                     return std::normal_distribution<double>(
+                                         mean, sd)(ref);
+                                 }),
+                  0)
+            << mean << ", " << sd;
+    }
+    // sigma == 0 still draws its normal and returns exp(mu).
+    for (const auto &[mu, sigma] : {std::pair{0.0, 1.0}, std::pair{-5.8, 0.0},
+                                   std::pair{1.2, 1.5}}) {
+        EXPECT_EQ(drawMismatches([&] { return rng.lognormal(mu, sigma); },
+                                 [&] {
+                                     return std::lognormal_distribution<
+                                         double>(mu, sigma)(ref);
+                                 }),
+                  0)
+            << mu << ", " << sigma;
+    }
+    const util::Rng::LognormalParams p =
+        util::Rng::lognormalParams(3.3e-3, 1.5);
+    EXPECT_EQ(drawMismatches([&] { return rng.lognormalMeanCv(3.3e-3, 1.5); },
+                             [&] {
+                                 return std::lognormal_distribution<double>(
+                                     p.mu, p.sigma)(ref);
+                             }),
+              0);
+    // One request's interleaved pair, as QueueingCluster draws it.
+    EXPECT_EQ(drawMismatches(
+                  [&] {
+                      const double gap = rng.exponential(5e-4);
+                      return gap + rng.lognormal(p.mu, p.sigma);
+                  },
+                  [&] {
+                      const double gap =
+                          std::exponential_distribution<double>(2000.0)(ref);
+                      return gap + std::lognormal_distribution<double>(
+                                       p.mu, p.sigma)(ref);
+                  }),
+              0);
+}
+
+TEST(Rng, IntegerAndDerivedStreamsAreUnchanged)
+{
+    util::Rng rng(77);
+    std::mt19937_64 ref(77);
+    auto ref_uniform = [&ref] {
+        return std::uniform_real_distribution<double>(0.0, 1.0)(ref);
+    };
+    for (int i = 0; i < 20'000; ++i) {
+        ASSERT_EQ(rng.uniformInt(-5, 1'000'003),
+                  std::uniform_int_distribution<std::int64_t>(
+                      -5, 1'000'003)(ref));
+        ASSERT_EQ(rng.uniformInt(3, 3),
+                  std::uniform_int_distribution<std::int64_t>(3, 3)(ref));
+        // Small means take the product method, large ones rejection.
+        ASSERT_EQ(rng.poisson(4.2),
+                  std::poisson_distribution<std::int64_t>(4.2)(ref));
+        ASSERT_EQ(rng.poisson(480.0),
+                  std::poisson_distribution<std::int64_t>(480.0)(ref));
+        // pareto() and discrete() as written on the std:: uniform draw.
+        const double u = std::max(ref_uniform(), 1e-16);
+        ASSERT_TRUE(sameBits(rng.pareto(1.5, 2.5),
+                             1.5 / std::pow(u, 1.0 / 2.5)));
+        const std::vector<double> weights{0.5, 3.0, 0.0, 1.25};
+        double x = ref_uniform() * 4.75;
+        std::size_t pick = 0;
+        while (pick + 1 < weights.size() && (x -= weights[pick]) > 0.0)
+            ++pick;
+        ASSERT_EQ(rng.discrete(weights), pick);
+    }
 }
 
 TEST(OnlineStats, MeanVarianceMinMax)
