@@ -63,25 +63,28 @@ main()
     // limit, priority-aware capping sheds batch first (Sec. IV).
     std::cout << "\n== Priority-aware capping under overclocking ==\n";
     power::PowerBudget feed(100000.0, 1.3); // 100 kW feed, 30% oversub.
-    std::vector<power::PowerConsumer> racks{
-        {"batch rack A", 40000.0, 20000.0, 1},
-        {"batch rack B", 38000.0, 19000.0, 1},
-        {"latency rack C (overclocked)", 45000.0, 22000.0, 2},
+    const char *const names[] = {"batch rack A", "batch rack B",
+                                 "latency rack C (overclocked)"};
+    const std::vector<power::PowerConsumer> racks{
+        {40000.0, 20000.0, 1},
+        {38000.0, 19000.0, 1},
+        {45000.0, 22000.0, 2},
     };
-    std::cout << "Demand " << (40000.0 + 38000.0 + 45000.0) / 1000.0
+    Watts rack_demand = 0.0;
+    for (const auto &rack : racks)
+        rack_demand += rack.demand;
+    std::cout << "Demand " << rack_demand / 1000.0
               << " kW against a 100 kW feed -> "
-              << (feed.breached(racks) ? "capping engaged" : "no capping")
+              << (rack_demand > feed.capacity() ? "capping engaged"
+                                                : "no capping")
               << "\n";
     util::TableWriter caps({"Rack", "Demand [kW]", "Granted [kW]",
                             "Capped"});
-    for (const auto &alloc : feed.allocate(racks)) {
-        for (const auto &rack : racks) {
-            if (rack.name != alloc.name)
-                continue;
-            caps.addRow({alloc.name, util::fmt(rack.demand / 1000.0, 1),
-                         util::fmt(alloc.granted / 1000.0, 1),
-                         alloc.capped ? "yes" : "no"});
-        }
+    feed.allocate(racks);
+    for (std::size_t i = 0; i < racks.size(); ++i) {
+        caps.addRow({names[i], util::fmt(racks[i].demand / 1000.0, 1),
+                     util::fmt(feed.granted()[i] / 1000.0, 1),
+                     feed.capped()[i] ? "yes" : "no"});
     }
     caps.print(std::cout);
     std::cout << "The overclocked latency rack keeps its full allocation;"

@@ -285,8 +285,7 @@ PerServerSession::PerServerSession(const DatacenterPowerSim &sim_in,
                 p.constantPower;
         }
         consumers.push_back(power::PowerConsumer{
-            "rack" + std::to_string(r), 0.0,
-            static_cast<double>(racks[r].servers) * idle_floor,
+            0.0, static_cast<double>(racks[r].servers) * idle_floor,
             racks[r].priority});
     }
 
@@ -472,7 +471,6 @@ PerServerSession::stepMinute()
                 grant = ocRank[i] <
                         u * rack.overclockDemand * ocAdmission[sku];
             }
-            state.wantsOverclock[i] = wants ? 1 : 0;
             state.overclockShare[i] = wants ? 1.0 : 0.0;
             state.overclocked[i] = grant ? 1 : 0;
             state.freqLevel[i] =
@@ -544,7 +542,7 @@ PerServerSession::stepMinute()
         });
     }
 
-    budget.allocate(consumers, scratch, false);
+    budget.allocate(consumers, false);
 
     // Accounting walk, which also sets every unit's capped flag. A
     // unit's wanted weight is its overclock-wanting share times the
@@ -561,9 +559,11 @@ PerServerSession::stepMinute()
     double capped_oc = cappedOcMinutes;
     double speedup = speedupSum;
     const double oc_speedup = owner.ocSpeedup;
+    const Watts *granted = budget.granted().data();
+    const std::uint8_t *capped = budget.capped().data();
     for (std::size_t r = 0; r < racks.size(); ++r) {
-        drawn += scratch.granted[r];
-        const bool rack_capped = scratch.capped[r] != 0;
+        drawn += granted[r];
+        const bool rack_capped = capped[r] != 0;
         const std::size_t units_end = rackBegin[r + 1];
         any_capped = any_capped || rack_capped;
         const double unit_servers =
@@ -601,11 +601,10 @@ PerServerSession::stepMinute()
     // point. Rack-aggregate: the unit's power is its granted draw.
     if (perServer) {
         fleet::prepareThermalStep(state, skus, minute_dt);
-        fleet::prepareWearStep(state);
         runner.run(plan, [&](std::size_t s, std::size_t begin,
                              std::size_t end) {
             for (std::size_t r = shardRack[s]; r < shardRack[s + 1]; ++r) {
-                if (scratch.capped[r] != 0)
+                if (capped[r] != 0)
                     fleet::repricePower(state, skus, rackBegin[r],
                                         rackBegin[r + 1]);
             }
@@ -615,7 +614,7 @@ PerServerSession::stepMinute()
         });
     } else {
         for (std::size_t r = 0; r < racks.size(); ++r)
-            state.totalPower[r] = scratch.granted[r];
+            state.totalPower[r] = granted[r];
     }
 
     feedUtilSum += drawn / feedCap;

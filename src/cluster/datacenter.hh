@@ -239,7 +239,6 @@ class PerServerSession
     std::vector<double> offset; ///< Static per-server util offsets.
     std::vector<double> ocRank; ///< Deterministic want/packing ranks.
     power::PowerBudget budget;
-    power::AllocScratch scratch;
     std::vector<power::PowerConsumer> consumers;
     util::ShardRunner runner;
     util::ShardPlan plan;

@@ -76,9 +76,6 @@ class BinPacker
     /** @return the per-host state. */
     const std::vector<PackedHost> &hosts() const { return fleet; }
 
-    /** @return the CPU oversubscription ratio. */
-    double cpuOversubscription() const { return oversub; }
-
   private:
     bool fits(const PackedHost &host, const vm::VmSpec &vm) const;
     /** Remaining weighted capacity (for best-fit scoring). */

@@ -1,7 +1,5 @@
 #include "exp/report.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 
@@ -82,23 +80,6 @@ collectNames(std::vector<std::string> &out, const Entries &entries,
     }
 }
 
-/** %.17g, or null for a non-finite value (the readers take it as NaN). */
-std::string
-formatNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    util::Json::appendEscaped(out, s);
-}
-
 } // namespace
 
 util::TableWriter
@@ -141,28 +122,30 @@ std::string
 RunReport::toJson() const
 {
     std::string out = "{\n  \"schema\": \"imsim.report/1\",\n  \"name\": ";
-    appendEscaped(out, reportName);
+    util::Json::appendEscaped(out, reportName);
     if (hasMeta()) {
         out += ",\n  \"meta\": {";
         for (std::size_t i = 0; i < metaFields.size(); ++i) {
             if (i)
                 out += ", ";
-            appendEscaped(out, metaFields[i].first);
+            util::Json::appendEscaped(out, metaFields[i].first);
             out += ": ";
-            appendEscaped(out, metaFields[i].second);
+            util::Json::appendEscaped(out, metaFields[i].second);
         }
         out += "}";
     }
     if (hasTiming()) {
         out += ",\n  \"timing\": {\"total_wall_ms\": ";
-        out += formatNumber(runTiming.totalWallMs);
+        util::Json::appendNumber(out, runTiming.totalWallMs, 17);
         out += ", \"points\": [";
         for (std::size_t i = 0; i < runTiming.points.size(); ++i) {
             const PointTiming &pt = runTiming.points[i];
             out += i ? ",\n    {" : "\n    {";
             out += "\"index\": " + std::to_string(pt.index);
-            out += ", \"queue_ms\": " + formatNumber(pt.queueMs);
-            out += ", \"wall_ms\": " + formatNumber(pt.wallMs);
+            out += ", \"queue_ms\": ";
+            util::Json::appendNumber(out, pt.queueMs, 17);
+            out += ", \"wall_ms\": ";
+            util::Json::appendNumber(out, pt.wallMs, 17);
             out += ", \"worker\": " + std::to_string(pt.worker) + "}";
         }
         out += runTiming.points.empty() ? "]}" : "\n  ]}";
@@ -175,18 +158,18 @@ RunReport::toJson() const
         for (std::size_t j = 0; j < record.params.size(); ++j) {
             if (j)
                 out += ", ";
-            appendEscaped(out, record.params[j].first);
+            util::Json::appendEscaped(out, record.params[j].first);
             out += ": ";
-            appendEscaped(out, record.params[j].second);
+            util::Json::appendEscaped(out, record.params[j].second);
         }
         out += "}, \"metrics\": {";
         const auto &metrics = record.metrics.entries();
         for (std::size_t j = 0; j < metrics.size(); ++j) {
             if (j)
                 out += ", ";
-            appendEscaped(out, metrics[j].first);
+            util::Json::appendEscaped(out, metrics[j].first);
             out += ": ";
-            out += formatNumber(metrics[j].second);
+            util::Json::appendNumber(out, metrics[j].second, 17);
         }
         out += "}}";
     }

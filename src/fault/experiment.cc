@@ -55,7 +55,6 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
         static_cast<double>(params.fleetSize) * per_server_max * 1.2);
     power::PowerBudget feed(
         static_cast<double>(params.fleetSize) * per_server_max, 1.2);
-    power::AllocScratch feed_scratch;
 
     FaultInjector injector(sim, rng.child());
     injector.attachCluster(cluster);
@@ -106,7 +105,7 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
     InvariantChecker checker(sim);
     checker.watchCluster(cluster);
     checker.watchTank(tank);
-    checker.watchBudget(feed, feed_scratch);
+    checker.watchBudget(feed);
 
     // The black-box flight recorder: the same signals the pager and
     // the outcome read, folded into bounded multi-resolution rings,
@@ -175,11 +174,10 @@ runCrisisExperiment(autoscale::Policy policy, const CrisisParams &params)
                 tank.setHeatLoad(id, draw);
             if (on) {
                 consumers.push_back(power::PowerConsumer{
-                    std::string(), draw, std::min(draw, idle_floor), 0});
+                    draw, std::min(draw, idle_floor), 0});
             }
         }
-        if (!consumers.empty())
-            feed.allocate(consumers, feed_scratch, false);
+        feed.allocate(consumers, false);
     });
 
     // Measurement phases. All phase events are scheduled before the

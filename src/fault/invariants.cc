@@ -1,10 +1,8 @@
 #include "fault/invariants.hh"
 
-#include <cmath>
 #include <numeric>
 
 #include "obs/blackbox.hh"
-#include "obs/fleet_agg.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "power/capping.hh"
@@ -61,37 +59,12 @@ InvariantChecker::watchTank(const thermal::ImmersionTank &tank)
 }
 
 void
-InvariantChecker::watchBudget(const power::PowerBudget &budget,
-                              const power::AllocScratch &scratch)
+InvariantChecker::watchBudget(const power::PowerBudget &budget)
 {
-    addCheck("feed.granted_within_capacity", [&budget, &scratch] {
-        const Watts granted =
-            std::accumulate(scratch.granted.begin(), scratch.granted.end(),
-                            0.0);
+    addCheck("feed.granted_within_capacity", [&budget] {
+        const Watts granted = std::accumulate(
+            budget.granted().begin(), budget.granted().end(), 0.0);
         return granted <= budget.capacity() + 1e-6;
-    });
-}
-
-void
-InvariantChecker::watchFleetAggregator(
-    const obs::FleetAggregator &aggregator, Celsius tj_max)
-{
-    addCheck("fleet.junction_below_max", [&aggregator, tj_max] {
-        const obs::FleetSample sample = aggregator.snapshot();
-        return sample.units == 0 ||
-               sample.overall[obs::kChanTj].max <= tj_max;
-    });
-    addCheck("fleet.aggregates_finite", [&aggregator] {
-        const obs::FleetSample sample = aggregator.snapshot();
-        if (sample.units == 0)
-            return true;
-        if (!std::isfinite(sample.fleetPower))
-            return false;
-        for (int c = 0; c < obs::kFleetChannels; ++c) {
-            if (!std::isfinite(sample.overall[c].max))
-                return false;
-        }
-        return true;
     });
 }
 

@@ -29,11 +29,9 @@ namespace imsim {
 
 namespace obs {
 class Counter;
-class FleetAggregator;
 } // namespace obs
 
 namespace power {
-struct AllocScratch;
 class PowerBudget;
 } // namespace power
 
@@ -78,23 +76,10 @@ class InvariantChecker
     void watchTank(const thermal::ImmersionTank &tank);
 
     /**
-     * Canned feed check: the last allocation in @p scratch grants no
-     * more than the budget's current capacity.
+     * Canned feed check: the budget's last allocation grants no more
+     * than its current capacity.
      */
-    void watchBudget(const power::PowerBudget &budget,
-                     const power::AllocScratch &scratch);
-
-    /**
-     * Canned fleet checks over @p aggregator's published sample: while
-     * the fleet is non-empty, its hottest junction stays at or below
-     * @p tj_max and the headline aggregates (fleet power, per-channel
-     * max) stay finite. Reads go through the aggregator's
-     * mutex-published snapshot() — the cross-thread safe point — so the
-     * checker stays valid while a sharded run (setSimThreads > 1) is
-     * publishing from inside its minute loop.
-     */
-    void watchFleetAggregator(const obs::FleetAggregator &aggregator,
-                              Celsius tj_max);
+    void watchBudget(const power::PowerBudget &budget);
 
     /**
      * Attach observers; reads `metrics`, `tracer` and `recorder`. Call

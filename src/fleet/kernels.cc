@@ -104,25 +104,6 @@ stepThermal(FleetState &state, const std::vector<SkuParams> &skus,
 }
 
 void
-stepThermal(FleetState &state, const std::vector<SkuParams> &skus,
-            Seconds dt)
-{
-    prepareThermalStep(state, skus, dt);
-    stepThermal(state, skus, dt, 0, state.size());
-}
-
-void
-prepareWearStep(FleetState &state)
-{
-    // Scratch sizing is the only allocating (and thus only
-    // non-thread-safe) part of stepWear; hoisted here so range calls
-    // can fan out over pre-sized columns.
-    const std::size_t n = state.size();
-    state.wearOxideScratch.resize(n);
-    state.wearArrheniusScratch.resize(n);
-}
-
-void
 stepWear(FleetState &state, const std::vector<SkuParams> &skus,
          Years duration, std::size_t begin, std::size_t end)
 {
@@ -130,9 +111,6 @@ stepWear(FleetState &state, const std::vector<SkuParams> &skus,
     util::fatalIf(skus.empty(), "stepWear: no SKUs");
     util::fatalIf(begin > end || end > state.size(),
                   "stepWear: bad server range");
-    util::fatalIf(state.wearOxideScratch.size() != state.size() ||
-                      state.wearArrheniusScratch.size() != state.size(),
-                  "stepWear: prepareWearStep() not run");
     using namespace reliability::constants;
     // Loop-invariant pieces of the mechanism rates, written exactly as
     // reliability/mechanisms.cc computes them.
@@ -144,7 +122,7 @@ stepWear(FleetState &state, const std::vector<SkuParams> &skus,
     // unchanged, so FP identity is unaffected — only the program order
     // across servers moves, which is also why disjoint ranges of the
     // same passes thread safely). The intermediate factors land in
-    // scratch columns that stabilise after the first call.
+    // scratch columns that FleetState sizes with the fleet.
     std::vector<double> &oxide = state.wearOxideScratch;
     std::vector<double> &arrhenius = state.wearArrheniusScratch;
 
@@ -191,19 +169,13 @@ stepWear(FleetState &state, const std::vector<SkuParams> &skus,
 }
 
 void
-stepWear(FleetState &state, const std::vector<SkuParams> &skus,
-         Years duration)
-{
-    prepareWearStep(state);
-    stepWear(state, skus, duration, 0, state.size());
-}
-
-void
 stepAll(FleetState &state, const std::vector<SkuParams> &skus, Seconds dt)
 {
-    stepPower(state, skus);
-    stepThermal(state, skus, dt);
-    stepWear(state, skus, secondsToYears(dt));
+    const std::size_t n = state.size();
+    stepPower(state, skus, 0, n);
+    prepareThermalStep(state, skus, dt);
+    stepThermal(state, skus, dt, 0, n);
+    stepWear(state, skus, secondsToYears(dt), 0, n);
 }
 
 void
@@ -214,7 +186,6 @@ stepAll(FleetState &state, const std::vector<SkuParams> &skus, Seconds dt,
                   "stepAll: shard plan does not cover the fleet");
     const Years duration = secondsToYears(dt);
     prepareThermalStep(state, skus, dt);
-    prepareWearStep(state);
     runner.run(plan,
                [&](std::size_t, std::size_t begin, std::size_t end) {
                    stepPower(state, skus, begin, end);

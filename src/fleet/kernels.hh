@@ -2,8 +2,8 @@
  * @file
  * Batched physics kernels over FleetState columns.
  *
- * Each kernel advances one physical quantity for every server in a
- * contiguous loop, replacing N scalar-object calls:
+ * Each kernel advances one physical quantity for the servers
+ * [begin, end) in a contiguous loop, replacing N scalar-object calls:
  *
  *  - stepPower:   power::SocketPowerModel::dynamicPower +
  *                 leakagePower + the power::ServerPowerModel
@@ -28,18 +28,21 @@
  * one precondition: Tj is unchanged since the servers' last stepPower,
  * so the stored leakagePower is the value stepPower would recompute.
  *
- * Steady-state calls are allocation-free: the only buffer (per-SKU
- * thermal decay factors) lives in FleetState::thermalDecayScratch and
- * stabilises after the first step.
+ * Steady-state calls are allocation-free: stepWear's per-server
+ * scratch is sized with the fleet's columns (FleetState::addServers),
+ * and the per-SKU thermal decay factors live in
+ * FleetState::thermalDecayScratch, which stabilises after the first
+ * step.
  *
- * Sharding: every kernel also has a [begin, end) range overload whose
- * per-server arithmetic chain is identical to the whole-fleet loop —
- * each server's update reads and writes only index i (and shared
- * *read-only* SKU tables / pre-sized scratch), so running disjoint
- * ranges on different threads produces bit-identical columns in any
- * interleaving. The prepare*() helpers hoist the serial, shared-state
- * part (scratch sizing, per-SKU decay factors) out of the range calls;
- * callers must invoke them once per step before fanning ranges out.
+ * Sharding: each kernel has one entry point, over a [begin, end)
+ * range. Each server's update reads and writes only index i (and
+ * shared *read-only* SKU tables / pre-sized scratch), so running
+ * disjoint ranges on different threads produces bit-identical columns
+ * in any interleaving. prepareThermalStep hoists the serial,
+ * shared-state part (the per-SKU decay factors) out of the range
+ * calls; callers invoke it once per step before fanning ranges out.
+ * stepAll composes the range kernels into one fleet minute, serially
+ * or over a shard plan.
  */
 
 #ifndef IMSIM_FLEET_KERNELS_HH
@@ -75,59 +78,32 @@ void stepPower(FleetState &state, const std::vector<SkuParams> &skus,
 void repricePower(FleetState &state, const std::vector<SkuParams> &skus,
                   std::size_t begin, std::size_t end);
 
-/** stepPower over the whole fleet. */
-inline void
-stepPower(FleetState &state, const std::vector<SkuParams> &skus)
-{
-    stepPower(state, skus, 0, state.size());
-}
-
-/**
- * Advance every junction temperature by @p dt seconds holding each
- * server's current socket power (dynamicPower + leakagePower)
- * constant, with the SKU's coolant reference — the exact exponential
- * ThermalNode::step update.
- */
-void stepThermal(FleetState &state, const std::vector<SkuParams> &skus,
-                 Seconds dt);
-
 /**
  * Serial prologue for sharded thermal steps: compute the per-SKU decay
  * factors exp(-dt / (R*C)) into FleetState::thermalDecayScratch. Must
- * run (once per step, on one thread) before any range stepThermal of
- * the same dt.
+ * run (once per step, on one thread) before any stepThermal of the
+ * same dt.
  */
 void prepareThermalStep(FleetState &state,
                         const std::vector<SkuParams> &skus, Seconds dt);
 
 /**
- * stepThermal over servers [@p begin, @p end) using the decay factors
- * prepared by prepareThermalStep(). Elementwise in i — safe and
- * bit-identical under any disjoint-range threading.
+ * Advance the junction temperatures of servers [@p begin, @p end) by
+ * @p dt seconds holding each server's current socket power
+ * (dynamicPower + leakagePower) constant, with the SKU's coolant
+ * reference — the exact exponential ThermalNode::step update, using
+ * the decay factors prepared by prepareThermalStep(). Elementwise in
+ * i — safe and bit-identical under any disjoint-range threading.
  */
 void stepThermal(FleetState &state, const std::vector<SkuParams> &skus,
                  Seconds dt, std::size_t begin, std::size_t end);
 
 /**
- * Accrue @p duration years of wear on every server under its current
- * stress (level voltage/frequency ratio, junction temperature, and
- * utilization as the duty cycle; cycle floor at the SKU's tMin).
- * Requires tj >= tMin for every server, as the scalar model does.
- */
-void stepWear(FleetState &state, const std::vector<SkuParams> &skus,
-              Years duration);
-
-/**
- * Serial prologue for sharded wear steps: size the oxide/Arrhenius
- * scratch columns to the fleet (the only allocating part of stepWear,
- * and only until the high-water mark stabilises). Must run before any
- * range stepWear.
- */
-void prepareWearStep(FleetState &state);
-
-/**
- * stepWear over servers [@p begin, @p end) using scratch sized by
- * prepareWearStep(). The three transcendental passes run over this
+ * Accrue @p duration years of wear on servers [@p begin, @p end) under
+ * their current stress (level voltage/frequency ratio, junction
+ * temperature, and utilization as the duty cycle; cycle floor at the
+ * SKU's tMin). Requires tj >= tMin for every server in the range, as
+ * the scalar model does. The three transcendental passes run over this
  * range only; every pass is elementwise in i, so disjoint ranges
  * thread safely and bit-identically.
  */
@@ -135,9 +111,10 @@ void stepWear(FleetState &state, const std::vector<SkuParams> &skus,
               Years duration, std::size_t begin, std::size_t end);
 
 /**
- * One fleet minute at full fidelity: power from the current operating
- * points, thermal advance by @p dt, wear accrual for the same
- * interval (dt converted to years).
+ * One fleet minute at full fidelity on the calling thread: power from
+ * the current operating points, thermal advance by @p dt, wear accrual
+ * for the same interval (dt converted to years), each over the whole
+ * fleet.
  */
 void stepAll(FleetState &state, const std::vector<SkuParams> &skus,
              Seconds dt);
@@ -147,9 +124,9 @@ void stepAll(FleetState &state, const std::vector<SkuParams> &skus,
  * threads, one fused power->thermal->wear pass per shard of @p plan
  * (all three kernels are elementwise in i, so no barrier is needed
  * *between* them within a minute — the conservative barrier sits at
- * the end of the call, before any cross-server reduction). Serial
- * prologues (scratch sizing, per-SKU decay) run on the calling thread
- * first. Bit-identical to the serial stepAll for any plan and any
+ * the end of the call, before any cross-server reduction). The serial
+ * prologue (per-SKU decay) runs on the calling thread first.
+ * Bit-identical to the serial stepAll for any plan and any
  * thread count.
  */
 void stepAll(FleetState &state, const std::vector<SkuParams> &skus,

@@ -86,7 +86,6 @@ FleetState::reserve(std::size_t n)
 {
     skuIndex.reserve(n);
     freqLevel.reserve(n);
-    wantsOverclock.reserve(n);
     overclocked.reserve(n);
     capped.reserve(n);
     utilization.reserve(n);
@@ -97,6 +96,8 @@ FleetState::reserve(std::size_t n)
     tj.reserve(n);
     wearConsumed.reserve(n);
     serviceYears.reserve(n);
+    wearOxideScratch.reserve(n);
+    wearArrheniusScratch.reserve(n);
 }
 
 void
@@ -105,7 +106,6 @@ FleetState::addServers(std::size_t count, std::uint32_t sku, Celsius tj0)
     const std::size_t n = size() + count;
     skuIndex.resize(n, sku);
     freqLevel.resize(n, kNominal);
-    wantsOverclock.resize(n, 0);
     overclocked.resize(n, 0);
     capped.resize(n, 0);
     utilization.resize(n, 0.0);
@@ -116,6 +116,8 @@ FleetState::addServers(std::size_t count, std::uint32_t sku, Celsius tj0)
     tj.resize(n, tj0);
     wearConsumed.resize(n, 0.0);
     serviceYears.resize(n, 0.0);
+    wearOxideScratch.resize(n);
+    wearArrheniusScratch.resize(n);
 }
 
 FleetState::Summary

@@ -144,7 +144,7 @@ struct SkuParams
  *    (dynamic + leakage) * sockets + constantPower;
  *  - tj[i] is the hottest-socket junction temperature [C];
  *  - wearConsumed[i]/serviceYears[i] mirror reliability::WearTracker;
- *  - wantsOverclock/overclocked/capped are the per-step control flags;
+ *  - overclocked/capped are the per-step control flags;
  *  - overclockShare[i] is the share of the unit wanting an overclock
  *    this step (a whole server: 0 or 1; a rack-aggregate unit: the
  *    fractional share of its servers).
@@ -172,7 +172,6 @@ class FleetState
     // ----- columns ---------------------------------------------------
     std::vector<std::uint32_t> skuIndex;
     std::vector<std::uint8_t> freqLevel;
-    std::vector<std::uint8_t> wantsOverclock;
     std::vector<std::uint8_t> overclocked;
     std::vector<std::uint8_t> capped;
     std::vector<double> utilization;
@@ -233,7 +232,8 @@ class FleetState
     /// allocate.
     std::vector<double> thermalDecayScratch;
     /// Per-server scratch used by stepWear's split passes (gate-oxide
-    /// temperature factor, EM Arrhenius factor); same lifecycle.
+    /// temperature factor, EM Arrhenius factor); sized with the
+    /// columns by addServers, so stepWear never allocates.
     std::vector<double> wearOxideScratch;
     std::vector<double> wearArrheniusScratch;
 };

@@ -76,9 +76,6 @@ class TurboGovernor
     /** @return base frequency [GHz]. */
     GHz baseFrequency() const { return fBase; }
 
-    /** @return minimum frequency [GHz]. */
-    GHz minFrequency() const { return fMin; }
-
     /** @return the overclocking boundary [GHz]. */
     GHz overclockBoundary() const { return fOcMax; }
 

@@ -14,14 +14,6 @@ namespace obs {
 
 namespace {
 
-std::string
-jsonNumber(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
-}
-
 /**
  * The process-wide post-mortem registry. Function-local statics so the
  * registry outlives any static-storage recorder; one mutex guards the
@@ -468,21 +460,25 @@ FlightRecorder::appendPointJsonLocked(std::string &out,
     for (std::size_t ti = 0; ti < tiers.size(); ++ti) {
         const TierStore &tier = tiers[ti];
         out += ti ? ",\n       " : "\n       ";
-        out += "{\"resolution_s\": " + jsonNumber(tier.resolution) +
-               ", \"capacity\": " + std::to_string(tier.capacity) +
+        out += "{\"resolution_s\": ";
+        util::Json::appendNumber(out, tier.resolution, 12);
+        out += ", \"capacity\": " + std::to_string(tier.capacity) +
                ", \"rows\": [";
         for (std::size_t r = 0; r < tier.rows; ++r) {
             const std::size_t slot = (tier.head + r) % tier.capacity;
             const double *stats = tier.stats.data() + slot * width;
-            out += r ? ",\n         " : "\n         ";
-            out += "[" + jsonNumber(tier.startT[slot]) + ", " +
-                   std::to_string(tier.samples[slot]);
+            out += r ? ",\n         [" : "\n         [";
+            util::Json::appendNumber(out, tier.startT[slot], 12);
+            out += ", " + std::to_string(tier.samples[slot]);
             const auto n = static_cast<double>(tier.samples[slot]);
             for (std::size_t c = 0; c < channels.size(); ++c) {
-                out += ", " + jsonNumber(stats[c * 3 + 0]) + ", " +
-                       jsonNumber(n > 0.0 ? stats[c * 3 + 2] / n
-                                          : 0.0) +
-                       ", " + jsonNumber(stats[c * 3 + 1]);
+                out += ", ";
+                util::Json::appendNumber(out, stats[c * 3 + 0], 12);
+                out += ", ";
+                util::Json::appendNumber(
+                    out, n > 0.0 ? stats[c * 3 + 2] / n : 0.0, 12);
+                out += ", ";
+                util::Json::appendNumber(out, stats[c * 3 + 1], 12);
             }
             out += "]";
         }
@@ -494,11 +490,13 @@ FlightRecorder::appendPointJsonLocked(std::string &out,
     for (std::size_t i = 0; i < eventLive; ++i) {
         const BlackboxEvent &event =
             eventRing[(eventHead + i) % eventRing.size()];
-        out += i ? ",\n       " : "\n       ";
-        out += "{\"t_s\": " + jsonNumber(event.t) + ", \"kind\": \"";
+        out += i ? ",\n       {\"t_s\": " : "\n       {\"t_s\": ";
+        util::Json::appendNumber(out, event.t, 12);
+        out += ", \"kind\": \"";
         out += blackboxEventKindName(event.kind);
-        out += "\", \"value\": " + jsonNumber(event.value) +
-               ", \"label\": ";
+        out += "\", \"value\": ";
+        util::Json::appendNumber(out, event.value, 12);
+        out += ", \"label\": ";
         util::Json::appendEscaped(out, event.label);
         out += "}";
     }

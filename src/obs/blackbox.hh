@@ -143,9 +143,6 @@ class FlightRecorder
     std::size_t addChannel(std::string name,
                            std::function<double()> signal);
 
-    /** @return number of registered channels. */
-    std::size_t channelCount() const { return channels.size(); }
-
     /**
      * Record one sample of every channel at time @p t (must not go
      * backwards). The first tick sizes the tier storage; steady-state
@@ -223,8 +220,6 @@ class FlightRecorder
 
     /** @return ticks recorded so far. */
     std::size_t ticks() const;
-    /** @return number of retention tiers. */
-    std::size_t tierCount() const { return tiers.size(); }
     /** @return the tier's configured resolution [s]. */
     Seconds tierResolution(std::size_t tier) const;
     /** @return the tier's configured ring capacity [bins]. */

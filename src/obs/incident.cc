@@ -1,9 +1,10 @@
 #include "obs/incident.hh"
 
-#include <cstdio>
-#include <sstream>
+#include <string>
+#include <utility>
 
 #include "obs/trace.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace imsim {
@@ -11,52 +12,14 @@ namespace obs {
 
 namespace {
 
-std::string
-jsonNumber(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
-}
-
-/** Escape for a JSON string literal (quotes, backslashes, control). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
-appendFaultJson(std::ostream &os, const IncidentFault &fault)
+appendFaultJson(std::string &out, const IncidentFault &fault)
 {
-    os << "{\"t_s\": " << jsonNumber(fault.t) << ", \"label\": \""
-       << jsonEscape(fault.label) << "\"}";
+    out += "{\"t_s\": ";
+    util::Json::appendNumber(out, fault.t, 12);
+    out += ", \"label\": ";
+    util::Json::appendEscaped(out, fault.label);
+    out += "}";
 }
 
 } // namespace
@@ -146,35 +109,47 @@ IncidentLog::exportTrace(EventTracer &tracer, Seconds horizon) const
 std::string
 IncidentLog::pointJson(const std::string &label) const
 {
-    std::ostringstream os;
-    os << "{\"label\": \"" << jsonEscape(label) << "\",\n"
-       << "     \"incidents\": [";
+    std::string out = "{\"label\": ";
+    util::Json::appendEscaped(out, label);
+    out += ",\n     \"incidents\": [";
     for (std::size_t i = 0; i < records.size(); ++i) {
         const Incident &incident = records[i];
-        os << (i ? ",\n       " : "\n       ");
-        os << "{\"id\": " << incident.id << ", \"kind\": \""
-           << alertKindName(incident.kind) << "\", \"rule\": \""
-           << jsonEscape(incident.rule) << "\", \"opened_s\": "
-           << jsonNumber(incident.openedAt) << ", \"closed_s\": "
-           << jsonNumber(incident.closedAt) << ", \"open_value\": "
-           << jsonNumber(incident.openValue) << ", \"peak_value\": "
-           << jsonNumber(incident.peakValue) << ", \"threshold\": "
-           << jsonNumber(incident.threshold) << ", \"faults\": [";
+        out += i ? ",\n       {\"id\": " : "\n       {\"id\": ";
+        out += std::to_string(incident.id);
+        out += ", \"kind\": \"";
+        out += alertKindName(incident.kind);
+        out += "\", \"rule\": ";
+        util::Json::appendEscaped(out, incident.rule);
+        const std::pair<const char *, double> numbers[] = {
+            {"opened_s", incident.openedAt},
+            {"closed_s", incident.closedAt},
+            {"open_value", incident.openValue},
+            {"peak_value", incident.peakValue},
+            {"threshold", incident.threshold},
+        };
+        for (const auto &[key, value] : numbers) {
+            out += ", \"";
+            out += key;
+            out += "\": ";
+            util::Json::appendNumber(out, value, 12);
+        }
+        out += ", \"faults\": [";
         for (std::size_t j = 0; j < incident.faults.size(); ++j) {
             if (j)
-                os << ", ";
-            appendFaultJson(os, incident.faults[j]);
+                out += ", ";
+            appendFaultJson(out, incident.faults[j]);
         }
-        os << "]}";
+        out += "]}";
     }
-    os << (records.empty() ? "]" : "\n     ]") << ",\n     \"faults\": [";
+    out += records.empty() ? "]" : "\n     ]";
+    out += ",\n     \"faults\": [";
     for (std::size_t i = 0; i < faultLog.size(); ++i) {
         if (i)
-            os << ", ";
-        appendFaultJson(os, faultLog[i]);
+            out += ", ";
+        appendFaultJson(out, faultLog[i]);
     }
-    os << "]}";
-    return os.str();
+    out += "]}";
+    return out;
 }
 
 std::string
@@ -183,16 +158,18 @@ IncidentLog::mergedJson(
         &points,
     const std::string &meta_json)
 {
-    std::ostringstream os;
-    os << "{\n  \"schema\": \"" << kIncidentSchema << "\",\n"
-       << "  \"meta\": " << (meta_json.empty() ? "{}" : meta_json)
-       << ",\n  \"points\": [";
+    std::string out = "{\n  \"schema\": \"";
+    out += kIncidentSchema;
+    out += "\",\n  \"meta\": ";
+    out += meta_json.empty() ? "{}" : meta_json;
+    out += ",\n  \"points\": [";
     for (std::size_t i = 0; i < points.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ");
-        os << points[i].second->pointJson(points[i].first);
+        out += i ? ",\n    " : "\n    ";
+        out += points[i].second->pointJson(points[i].first);
     }
-    os << (points.empty() ? "]" : "\n  ]") << "\n}\n";
-    return os.str();
+    out += points.empty() ? "]" : "\n  ]";
+    out += "\n}\n";
+    return out;
 }
 
 std::string

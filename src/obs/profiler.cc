@@ -1,8 +1,6 @@
 #include "obs/profiler.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -35,17 +33,6 @@ registry()
 {
     static Registry instance;
     return instance;
-}
-
-/** %.6g, or null for a non-finite value (fromJson takes it as NaN). */
-std::string
-formatMs(double ms)
-{
-    if (!std::isfinite(ms))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", ms);
-    return buf;
 }
 
 } // namespace
@@ -242,8 +229,11 @@ ProfileReport::toJson(const std::string &meta_json) const
         out += "\"path\": ";
         util::Json::appendEscaped(out, row.path);
         out += ", \"count\": " + std::to_string(row.count);
-        out += ", \"total_ms\": " + formatMs(row.totalMs);
-        out += ", \"self_ms\": " + formatMs(row.selfMs) + "}";
+        out += ", \"total_ms\": ";
+        util::Json::appendNumber(out, row.totalMs, 6);
+        out += ", \"self_ms\": ";
+        util::Json::appendNumber(out, row.selfMs, 6);
+        out += "}";
     }
     out += rows.empty() ? "]\n}\n" : "\n  ]\n}\n";
     return out;

@@ -1,51 +1,13 @@
 #include "obs/trace.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace imsim {
 namespace obs {
-
-namespace {
-
-std::string
-formatNumber(double value)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.12g", value);
-    return buf;
-}
-
-/** Chrome trace strings: escape quotes/backslashes/control chars. */
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-} // namespace
 
 void
 EventTracer::enable(Clock clock_in)
@@ -145,10 +107,10 @@ EventTracer::toJson(const std::string &metadata_json) const
         const TraceEvent &ev = log[i];
         out += i ? ",\n  {" : "\n  {";
         out += "\"name\": ";
-        appendEscaped(out, ev.name);
+        util::Json::appendEscaped(out, ev.name);
         if (!ev.cat.empty()) {
             out += ", \"cat\": ";
-            appendEscaped(out, ev.cat);
+            util::Json::appendEscaped(out, ev.cat);
         }
         out += ", \"ph\": \"";
         out += ev.phase;
@@ -156,28 +118,26 @@ EventTracer::toJson(const std::string &metadata_json) const
         out += std::to_string(ev.tid);
         if (ev.phase != 'M') {
             out += ", \"ts\": ";
-            out += formatNumber(ev.tsUs);
+            util::Json::appendNumber(out, ev.tsUs, 12);
         }
         if (ev.phase == 'X') {
             out += ", \"dur\": ";
-            out += formatNumber(ev.durUs);
+            util::Json::appendNumber(out, ev.durUs, 12);
         }
         if (ev.phase == 'i')
             out += ", \"s\": \"t\"";
         if (ev.phase == 'M') {
             out += ", \"args\": {\"name\": ";
-            appendEscaped(out, ev.strArg);
+            util::Json::appendEscaped(out, ev.strArg);
             out += "}";
         } else if (!ev.args.empty()) {
             out += ", \"args\": {";
             for (std::size_t j = 0; j < ev.args.size(); ++j) {
                 if (j)
                     out += ", ";
-                appendEscaped(out, ev.args[j].first);
+                util::Json::appendEscaped(out, ev.args[j].first);
                 out += ": ";
-                out += std::isfinite(ev.args[j].second)
-                           ? formatNumber(ev.args[j].second)
-                           : "null";
+                util::Json::appendNumber(out, ev.args[j].second, 12);
             }
             out += "}";
         }

@@ -100,9 +100,6 @@ class Watchdog
     /** Poll every rule's signal and run its state machine at time @p t. */
     void evaluate(Seconds t);
 
-    /** @return number of registered rules. */
-    std::size_t ruleCount() const { return rules.size(); }
-
     /** @return whether rule @p index is currently firing. */
     bool firing(std::size_t index) const;
 

@@ -46,31 +46,9 @@ PowerBudget::setRecoverableBrownout(bool recoverable)
     recoverableBrownout = recoverable;
 }
 
-bool
-PowerBudget::breached(const std::vector<PowerConsumer> &consumers) const
-{
-    Watts total = 0.0;
-    for (const auto &c : consumers)
-        total += c.demand;
-    return total > cap;
-}
-
-std::vector<CapAllocation>
-PowerBudget::allocate(const std::vector<PowerConsumer> &consumers) const
-{
-    AllocScratch scratch;
-    allocate(consumers, scratch, true);
-    std::vector<CapAllocation> out;
-    out.reserve(consumers.size());
-    for (std::size_t i = 0; i < consumers.size(); ++i)
-        out.push_back({consumers[i].name, scratch.granted[i],
-                       scratch.capped[i] != 0});
-    return out;
-}
-
 void
 PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
-                      AllocScratch &scratch, bool validate) const
+                      bool validate)
 {
     obs::ProfScope prof("power.allocate");
     const std::size_t n = consumers.size();
@@ -93,13 +71,13 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
         minimum_total += c.minimum;
     }
 
-    scratch.granted.resize(n);
-    scratch.capped.resize(n);
+    grants.resize(n);
+    cappedFlags.resize(n);
 
     if (demand_total <= cap) {
         for (std::size_t i = 0; i < n; ++i) {
-            scratch.granted[i] = consumers[i].demand;
-            scratch.capped[i] = 0;
+            grants[i] = consumers[i].demand;
+            cappedFlags[i] = 0;
         }
         return;
     }
@@ -116,9 +94,8 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
         ++brownoutCount;
         const double frac = cap / minimum_total;
         for (std::size_t i = 0; i < n; ++i) {
-            scratch.granted[i] = consumers[i].minimum * frac;
-            scratch.capped[i] =
-                scratch.granted[i] + 1e-9 < consumers[i].demand ? 1 : 0;
+            grants[i] = consumers[i].minimum * frac;
+            cappedFlags[i] = grants[i] + 1e-9 < consumers[i].demand ? 1 : 0;
         }
         return;
     }
@@ -129,9 +106,9 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
     // marginal class keep their demand, classes after drop to their
     // minimum, and the marginal class is scaled uniformly between
     // minimum and demand.
-    scratch.order.resize(n);
-    std::iota(scratch.order.begin(), scratch.order.end(), std::size_t{0});
-    std::sort(scratch.order.begin(), scratch.order.end(),
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
               [&consumers](std::size_t a, std::size_t b) {
                   if (consumers[a].priority != consumers[b].priority)
                       return consumers[a].priority > consumers[b].priority;
@@ -139,32 +116,30 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
               });
 
     for (std::size_t i = 0; i < n; ++i)
-        scratch.granted[i] = consumers[i].minimum;
+        grants[i] = consumers[i].minimum;
     Watts committed = minimum_total;
 
     // Restore demand to the highest-priority classes first.
     std::size_t begin = 0;
     while (begin < n) {
-        const int prio = consumers[scratch.order[begin]].priority;
+        const int prio = consumers[order[begin]].priority;
         std::size_t end = begin;
         Watts class_extra = 0.0;
-        while (end < n && consumers[scratch.order[end]].priority == prio) {
-            const auto &c = consumers[scratch.order[end]];
+        while (end < n && consumers[order[end]].priority == prio) {
+            const auto &c = consumers[order[end]];
             class_extra += c.demand - c.minimum;
             ++end;
         }
         const Watts room = cap - committed;
         if (class_extra <= room) {
             for (std::size_t j = begin; j < end; ++j)
-                scratch.granted[scratch.order[j]] =
-                    consumers[scratch.order[j]].demand;
+                grants[order[j]] = consumers[order[j]].demand;
             committed += class_extra;
         } else {
             const double frac = class_extra > 0.0 ? room / class_extra : 0.0;
             for (std::size_t j = begin; j < end; ++j) {
-                const auto &c = consumers[scratch.order[j]];
-                scratch.granted[scratch.order[j]] =
-                    c.minimum + frac * (c.demand - c.minimum);
+                const auto &c = consumers[order[j]];
+                grants[order[j]] = c.minimum + frac * (c.demand - c.minimum);
             }
             committed = cap;
             break;
@@ -172,10 +147,8 @@ PowerBudget::allocate(const std::vector<PowerConsumer> &consumers,
         begin = end;
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-        scratch.capped[i] =
-            scratch.granted[i] + 1e-9 < consumers[i].demand ? 1 : 0;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        cappedFlags[i] = grants[i] + 1e-9 < consumers[i].demand ? 1 : 0;
 }
 
 } // namespace power

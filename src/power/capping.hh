@@ -10,13 +10,17 @@
  * interaction: budgets at the (feed -> rack -> server) levels, capping
  * applied lowest-priority-first when breached (the workload-priority-based
  * schemes of [38], [62], [70]).
+ *
+ * A PowerBudget owns the result of its last allocation: callers hand it
+ * the consumer set each step and read granted()/capped() back, indexed
+ * like that set, with no buffers of their own.
  */
 
 #ifndef IMSIM_POWER_CAPPING_HH
 #define IMSIM_POWER_CAPPING_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/units.hh"
@@ -79,35 +83,9 @@ class RaplCapper
 /** A power consumer inside the hierarchy. */
 struct PowerConsumer
 {
-    std::string name;
     Watts demand;      ///< Uncapped power demand [W].
     Watts minimum;     ///< Power floor when fully capped [W].
     int priority;      ///< Higher value = more critical, capped last.
-};
-
-/** Per-consumer allocation after capping. */
-struct CapAllocation
-{
-    std::string name;
-    Watts granted;     ///< Power the consumer may draw [W].
-    bool capped;       ///< Whether it received less than its demand.
-};
-
-/**
- * Caller-owned scratch buffers for the allocation hot path: results are
- * written here (indexed like the consumer vector) and the internal
- * priority ordering reuses the index array, so a warm scratch makes
- * PowerBudget::allocate() allocation-free. Reuse one instance across
- * calls (e.g. across simulated minutes).
- */
-struct AllocScratch
-{
-    /** Power granted to consumer i [W]. */
-    std::vector<Watts> granted;
-    /** Whether consumer i received less than its demand (0/1). */
-    std::vector<std::uint8_t> capped;
-    /** Internal: consumer indices ordered by (priority desc, index). */
-    std::vector<std::size_t> order;
 };
 
 /**
@@ -156,16 +134,11 @@ class PowerBudget
      * if total demand fits the capacity everyone gets their demand;
      * otherwise lower-priority consumers are reduced toward their
      * minimum first (uniform scaling within a priority class), then the
-     * next priority class, and so on.
-     */
-    std::vector<CapAllocation>
-    allocate(const std::vector<PowerConsumer> &consumers) const;
-
-    /**
-     * Scratch-space overload of allocate(): identical grants (consumers
-     * referred to by index, not name), written into @p scratch's
-     * buffers. With a warm scratch the call performs no heap
-     * allocation, which is what the datacenter minute loop runs on.
+     * next priority class, and so on. The result replaces the previous
+     * allocation's granted()/capped(), indexed like @p consumers. The
+     * buffers are the budget's own and keep their capacity, so once
+     * warm the call performs no heap allocation — reuse one budget
+     * across calls (e.g. across simulated minutes).
      *
      * @param validate Check per-consumer invariants (non-negative
      *        power, minimum <= demand) before allocating. Hot callers
@@ -174,16 +147,24 @@ class PowerBudget
      *        minimum exceeding capacity) fires regardless.
      */
     void allocate(const std::vector<PowerConsumer> &consumers,
-                  AllocScratch &scratch, bool validate = true) const;
+                  bool validate = true);
 
-    /** @return true when @p consumers' total demand breaches capacity. */
-    bool breached(const std::vector<PowerConsumer> &consumers) const;
+    /** @return power granted to consumer i by the last allocate() [W]. */
+    const std::vector<Watts> &granted() const { return grants; }
+
+    /** @return whether consumer i of the last allocate() received less
+     *  than its demand (0/1). */
+    const std::vector<std::uint8_t> &capped() const { return cappedFlags; }
 
   private:
     Watts cap;
     double oversub;
     bool recoverableBrownout = false;
-    mutable std::uint64_t brownoutCount = 0;
+    std::uint64_t brownoutCount = 0;
+    std::vector<Watts> grants;
+    std::vector<std::uint8_t> cappedFlags;
+    /** Consumer indices ordered by (priority desc, index). */
+    std::vector<std::size_t> order;
 };
 
 } // namespace power

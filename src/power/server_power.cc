@@ -64,18 +64,5 @@ ServerPowerModel::openComputeBlade(GHz all_core_turbo)
                             2, std::move(comps));
 }
 
-ServerPowerModel
-ServerPowerModel::smallTank1Server()
-{
-    std::vector<ServerComponent> comps{
-        {"DDR4 DIMM", 5.0, 8, false, true},
-        {"Motherboard", 26.0, 1, false, false},
-        {"Flash drive", 12.0, 2, false, false},
-        {"Fan", 7.0, 4, true, false},
-    };
-    return ServerPowerModel(SocketPowerModel::xeonW3175x(), 1,
-                            std::move(comps));
-}
-
 } // namespace power
 } // namespace imsim

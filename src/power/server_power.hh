@@ -79,9 +79,6 @@ class ServerPowerModel
     /** The paper's 700 W Open Compute blade (Sec. III). */
     static ServerPowerModel openComputeBlade(GHz all_core_turbo = 2.7);
 
-    /** Small-tank #1 workstation server (Xeon W-3175X, single socket). */
-    static ServerPowerModel smallTank1Server();
-
   private:
     SocketPowerModel socket;
     int socketsN;

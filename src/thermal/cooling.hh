@@ -113,9 +113,6 @@ class AirCooling : public CoolingSystem
     Celsius referenceTemperature(Watts component_power) const override;
     CelsiusPerWatt thermalResistance() const override { return rth; }
 
-    /** @return the chamber inlet temperature. */
-    Celsius inletTemperature() const { return inlet; }
-
   private:
     CoolingTech techClass;
     Celsius inlet;
@@ -147,9 +144,6 @@ class TwoPhaseImmersionCooling : public CoolingSystem
 
     /** @return the fluid this system uses. */
     const DielectricFluid &fluid() const { return tankFluid; }
-
-    /** @return the boiling interface configuration. */
-    const BoilingInterface &boilingInterface() const { return interface; }
 
   private:
     DielectricFluid tankFluid;

@@ -320,5 +320,17 @@ Json::appendEscaped(std::string &out, const std::string &s)
     out += '"';
 }
 
+void
+Json::appendNumber(std::string &out, double value, int digits)
+{
+    if (!std::isfinite(value)) {
+        out += "null";
+        return;
+    }
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
+    out += buf;
+}
+
 } // namespace util
 } // namespace imsim

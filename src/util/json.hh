@@ -47,10 +47,8 @@ class Json
     Type type() const { return kind; }
 
     bool isNull() const { return kind == Type::Null; }
-    bool isBool() const { return kind == Type::Bool; }
     bool isNumber() const { return kind == Type::Number; }
     bool isString() const { return kind == Type::String; }
-    bool isArray() const { return kind == Type::Array; }
     bool isObject() const { return kind == Type::Object; }
 
     /** @return the boolean; FatalError when not a bool. */
@@ -100,6 +98,14 @@ class Json
      * of the repo's JSON writers share).
      */
     static void appendEscaped(std::string &out, const std::string &s);
+
+    /**
+     * Append @p value to @p out as a JSON number with @p digits
+     * significant digits (printf's "%.*g"), or as `null` when it is
+     * not finite: JSON has no NaN or infinity. The number writer all
+     * of the repo's JSON writers share.
+     */
+    static void appendNumber(std::string &out, double value, int digits);
 
   private:
     Type kind = Type::Null;

@@ -432,17 +432,15 @@ QueueingCluster::vmHours() const
 }
 
 void
-QueueingCluster::enableTailTracking(Seconds window, std::size_t buckets)
+QueueingCluster::enableTailTracking(Seconds window)
 {
     util::fatalIf(!(window > 0.0),
                   "enableTailTracking: window must be > 0");
-    util::fatalIf(buckets == 0,
-                  "enableTailTracking: need at least one bucket");
     // 0.1 ms .. 100 s log-spaced: ~5.5% per-bin resolution across the
     // six decades a crisis can stretch a latency distribution over.
-    tailBuckets.assign(buckets,
+    tailBuckets.assign(kTailBuckets,
                        util::QuantileSketch::logarithmic(1e-4, 100.0, 256));
-    tailBucketSpan = window / static_cast<double>(buckets);
+    tailBucketSpan = window / static_cast<double>(kTailBuckets);
     tailBucketCur = 0;
     tailBucketStart = sim.now();
 }

@@ -153,9 +153,9 @@ class QueueingCluster final : private sim::EventTarget
 
     /**
      * Opt-in *windowed* tail-latency tracking for live SLO watchdogs:
-     * completions also feed a ring of @p buckets quantile sketches
-     * (util::QuantileSketch) rotated every
-     * window/buckets seconds, so recentTailQuantile() reflects only
+     * completions also feed a ring of 8 quantile sketches
+     * (util::QuantileSketch) rotated every window/8 seconds, so
+     * recentTailQuantile() reflects only
      * the trailing ~window seconds rather than the whole run. O(1)
      * per completion, allocation-free after this call, and — when
      * never enabled — completely free (one branch per completion), so
@@ -164,7 +164,7 @@ class QueueingCluster final : private sim::EventTarget
      * Each sketch's log-spaced bins cover 0.1 ms .. 100 s at ~5%
      * per-bin resolution.
      */
-    void enableTailTracking(Seconds window, std::size_t buckets = 8);
+    void enableTailTracking(Seconds window);
 
     /** @return whether enableTailTracking() was called. */
     bool tailTrackingEnabled() const { return !tailBuckets.empty(); }
@@ -285,6 +285,8 @@ class QueueingCluster final : private sim::EventTarget
     mutable std::array<FleetUtilMemo, 2> utilMemo{};
     mutable std::size_t utilMemoNext = 0; ///< Slot the next miss fills.
 
+    /// Sketches in the windowed tail-latency ring.
+    static constexpr std::size_t kTailBuckets = 8;
     /// Windowed tail-latency ring (empty until enableTailTracking).
     std::vector<util::QuantileSketch> tailBuckets;
     Seconds tailBucketSpan = 0.0;

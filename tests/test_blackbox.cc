@@ -9,8 +9,10 @@
  */
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "obs/watchdog.hh"
 #include "exp/sweep.hh"
 #include "sim/simulation.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -181,6 +184,31 @@ TEST(FlightRecorder, DumpCarriesSchemaTiersAndEvents)
     EXPECT_NE(json.find("\"resolution_s\": 1"), std::string::npos);
     EXPECT_NE(json.find("nic_flap"), std::string::npos);
     EXPECT_NE(json.find("\"probe\""), std::string::npos);
+}
+
+// A channel that reads NaN leaves its cells non-finite (the mean is
+// NaN; min and max keep their infinite seeds). The dump writes them as
+// null, so it stays valid JSON and the cells read back as NaN.
+TEST(FlightRecorder, NaNChannelDumpParsesWithNullCells)
+{
+    Probe probe(obs::FlightRecorder::Config{});
+    probe.value = std::numeric_limits<double>::quiet_NaN();
+    probe.recorder.tick(0.0);
+    probe.recorder.tick(60.0);
+    const util::Json doc = util::Json::parse(probe.recorder.toJson());
+    std::size_t cells = 0;
+    for (const util::Json &tier : doc.at("points").at(0).at("tiers").array()) {
+        for (const util::Json &row : tier.at("rows").array()) {
+            ASSERT_EQ(row.size(), 5u); // start, samples, min, mean, max.
+            EXPECT_TRUE(std::isfinite(row.at(std::size_t{0}).number()));
+            for (std::size_t c = 2; c < 5; ++c) {
+                EXPECT_TRUE(row.at(c).isNull());
+                EXPECT_TRUE(std::isnan(row.at(c).number()));
+                ++cells;
+            }
+        }
+    }
+    EXPECT_GT(cells, 0u);
 }
 
 /// Runs one deterministic recording per sweep point and returns the

@@ -171,7 +171,7 @@ TEST(FailureInjection, BudgetBrownoutRefusedLoudly)
 {
     power::PowerBudget budget(1000.0);
     std::vector<power::PowerConsumer> consumers{
-        {"a", 900.0, 700.0, 1}, {"b", 900.0, 700.0, 1}};
+        {900.0, 700.0, 1}, {900.0, 700.0, 1}};
     EXPECT_THROW(budget.allocate(consumers), FatalError);
 }
 

@@ -279,26 +279,25 @@ TEST(FaultInjector, PowerDerateBrownsOutRecoverably)
     injector.attachPowerBudget(feed);
 
     const std::vector<power::PowerConsumer> consumers{
-        {"a", 300.0, 300.0, 0}, {"b", 300.0, 300.0, 0}};
-    power::AllocScratch scratch;
+        {300.0, 300.0, 0}, {300.0, 300.0, 0}};
 
     injector.inject(Fault{FaultKind::PowerDerate, kAnyServer, 0.4});
     EXPECT_DOUBLE_EQ(feed.capacity(), 400.0);
     // Even the floors (600 W) breach the derated feed: a recoverable
     // brownout scales every minimum uniformly to fit.
-    feed.allocate(consumers, scratch, true);
+    feed.allocate(consumers, true);
     EXPECT_EQ(feed.brownouts(), 1u);
-    EXPECT_DOUBLE_EQ(scratch.granted[0], 200.0);
-    EXPECT_DOUBLE_EQ(scratch.granted[1], 200.0);
-    EXPECT_TRUE(scratch.capped[0]);
-    EXPECT_TRUE(scratch.capped[1]);
+    EXPECT_DOUBLE_EQ(feed.granted()[0], 200.0);
+    EXPECT_DOUBLE_EQ(feed.granted()[1], 200.0);
+    EXPECT_TRUE(feed.capped()[0]);
+    EXPECT_TRUE(feed.capped()[1]);
 
     injector.inject(Fault{FaultKind::PowerRestore});
     EXPECT_DOUBLE_EQ(feed.capacity(), 1000.0);
-    feed.allocate(consumers, scratch, true);
+    feed.allocate(consumers, true);
     EXPECT_EQ(feed.brownouts(), 1u); // Restored feed fits: no new event.
-    EXPECT_DOUBLE_EQ(scratch.granted[0], 300.0);
-    EXPECT_FALSE(scratch.capped[0]);
+    EXPECT_DOUBLE_EQ(feed.granted()[0], 300.0);
+    EXPECT_FALSE(feed.capped()[0]);
 }
 
 // --- Invariant checker ---------------------------------------------------
@@ -364,37 +363,35 @@ TEST(InvariantChecker, WatchClusterHoldsThroughCrashAndRepair)
     EXPECT_TRUE(checker.violations().empty());
 }
 
-TEST(InvariantChecker, WatchFleetAggregatorReadsThePublishedSample)
+TEST(InvariantChecker, WatchBudgetReadsTheLatestGrants)
 {
     sim::Simulation sim;
-    obs::FleetAggregator::Config cfg;
-    cfg.record = false;
-    obs::FleetAggregator agg(cfg);
+    power::PowerBudget feed(1000.0);
     InvariantChecker checker(sim);
-    checker.watchFleetAggregator(agg, /*tj_max=*/100.0);
+    checker.watchBudget(feed);
 
-    // Empty fleet (no observe yet): both checks hold vacuously.
+    feed.allocate({{400.0, 100.0, 0}, {400.0, 100.0, 0}});
     checker.evaluate();
     EXPECT_TRUE(checker.violations().empty());
 
-    // A cool fleet holds; snapshot() is the mutex-published safe point,
-    // so the checks stay valid against a sharded publisher.
-    std::vector<double> tj = {60.0, 72.5, 80.0};
-    std::vector<double> power = {300.0, 420.0, 510.0};
-    obs::FleetView view;
-    view.count = tj.size();
-    view.tj = tj.data();
-    view.totalPower = power.data();
-    agg.observe(0.0, view, 60.0);
-    checker.evaluate();
-    EXPECT_TRUE(checker.violations().empty());
-
-    // Push one junction over the limit: exactly one check fires.
-    tj[1] = 112.0;
-    agg.observe(60.0, view, 60.0);
+    // A derate lands between allocations: the 800 W granted last no
+    // longer fits the 500 W feed until the next allocation.
+    feed.setCapacity(500.0);
     checker.evaluate();
     ASSERT_EQ(checker.violations().size(), 1u);
-    EXPECT_EQ(checker.violations()[0].check, "fleet.junction_below_max");
+    EXPECT_EQ(checker.violations()[0].check, "feed.granted_within_capacity");
+    feed.allocate({{400.0, 100.0, 0}, {400.0, 100.0, 0}});
+    checker.evaluate();
+    EXPECT_EQ(checker.violations().size(), 1u);
+
+    // Servers gone: the grants shrink with the consumer set.
+    feed.allocate({{400.0, 100.0, 0}});
+    feed.setCapacity(450.0);
+    checker.evaluate();
+    feed.allocate({});
+    feed.setCapacity(1.0);
+    checker.evaluate();
+    EXPECT_EQ(checker.violations().size(), 1u);
 }
 
 // --- One observer bundle -------------------------------------------------

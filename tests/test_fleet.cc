@@ -22,6 +22,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/datacenter.hh"
@@ -215,11 +216,17 @@ TEST(FleetEquivalence, StepAllComposesFromKernels)
     fleet::FleetState a = makeFleet(skus, 32, 2);
     fleet::FleetState b = makeFleet(skus, 32, 2);
 
+    // The range kernels over two ranges, as shards would call them.
+    const Years year_step = fleet::secondsToYears(60.0);
     for (int m = 0; m < 5; ++m) {
         fleet::stepAll(a, skus, 60.0);
-        fleet::stepPower(b, skus);
-        fleet::stepThermal(b, skus, 60.0);
-        fleet::stepWear(b, skus, fleet::secondsToYears(60.0));
+        fleet::prepareThermalStep(b, skus, 60.0);
+        for (const auto &[begin, end] :
+             {std::pair<std::size_t, std::size_t>{0, 13}, {13, 32}}) {
+            fleet::stepPower(b, skus, begin, end);
+            fleet::stepThermal(b, skus, 60.0, begin, end);
+            fleet::stepWear(b, skus, year_step, begin, end);
+        }
     }
     EXPECT_EQ(a.dynamicPower, b.dynamicPower);
     EXPECT_EQ(a.leakagePower, b.leakagePower);
@@ -275,14 +282,14 @@ TEST(FleetEquivalence, RepriceMatchesFreshStepPower)
         SCOPED_TRACE(::testing::Message() << sku_count << " SKUs");
         fleet::FleetState state = makeFleet(skus, 50, sku_count);
         fleet::stepAll(state, skus, 60.0); // Tj leaves the coolant ref.
-        fleet::stepPower(state, skus);     // Leakage at the current Tj.
+        fleet::stepPower(state, skus, 0, state.size()); // Current-Tj leak.
         for (std::size_t i = 0; i < state.size(); i += 3) {
             state.freqLevel[i] = state.freqLevel[i] == fleet::kNominal
                                      ? fleet::kOverclocked
                                      : fleet::kNominal;
         }
         fleet::FleetState fresh = state;
-        fleet::stepPower(fresh, skus);
+        fleet::stepPower(fresh, skus, 0, fresh.size());
         ASSERT_FALSE(sameBits(state.totalPower, fresh.totalPower));
 
         // Two ranges and an empty one, as shards would call it.

@@ -1156,7 +1156,7 @@ TEST(TailTracking, RecentQuantileReflectsTrailingWindowOnly)
     EXPECT_FALSE(cluster.tailTrackingEnabled());
     EXPECT_DOUBLE_EQ(cluster.recentTailQuantile(99.0), 0.0);
 
-    cluster.enableTailTracking(10.0, 5);
+    cluster.enableTailTracking(10.0);
     EXPECT_TRUE(cluster.tailTrackingEnabled());
     cluster.setArrivalRate(500.0);
     sim.runUntil(30.0);
@@ -1177,7 +1177,6 @@ TEST(TailTracking, RecentQuantileReflectsTrailingWindowOnly)
     EXPECT_THROW(cluster.enableTailTracking(
                      std::numeric_limits<double>::quiet_NaN()),
                  FatalError);
-    EXPECT_THROW(cluster.enableTailTracking(10.0, 0), FatalError);
 }
 
 // ---------------------------------------------------------------------

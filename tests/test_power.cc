@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "power/capping.hh"
 #include "power/facility.hh"
 #include "power/server_power.hh"
@@ -223,46 +227,48 @@ TEST(PowerBudget, NoCappingUnderCapacity)
 {
     power::PowerBudget budget(1000.0, 1.2);
     std::vector<power::PowerConsumer> consumers{
-        {"a", 400.0, 100.0, 1}, {"b", 500.0, 100.0, 2}};
-    EXPECT_FALSE(budget.breached(consumers));
-    const auto alloc = budget.allocate(consumers);
-    EXPECT_DOUBLE_EQ(alloc[0].granted, 400.0);
-    EXPECT_DOUBLE_EQ(alloc[1].granted, 500.0);
-    EXPECT_FALSE(alloc[0].capped);
+        {400.0, 100.0, 1}, {500.0, 100.0, 2}};
+    budget.allocate(consumers);
+    EXPECT_DOUBLE_EQ(budget.granted()[0], 400.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[1], 500.0);
+    EXPECT_FALSE(budget.capped()[0]);
+    EXPECT_FALSE(budget.capped()[1]);
 }
 
 TEST(PowerBudget, LowPriorityCappedFirst)
 {
     power::PowerBudget budget(1000.0, 1.5);
     std::vector<power::PowerConsumer> consumers{
-        {"batch", 600.0, 200.0, 1}, {"latency", 600.0, 200.0, 2}};
-    EXPECT_TRUE(budget.breached(consumers));
-    const auto alloc = budget.allocate(consumers);
+        {600.0, 200.0, 1},  // batch
+        {600.0, 200.0, 2}}; // latency
+    EXPECT_GT(consumers[0].demand + consumers[1].demand, budget.capacity());
+    budget.allocate(consumers);
     // Latency keeps its demand; batch absorbs the whole cut.
-    EXPECT_DOUBLE_EQ(alloc[1].granted, 600.0);
-    EXPECT_FALSE(alloc[1].capped);
-    EXPECT_NEAR(alloc[0].granted, 400.0, 1e-9);
-    EXPECT_TRUE(alloc[0].capped);
+    EXPECT_DOUBLE_EQ(budget.granted()[1], 600.0);
+    EXPECT_FALSE(budget.capped()[1]);
+    EXPECT_NEAR(budget.granted()[0], 400.0, 1e-9);
+    EXPECT_TRUE(budget.capped()[0]);
 }
 
 TEST(PowerBudget, MarginalClassScaledUniformly)
 {
     power::PowerBudget budget(900.0);
     std::vector<power::PowerConsumer> consumers{
-        {"a", 400.0, 100.0, 1},
-        {"b", 400.0, 100.0, 1},
-        {"crit", 300.0, 100.0, 2}};
-    const auto alloc = budget.allocate(consumers);
-    EXPECT_DOUBLE_EQ(alloc[2].granted, 300.0);
+        {400.0, 100.0, 1},  // a
+        {400.0, 100.0, 1},  // b
+        {300.0, 100.0, 2}}; // crit
+    budget.allocate(consumers);
+    const std::vector<Watts> &granted = budget.granted();
+    EXPECT_DOUBLE_EQ(granted[2], 300.0);
     // 600 W left for a+b whose demands total 800 W above 200 W minimums.
-    EXPECT_NEAR(alloc[0].granted, 300.0, 1e-6);
-    EXPECT_NEAR(alloc[0].granted, alloc[1].granted, 1e-9);
+    EXPECT_NEAR(granted[0], 300.0, 1e-6);
+    EXPECT_NEAR(granted[0], granted[1], 1e-9);
 }
 
 TEST(PowerBudget, BrownoutIsFatal)
 {
     power::PowerBudget budget(100.0);
-    std::vector<power::PowerConsumer> consumers{{"a", 300.0, 200.0, 1}};
+    std::vector<power::PowerConsumer> consumers{{300.0, 200.0, 1}};
     EXPECT_THROW(budget.allocate(consumers), FatalError);
 }
 
@@ -270,12 +276,11 @@ TEST(PowerBudget, AllocationsNeverExceedCapacity)
 {
     power::PowerBudget budget(1000.0, 1.4);
     std::vector<power::PowerConsumer> consumers{
-        {"a", 500.0, 50.0, 1}, {"b", 500.0, 50.0, 2},
-        {"c", 400.0, 50.0, 3}};
-    const auto alloc = budget.allocate(consumers);
+        {500.0, 50.0, 1}, {500.0, 50.0, 2}, {400.0, 50.0, 3}};
+    budget.allocate(consumers);
     double total = 0.0;
-    for (const auto &grant : alloc)
-        total += grant.granted;
+    for (const Watts grant : budget.granted())
+        total += grant;
     EXPECT_LE(total, 1000.0 + 1e-6);
 }
 
@@ -287,8 +292,8 @@ TEST(PowerBudget, OversubscriptionRatioValidation)
 }
 
 // ---------------------------------------------------------------------
-// allocate() edge cases at the marginal priority class, plus the
-// scratch-space overload's equivalence with the legacy interface.
+// allocate() edge cases at the marginal priority class and the
+// brownout boundary, plus the grants' lifecycle across calls.
 // ---------------------------------------------------------------------
 
 // Consumers tied at the marginal class's priority are scaled by one
@@ -297,21 +302,22 @@ TEST(PowerBudget, TiedPrioritiesAtMarginalClassShareOneFraction)
 {
     power::PowerBudget budget(1000.0, 1.5);
     std::vector<power::PowerConsumer> consumers{
-        {"tied_a", 400.0, 100.0, 1},
-        {"crit", 300.0, 100.0, 2},
-        {"tied_b", 600.0, 100.0, 1}};
-    const auto alloc = budget.allocate(consumers);
+        {400.0, 100.0, 1},  // tied_a
+        {300.0, 100.0, 2},  // crit
+        {600.0, 100.0, 1}}; // tied_b
+    budget.allocate(consumers);
+    const std::vector<Watts> &granted = budget.granted();
+    const std::vector<std::uint8_t> &capped = budget.capped();
     // crit restores fully; 600 W remain for the tied class's minimums
     // (200 W) plus a uniform share of its 800 W restorable extra.
-    EXPECT_DOUBLE_EQ(alloc[1].granted, 300.0);
-    EXPECT_FALSE(alloc[1].capped);
-    const double frac_a = (alloc[0].granted - 100.0) / 300.0;
-    const double frac_b = (alloc[2].granted - 100.0) / 500.0;
+    EXPECT_DOUBLE_EQ(granted[1], 300.0);
+    EXPECT_FALSE(capped[1]);
+    const double frac_a = (granted[0] - 100.0) / 300.0;
+    const double frac_b = (granted[2] - 100.0) / 500.0;
     EXPECT_NEAR(frac_a, frac_b, 1e-12);
-    EXPECT_TRUE(alloc[0].capped);
-    EXPECT_TRUE(alloc[2].capped);
-    EXPECT_NEAR(alloc[0].granted + alloc[1].granted + alloc[2].granted,
-                1000.0, 1e-9);
+    EXPECT_TRUE(capped[0]);
+    EXPECT_TRUE(capped[2]);
+    EXPECT_NEAR(granted[0] + granted[1] + granted[2], 1000.0, 1e-9);
 }
 
 // A class with zero restorable extra (demand == minimum) passes through
@@ -320,17 +326,19 @@ TEST(PowerBudget, ZeroRestorableExtraClassIsHandled)
 {
     power::PowerBudget budget(700.0, 1.5);
     std::vector<power::PowerConsumer> consumers{
-        {"flat", 200.0, 200.0, 3},  // demand == minimum: no extra.
-        {"mid", 350.0, 100.0, 2},
-        {"low", 400.0, 100.0, 1}};
-    const auto alloc = budget.allocate(consumers);
-    EXPECT_DOUBLE_EQ(alloc[0].granted, 200.0);
-    EXPECT_FALSE(alloc[0].capped);
-    EXPECT_DOUBLE_EQ(alloc[1].granted, 350.0);
-    EXPECT_FALSE(alloc[1].capped);
+        {200.0, 200.0, 3},  // flat: demand == minimum, no extra.
+        {350.0, 100.0, 2},  // mid
+        {400.0, 100.0, 1}}; // low
+    budget.allocate(consumers);
+    const std::vector<Watts> &granted = budget.granted();
+    const std::vector<std::uint8_t> &capped = budget.capped();
+    EXPECT_DOUBLE_EQ(granted[0], 200.0);
+    EXPECT_FALSE(capped[0]);
+    EXPECT_DOUBLE_EQ(granted[1], 350.0);
+    EXPECT_FALSE(capped[1]);
     // 50 W of room left for low's 300 W extra above its 100 W minimum.
-    EXPECT_NEAR(alloc[2].granted, 150.0, 1e-9);
-    EXPECT_TRUE(alloc[2].capped);
+    EXPECT_NEAR(granted[2], 150.0, 1e-9);
+    EXPECT_TRUE(capped[2]);
 }
 
 // When a class's restorable extra equals the remaining room exactly,
@@ -339,73 +347,39 @@ TEST(PowerBudget, ExactFitClassExtraEqualsRoom)
 {
     power::PowerBudget budget(1000.0, 1.5);
     std::vector<power::PowerConsumer> consumers{
-        {"low", 300.0, 100.0, 1},
-        {"exact", 500.0, 100.0, 2}, // extra 400 == room after crit.
-        {"crit", 400.0, 100.0, 3}};
-    const auto alloc = budget.allocate(consumers);
-    EXPECT_DOUBLE_EQ(alloc[2].granted, 400.0);
-    EXPECT_FALSE(alloc[2].capped);
+        {300.0, 100.0, 1},  // low
+        {500.0, 100.0, 2},  // exact: extra 400 == room after crit.
+        {400.0, 100.0, 3}}; // crit
+    budget.allocate(consumers);
+    const std::vector<Watts> &granted = budget.granted();
+    const std::vector<std::uint8_t> &capped = budget.capped();
+    EXPECT_DOUBLE_EQ(granted[2], 400.0);
+    EXPECT_FALSE(capped[2]);
     // Exact fit restores fully through the <=-room branch: not capped.
-    EXPECT_DOUBLE_EQ(alloc[1].granted, 500.0);
-    EXPECT_FALSE(alloc[1].capped);
+    EXPECT_DOUBLE_EQ(granted[1], 500.0);
+    EXPECT_FALSE(capped[1]);
     // Nothing left below the marginal class.
-    EXPECT_DOUBLE_EQ(alloc[0].granted, 100.0);
-    EXPECT_TRUE(alloc[0].capped);
-}
-
-// The scratch-space overload must return byte-identical grants to the
-// legacy interface, under capacity as well as through the capped walk.
-TEST(PowerBudget, ScratchOverloadMatchesLegacyByteForByte)
-{
-    const std::vector<std::vector<power::PowerConsumer>> scenarios{
-        // Uncapped.
-        {{"a", 300.0, 100.0, 1}, {"b", 200.0, 50.0, 2}},
-        // Capped with ties and an exact-minimum consumer.
-        {{"a", 400.0, 100.0, 1},
-         {"b", 600.0, 100.0, 1},
-         {"flat", 150.0, 150.0, 2},
-         {"crit", 300.0, 100.0, 3}},
-        // Single consumer forced to its minimum's class fraction.
-        {{"solo", 1500.0, 400.0, 1}},
-    };
-    power::PowerBudget budget(1000.0, 1.4);
-    power::AllocScratch scratch;
-    for (const auto &consumers : scenarios) {
-        const auto legacy = budget.allocate(consumers);
-        budget.allocate(consumers, scratch, true);
-        ASSERT_EQ(legacy.size(), consumers.size());
-        ASSERT_EQ(scratch.granted.size(), consumers.size());
-        for (std::size_t i = 0; i < consumers.size(); ++i) {
-            // Bitwise equality, not approximate: the overloads must
-            // run the same arithmetic in the same order.
-            EXPECT_EQ(legacy[i].granted, scratch.granted[i]);
-            EXPECT_EQ(legacy[i].capped, scratch.capped[i] != 0);
-            EXPECT_EQ(legacy[i].name, consumers[i].name);
-        }
-    }
+    EXPECT_DOUBLE_EQ(granted[0], 100.0);
+    EXPECT_TRUE(capped[0]);
 }
 
 // validate=false skips the per-consumer input checks (the hot-path
 // contract) but the brownout fatal stays armed.
-TEST(PowerBudget, ScratchOverloadKeepsBrownoutFatalWithoutValidation)
+TEST(PowerBudget, AllocateKeepsBrownoutFatalWithoutValidation)
 {
     power::PowerBudget budget(100.0);
-    std::vector<power::PowerConsumer> consumers{
-        {"a", 300.0, 200.0, 1}};
-    power::AllocScratch scratch;
-    EXPECT_THROW(budget.allocate(consumers, scratch, false), FatalError);
-    EXPECT_THROW(budget.allocate(consumers, scratch, true), FatalError);
+    std::vector<power::PowerConsumer> consumers{{300.0, 200.0, 1}};
+    EXPECT_THROW(budget.allocate(consumers, false), FatalError);
+    EXPECT_THROW(budget.allocate(consumers, true), FatalError);
 }
 
-// validate=true rejects malformed consumers in the scratch overload
-// just like the legacy interface does.
-TEST(PowerBudget, ScratchOverloadValidatesInputsWhenAsked)
+// validate=true rejects malformed consumers.
+TEST(PowerBudget, AllocateValidatesInputsWhenAsked)
 {
     power::PowerBudget budget(1000.0);
     std::vector<power::PowerConsumer> consumers{
-        {"bad", 100.0, 200.0, 1}}; // minimum > demand.
-    power::AllocScratch scratch;
-    EXPECT_THROW(budget.allocate(consumers, scratch, true), FatalError);
+        {100.0, 200.0, 1}}; // minimum > demand.
+    EXPECT_THROW(budget.allocate(consumers, true), FatalError);
 }
 
 // The exact boundary where the floors just fit: minimum_total == cap is
@@ -415,16 +389,15 @@ TEST(PowerBudget, FloorsExactlyFillingCapacityAreGrantedVerbatim)
 {
     power::PowerBudget budget(600.0);
     const std::vector<power::PowerConsumer> consumers{
-        {"a", 500.0, 250.0, 1}, {"b", 400.0, 200.0, 0},
-        {"c", 300.0, 150.0, 2}};
-    power::AllocScratch scratch;
-    budget.allocate(consumers, scratch, true);
-    EXPECT_DOUBLE_EQ(scratch.granted[0], 250.0);
-    EXPECT_DOUBLE_EQ(scratch.granted[1], 200.0);
-    EXPECT_DOUBLE_EQ(scratch.granted[2], 150.0);
-    EXPECT_TRUE(scratch.capped[0]);
-    EXPECT_TRUE(scratch.capped[1]);
-    EXPECT_TRUE(scratch.capped[2]);
+        {500.0, 250.0, 1}, {400.0, 200.0, 0},
+        {300.0, 150.0, 2}};
+    budget.allocate(consumers, true);
+    EXPECT_DOUBLE_EQ(budget.granted()[0], 250.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[1], 200.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[2], 150.0);
+    EXPECT_TRUE(budget.capped()[0]);
+    EXPECT_TRUE(budget.capped()[1]);
+    EXPECT_TRUE(budget.capped()[2]);
     EXPECT_EQ(budget.brownouts(), 0u); // Fits: not a brownout.
 }
 
@@ -435,15 +408,14 @@ TEST(PowerBudget, RecoverableBrownoutScalesFloorsUniformly)
     budget.setCapacity(300.0); // Derated below the 400 W floor total.
 
     const std::vector<power::PowerConsumer> consumers{
-        {"a", 400.0, 300.0, 1}, {"b", 200.0, 100.0, 0}};
-    power::AllocScratch scratch;
-    budget.allocate(consumers, scratch, true);
+        {400.0, 300.0, 1}, {200.0, 100.0, 0}};
+    budget.allocate(consumers, true);
     EXPECT_EQ(budget.brownouts(), 1u);
     // Every floor scaled by cap / minimum_total = 300/400.
-    EXPECT_DOUBLE_EQ(scratch.granted[0], 225.0);
-    EXPECT_DOUBLE_EQ(scratch.granted[1], 75.0);
-    EXPECT_TRUE(scratch.capped[0]);
-    EXPECT_TRUE(scratch.capped[1]);
+    EXPECT_DOUBLE_EQ(budget.granted()[0], 225.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[1], 75.0);
+    EXPECT_TRUE(budget.capped()[0]);
+    EXPECT_TRUE(budget.capped()[1]);
 }
 
 // A derated feed that later recovers must re-converge to full grants —
@@ -453,33 +425,74 @@ TEST(PowerBudget, CapacityLoweredAndRestoredReconverges)
     power::PowerBudget budget(1000.0, 1.2);
     budget.setRecoverableBrownout(true);
     const std::vector<power::PowerConsumer> consumers{
-        {"a", 400.0, 300.0, 1}, {"b", 300.0, 200.0, 0}};
-    power::AllocScratch scratch;
+        {400.0, 300.0, 1}, {300.0, 200.0, 0}};
 
-    budget.allocate(consumers, scratch, true);
-    EXPECT_DOUBLE_EQ(scratch.granted[0], 400.0);
-    EXPECT_DOUBLE_EQ(scratch.granted[1], 300.0);
+    budget.allocate(consumers, true);
+    EXPECT_DOUBLE_EQ(budget.granted()[0], 400.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[1], 300.0);
 
     budget.setCapacity(250.0); // Brownout: floors total 500 W.
     EXPECT_DOUBLE_EQ(budget.provisionable(), 300.0); // Ratio is kept.
-    budget.allocate(consumers, scratch, true);
+    budget.allocate(consumers, true);
     EXPECT_EQ(budget.brownouts(), 1u);
-    EXPECT_DOUBLE_EQ(scratch.granted[0] + scratch.granted[1], 250.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[0] + budget.granted()[1], 250.0);
 
     budget.setCapacity(600.0); // Partial recovery: floors fit, demand no.
-    budget.allocate(consumers, scratch, true);
+    budget.allocate(consumers, true);
     EXPECT_EQ(budget.brownouts(), 1u);
-    EXPECT_DOUBLE_EQ(scratch.granted[0] + scratch.granted[1], 600.0);
-    EXPECT_GE(scratch.granted[0], 300.0);
-    EXPECT_GE(scratch.granted[1], 200.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[0] + budget.granted()[1], 600.0);
+    EXPECT_GE(budget.granted()[0], 300.0);
+    EXPECT_GE(budget.granted()[1], 200.0);
 
     budget.setCapacity(1000.0); // Full recovery: back to full demand.
-    budget.allocate(consumers, scratch, true);
+    budget.allocate(consumers, true);
     EXPECT_EQ(budget.brownouts(), 1u);
-    EXPECT_DOUBLE_EQ(scratch.granted[0], 400.0);
-    EXPECT_DOUBLE_EQ(scratch.granted[1], 300.0);
-    EXPECT_FALSE(scratch.capped[0]);
-    EXPECT_FALSE(scratch.capped[1]);
+    EXPECT_DOUBLE_EQ(budget.granted()[0], 400.0);
+    EXPECT_DOUBLE_EQ(budget.granted()[1], 300.0);
+    EXPECT_FALSE(budget.capped()[0]);
+    EXPECT_FALSE(budget.capped()[1]);
+}
+
+// One budget reused across calls, as the crisis feed reuses its budget
+// while servers crash and come back: after every call its grants match
+// a fresh budget's in size and bits, however the consumer set shrinks.
+TEST(PowerBudget, GrantsFollowTheLatestConsumerSet)
+{
+    const std::vector<power::PowerConsumer> five{
+        {500.0, 100.0, 1}, {300.0, 50.0, 2}, {400.0, 150.0, 1},
+        {200.0, 200.0, 3}, {350.0, 100.0, 0}};
+    const std::vector<power::PowerConsumer> three(five.begin(),
+                                                  five.begin() + 3);
+    power::PowerBudget reused(1000.0);
+    reused.setRecoverableBrownout(true);
+    const auto allocateBoth =
+        [&reused](const std::vector<power::PowerConsumer> &consumers) {
+            power::PowerBudget fresh(reused.capacity());
+            fresh.setRecoverableBrownout(true);
+            reused.allocate(consumers);
+            fresh.allocate(consumers);
+            const std::size_t n = consumers.size();
+            ASSERT_EQ(reused.granted().size(), n);
+            ASSERT_EQ(reused.capped().size(), n);
+            ASSERT_EQ(fresh.granted().size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(std::memcmp(&reused.granted()[i],
+                                      &fresh.granted()[i], sizeof(Watts)),
+                          0)
+                    << "consumer " << i;
+            }
+            EXPECT_EQ(reused.capped(), fresh.capped());
+        };
+
+    allocateBoth(five);  // 1750 W on 1000 W: the capped walk.
+    allocateBoth(three); // 1200 W: still capped, on fewer consumers.
+    allocateBoth({});    // Every server down.
+    reused.setCapacity(400.0); // Floors total 600 W: a brownout.
+    allocateBoth(five);
+    EXPECT_EQ(reused.brownouts(), 1u);
+    reused.setCapacity(1000.0);
+    allocateBoth(three);
+    EXPECT_EQ(reused.brownouts(), 1u);
 }
 
 } // namespace
