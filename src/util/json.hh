@@ -102,8 +102,7 @@ class Json
     /**
      * Append @p value to @p out as a JSON number with @p digits
      * significant digits (printf's "%.*g"), or as `null` when it is
-     * not finite: JSON has no NaN or infinity. The number writer all
-     * of the repo's JSON writers share.
+     * not finite: JSON has no NaN or infinity.
      */
     static void appendNumber(std::string &out, double value, int digits);
 
